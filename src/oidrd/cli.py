@@ -62,9 +62,12 @@ def _solver_cap() -> int:
     env = os.environ.get("OIDRD_MAX_N")
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise UsageError(f"OIDRD_MAX_N must be an integer, got {env!r}") from None
+        if cap < 0:
+            raise UsageError(f"OIDRD_MAX_N must be non-negative, got {cap}")
+        return cap
     return DEFAULT_MAX_N
 
 

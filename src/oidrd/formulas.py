@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .graphs import Graph
-from .solver import InvariantBundle, bundle
+from .solver import CertificationError, InvariantBundle, bundle
 
 CORONA_BASE_CAP = 20
 
@@ -71,7 +71,8 @@ class CoronaCoefficients:
     @classmethod
     def from_bundle(cls, hb: InvariantBundle, h_n: int) -> "CoronaCoefficients":
         co = cls(h_n + hb.gamma, hb.gamma_oidr + 1, hb.gamma_oir + 2, hb.beta + 3)
-        assert co.c0 > 0 and co.c1 > 0 and co.c2 > 0 and co.c3 > 0
+        if min(co.c0, co.c1, co.c2, co.c3) <= 0:
+            raise CertificationError(f"corona coefficients must be positive, got {co}")
         return co
 
 
@@ -123,7 +124,10 @@ def corona_formula(g: Graph, hb: InvariantBundle, h_n: int, h_max_degree: int) -
     value = _min_over_independent_zero_sets(g, co)
     if g.n <= 8:
         # the reduction to one-set scans is our inference; cross-check it
-        assert value == _direct_four_way_minimum(g, co)
+        direct = _direct_four_way_minimum(g, co)
+        if value != direct:
+            raise CertificationError(f"corona minimum {value} differs from the direct "
+                                     f"four-way minimum {direct}")
     return value
 
 

@@ -566,19 +566,31 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
         yield prufer_decode(seq, n)
 
 
+SAMPLE_ATTEMPTS = 10_000
+
+
 def sample_connected_graphs(n: int, count: int, seed: int,
                             max_deg: int | None = None) -> Iterator[Graph]:
-    """Seeded uniform edge-subset sampling, rejection-filtered to connected graphs."""
+    """Seeded uniform edge-subset sampling, rejection-filtered to connected graphs.
+
+    Raises GraphError after SAMPLE_ATTEMPTS rejections in a row, which is how
+    a constraint that no graph (or almost none) meets shows up.
+    """
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
     produced = 0
+    rejected = 0
     while produced < count:
+        if rejected == SAMPLE_ATTEMPTS:
+            raise GraphError(f"no connected graph on {n} vertices with max degree "
+                             f"{max_deg} in {SAMPLE_ATTEMPTS} draws; the constraint is "
+                             f"(nearly) unsatisfiable")
         edges = [p for p in pairs if rng.getrandbits(1)]
         g = build(n, edges)
-        if not is_connected(g):
+        if not is_connected(g) or (max_deg is not None and g.max_degree > max_deg):
+            rejected += 1
             continue
-        if max_deg is not None and g.max_degree > max_deg:
-            continue
+        rejected = 0
         produced += 1
         yield g
 

@@ -28,6 +28,8 @@ from .solver import (
     solve_beta,
     solve_gamma,
     solve_oidrd,
+    tree_beta,
+    tree_oidrd,
 )
 
 
@@ -109,10 +111,20 @@ def _graph(payload: tuple) -> G.Graph:
     return G.build(payload[0], payload[1])
 
 
+def _violations(g: G.Graph, items: list[tuple]) -> list[tuple]:
+    """(graph text, claim, lhs, rhs) per failed claim.  Workers render the
+    graph text only here, so an instance with no violation sends none back."""
+    if not items:
+        return []
+    text = G.to_edge_list_text(g)
+    return [(text, *item) for item in items]
+
+
 def _map_instances(worker, payloads, workers: int | None) -> list:
-    """Run worker over an iterable of payloads, preserving order."""
-    if workers is None:
-        workers = os.cpu_count() or 1
+    """Run worker over an iterable of payloads, preserving order, on at most
+    os.cpu_count() processes."""
+    cpus = os.cpu_count() or 1
+    workers = cpus if workers is None else min(workers, cpus)
     if workers <= 1:
         return [worker(p) for p in payloads]
     with Pool(workers) as pool:
@@ -145,7 +157,7 @@ def _bounds_check(payload: tuple) -> tuple:
     if lower > goidr:
         items.append(("lower_max_gamma_2alpha_over_delta_plus_beta",
                       [lower.numerator, lower.denominator], goidr))
-    return G.to_edge_list_text(g), items
+    return _violations(g, items)
 
 
 def audit_bounds(max_n: int, *, workers: int | None = None) -> AuditReport:
@@ -156,7 +168,7 @@ def audit_bounds(max_n: int, *, workers: int | None = None) -> AuditReport:
     payloads = (_payload(g) for n in range(2, max_n + 1)
                 for g in G.enumerate_connected_graphs(n))
     results = _map_instances(_bounds_check, payloads, workers)
-    violations = [Violation(text, *item) for text, items in results for item in items]
+    violations = [Violation(*v) for vs in results for v in vs]
     return _report("bounds", {"max_n": max_n}, len(results), violations, t0)
 
 
@@ -180,7 +192,7 @@ def _characterization_check(payload: tuple) -> tuple:
         items.append(("small_value_class", res.value_class, value))
     if res.value_class != OTHER and not verify_classification(g, res):
         items.append(("anchor_witness", res.family, "re-verification failed"))
-    return G.to_edge_list_text(g), res.value_class, items
+    return res.value_class, _violations(g, items)
 
 
 def audit_characterization(max_n: int = 6, *, n7_samples: int = 300, seed: int = 0,
@@ -200,9 +212,9 @@ def audit_characterization(max_n: int = 6, *, n7_samples: int = 300, seed: int =
                 yield _payload(g)
 
     results = _map_instances(_characterization_check, payloads(), workers)
-    violations = [Violation(text, *item) for text, _, items in results for item in items]
+    violations = [Violation(*v) for _, vs in results for v in vs]
     counts: dict[str, int] = {}
-    for _, value_class, _ in results:
+    for value_class, _ in results:
         counts[value_class] = counts.get(value_class, 0) + 1
     return _report("characterization",
                    {"max_n": max_n, "n7_samples": n7_samples, "seed": seed},
@@ -229,7 +241,7 @@ def _reduction_check(payload: tuple) -> tuple:
             # informational only
             notes.append(f"identity failed at max degree {g.max_degree}: "
                          f"{rep.lhs} != {rep.rhs} for\n{G.to_edge_list_text(g)}")
-    return G.to_edge_list_text(g), items, notes
+    return _violations(g, items), notes
 
 
 def audit_reduction(max_n: int = 5, *, samples_n5: int = 50, seed: int = 0,
@@ -249,8 +261,8 @@ def audit_reduction(max_n: int = 5, *, samples_n5: int = 50, seed: int = 0,
                 yield _payload(g)
 
     results = _map_instances(_reduction_check, payloads(), workers)
-    violations = [Violation(text, *item) for text, items, _ in results for item in items]
-    notes = [n for _, _, ns in results for n in ns]
+    violations = [Violation(*v) for vs, _ in results for v in vs]
+    notes = [n for _, ns in results for n in ns]
     return _report("reduction", {"max_n": max_n, "samples_n5": samples_n5, "seed": seed},
                    len(results), violations, t0, notes=notes)
 
@@ -263,13 +275,14 @@ TREE_EXHAUSTIVE_CAP = 8
 
 
 def _tree_check(payload: tuple) -> tuple:
+    # the linear-time forest routes; tests cross-check them against the engine
     g = _graph(payload)
-    beta = solve_beta(g).value
-    goidr = solve_oidrd(g).value
+    beta = tree_beta(g)
+    goidr = tree_oidrd(g)
     items = []
     if 2 * beta + 1 > goidr:
         items.append(("tree_lower_bound", 2 * beta + 1, goidr))
-    return G.to_edge_list_text(g), goidr == 2 * beta + 1, items
+    return goidr == 2 * beta + 1, _violations(g, items)
 
 
 def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
@@ -291,8 +304,10 @@ def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
                 yield _payload(g)
 
     results = _map_instances(_tree_check, payloads(), workers)
-    violations = [Violation(text, *item) for text, _, items in results for item in items]
-    equality_cases = sum(1 for _, eq, _ in results if eq)
+    violations = [Violation(*v) for _, vs in results for v in vs]
+    equality_cases = sum(1 for eq, _ in results if eq)
+    # even paths stay on the branch-and-bound engine: an anchor for the forest
+    # routes inside the campaign itself
     for n in range(2, max_n + 1, 2):
         p = G.path(n)
         goidr = solve_oidrd(p).value

@@ -8,7 +8,7 @@ from typing import Iterable
 
 from .graphs import Graph, gadget as gadget_graph
 from .labeling import Labeling, is_oidrd, weight
-from .solver import solve_alpha, solve_oidrd
+from .solver import CertificationError, solve_alpha, solve_oidrd
 
 IDENTITY_BASE_CAP = 5
 
@@ -36,11 +36,16 @@ def build_gadget(g: Graph) -> GadgetMap:
     n = g.n
     u_index = {v: n + v for v in range(n)}
     leaf_index = {n + v: (2 * n + 2 * v, 2 * n + 2 * v + 1) for v in range(n)}
-    assert gp.n == 4 * n
-    assert all(gp.degree(u) == 3 for u in u_index.values())
-    assert all(gp.degree(leaf) == 1 for pair in leaf_index.values() for leaf in pair)
+    if gp.n != 4 * n:
+        raise CertificationError(f"gadget has {gp.n} vertices, expected 4n = {4 * n}")
+    if not all(gp.degree(u) == 3 for u in u_index.values()):
+        raise CertificationError("a gadget path center does not have degree 3")
+    if not all(gp.degree(leaf) == 1 for pair in leaf_index.values() for leaf in pair):
+        raise CertificationError("a gadget leaf does not have degree 1")
     # centers always have degree 3, so the gadget degree is max(deg+1, 3)
-    assert gp.max_degree <= max(g.max_degree + 1, 3)
+    if gp.max_degree > max(g.max_degree + 1, 3):
+        raise CertificationError(f"gadget max degree {gp.max_degree} exceeds "
+                                 f"max({g.max_degree} + 1, 3)")
     return GadgetMap(g, gp, u_index, leaf_index)
 
 
@@ -78,6 +83,10 @@ def witness_from_independent_set(g: Graph, independent: Iterable[int]) -> Labeli
         if v not in chosen:
             values[v] = 1
     lab = Labeling(tuple(values))
-    assert is_oidrd(gm.gadget, lab)
-    assert weight(lab) == 4 * g.n - len(chosen)
+    if not is_oidrd(gm.gadget, lab):
+        raise CertificationError(f"induced gadget labeling {lab.to_text()} is not "
+                                 f"an OIDRD function")
+    if weight(lab) != 4 * g.n - len(chosen):
+        raise CertificationError(f"induced gadget labeling has weight {weight(lab)}, "
+                                 f"expected 4n - |I| = {4 * g.n - len(chosen)}")
     return lab

@@ -3,6 +3,9 @@
 Every parameter has two independent routes: a branch-and-bound engine
 (pure Python, usable at desk scale) and a vectorized full-enumeration
 oracle capped at n <= 12, used to cross-validate values and witnesses.
+On forests, gamma_oidr and beta have a third, value-only route in linear
+time: a bottom-up dynamic program over the labels (`tree_oidrd`) and greedy
+leaf matching (`tree_beta`).
 
 Canonical witness contract: the lexicographically smallest optimal
 labeling, values read in vertex order 0..n-1.  The engine finds the
@@ -18,12 +21,17 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, GraphError
 from .labeling import Labeling, is_drd, is_oidrd, is_oird, is_rd, weight, zeros_independent
 
 BRUTE_FORCE_CAP = 12
 _CACHE_LIMIT = 1 << 18
 _CHUNK = 1 << 18
+
+
+class CertificationError(RuntimeError):
+    """A computed result failed the check that certifies it.  Raised, never
+    asserted, so the checks also run under python -O."""
 
 
 @dataclass(frozen=True)
@@ -286,9 +294,12 @@ def _solve_min(g: Graph, prob: _Problem, predicate) -> SolveResult:
     ub = _initial_ub(g, prob)
     value, nodes1 = _branch_and_bound(g, prob, _degree_order(g), ub)
     wit, nodes2 = _branch_and_bound(g, prob, range(g.n), ub, target=value)
-    assert wit is not None
+    if wit is None:
+        raise CertificationError(f"witness descent found no labeling of weight {value}")
     lab = Labeling(wit)
-    assert weight(lab) == value and predicate(g, lab)
+    if weight(lab) != value or not predicate(g, lab):
+        raise CertificationError(f"witness {lab.to_text()} is not a valid labeling "
+                                 f"of weight {value}")
     return SolveResult(value, lab, nodes1 + nodes2)
 
 
@@ -356,7 +367,8 @@ def _alpha_witness(g: Graph, alpha: int) -> tuple[tuple[int, ...], int]:
         label[depth] = 0
 
     dfs(0, 0)
-    assert found is not None
+    if found is None:
+        raise CertificationError(f"witness descent found no independent set of size {alpha}")
     return found, nodes
 
 
@@ -367,7 +379,9 @@ def solve_alpha(g: Graph) -> SolveResult:
     alpha = g.n - cover_value
     wit, nodes2 = _alpha_witness(g, alpha)
     lab = Labeling(wit)
-    assert weight(lab) == alpha and is_independent_labeling(g, lab)
+    if weight(lab) != alpha or not is_independent_labeling(g, lab):
+        raise CertificationError(f"alpha witness {lab.to_text()} is not an independent set "
+                                 f"of size {alpha}")
     return SolveResult(alpha, lab, nodes1 + nodes2)
 
 
@@ -377,7 +391,8 @@ def solve_beta(g: Graph) -> SolveResult:
     a = solve_alpha(g)
     comp = tuple(1 - x for x in a.witness.values)
     lab = Labeling(comp)
-    assert is_cover_labeling(g, lab)
+    if not is_cover_labeling(g, lab):
+        raise CertificationError(f"beta witness {lab.to_text()} is not a vertex cover")
     return SolveResult(g.n - a.value, lab, a.node_count)
 
 
@@ -406,9 +421,12 @@ def bundle(g: Graph) -> InvariantBundle:
         gamma_dr=solve_gamma_dr(g).value,
         gamma_oidr=solve_oidrd(g).value,
     )
-    assert b.alpha + b.beta == g.n
-    assert b.gamma_dr <= b.gamma_oidr
-    assert b.gamma_oir < b.gamma_oidr
+    if b.alpha + b.beta != g.n:
+        raise CertificationError(f"alpha + beta = {b.alpha + b.beta} != n = {g.n}")
+    if b.gamma_dr > b.gamma_oidr:
+        raise CertificationError(f"gamma_dr = {b.gamma_dr} > gamma_oidr = {b.gamma_oidr}")
+    if b.gamma_oir >= b.gamma_oidr:
+        raise CertificationError(f"gamma_oir = {b.gamma_oir} >= gamma_oidr = {b.gamma_oidr}")
     return b
 
 
@@ -421,6 +439,94 @@ SOLVERS = {
     "alpha": solve_alpha,
     "beta": solve_beta,
 }
+
+
+# ---------------------------------------------------------------------------
+# Forests: linear-time, value-only routes (independent of the engine above)
+# ---------------------------------------------------------------------------
+
+
+def _forest_order(g: Graph) -> tuple[list[int], list[int]]:
+    """Breadth-first order of every component (roots are the smallest vertex
+    of each) and each vertex's parent, -1 at roots.  Raises GraphError unless
+    g is a forest, i.e. m = n - (number of components)."""
+    parent = [-1] * g.n
+    seen = bytearray(g.n)
+    order: list[int] = []
+    components = 0
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        components += 1
+        seen[root] = 1
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for w in g.adj[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    parent[w] = v
+                    order.append(w)
+    if g.m != g.n - components:
+        raise GraphError(f"not a forest: {g.m} edges on {g.n} vertices in {components} components")
+    return order, parent
+
+
+def tree_oidrd(g: Graph) -> int:
+    """gamma_oidr of a forest by a bottom-up dynamic program, O(n).
+
+    Each vertex v carries the minimum weight of its subtree for seven states
+    of v, given the labels of its children only:
+      Z0, Z1, Z2  label 0 with no 2- or 3-child, with exactly one 2-child
+                  and no 3-child, or already satisfied (a 3-child or two
+                  2-children)
+      O0, O1      label 1 without / with a child labeled 2 or 3
+      T, H        label 2, label 3
+    The parent's label closes each child's state: Z0 needs a parent labeled 3,
+    Z1 and O0 a parent labeled 2 or 3, and no 0 may have a parent labeled 0.
+    A root has no parent, so only Z2, O1, T and H are final there.
+    """
+    order, parent = _forest_order(g)
+    inf = 3 * g.n + 1  # above every feasible weight; sums of it stay above too
+    # per-vertex accumulators [Z0, Z1, Z2, O0, O1, T, H], seeded for a leaf
+    acc = [[0, inf, inf, 1, inf, 2, 3] for _ in range(g.n)]
+    total = 0
+    for v in reversed(order):
+        z0, z1, z2, o0, o1, t, h = acc[v]
+        p = parent[v]
+        if p < 0:
+            total += min(z2, o1, t, h)
+            continue
+        pa = acc[p]
+        low, high = min(z2, o1), min(t, h)
+        # parent labeled 0: the child is O1, T or H
+        pa[0], pa[1], pa[2] = (pa[0] + o1,
+                               min(pa[1] + o1, pa[0] + t),
+                               min(pa[2] + min(o1, high), pa[1] + high, pa[0] + h))
+        # parent labeled 1: the child is Z2 or O1, or supports it with T or H
+        pa[3], pa[4] = pa[3] + low, min(pa[4] + min(low, high), pa[3] + high)
+        # parent labeled 2 closes everything but Z0; labeled 3, everything
+        closed = min(z1, o0, low, high)
+        pa[5] += closed
+        pa[6] += min(z0, closed)
+    return total
+
+
+def tree_beta(g: Graph) -> int:
+    """Vertex cover number of a forest, O(n): by Konig's theorem it equals
+    the maximum matching, which greedy matching of leaves to their parents
+    attains when vertices are taken deepest first."""
+    order, parent = _forest_order(g)
+    matched = bytearray(g.n)
+    size = 0
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0 and not matched[v] and not matched[p]:
+            matched[v] = matched[p] = 1
+            size += 1
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +615,8 @@ def _brute_min(g: Graph, prob: _Problem) -> tuple[int, tuple[int, ...]]:
             if best is None or m < best:
                 best = m
                 best_idx = start + int(np.flatnonzero(valid & (wt == m))[0])
-    assert best is not None
+    if best is None:
+        raise CertificationError("full enumeration found no valid labeling")
     return best, _decode(best_idx, base, n)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oidrd import cli
 from oidrd import graphs as G
 
@@ -106,6 +108,14 @@ def test_solver_cap_and_env_override(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "solve", "path:25", "--json")
     assert code == 0
     assert json.loads(out)["gamma_oidr"] == 26
+
+
+def test_solver_cap_rejects_negative_override(capsys, monkeypatch):
+    monkeypatch.setenv("OIDRD_MAX_N", "-1")
+    with pytest.raises(cli.UsageError, match="non-negative"):
+        cli._solver_cap()
+    code, _, err = run_cli(capsys, "solve", "path:3")
+    assert code == 2 and "non-negative" in err
 
 
 def test_audit_exit_codes(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import isomorphic, labeled_connected_count
@@ -169,6 +171,14 @@ def test_sampling_is_deterministic():
     t2 = [G.to_edge_list_text(g) for g in G.sample_trees(9, 4, seed=3)]
     assert t1 == t2
     assert all(g.count(" ") >= 0 for g in t1)
+
+
+def test_sampling_gives_up_on_unsatisfiable_constraints():
+    # no connected graph on 4 vertices has max degree 1
+    t0 = time.monotonic()
+    with pytest.raises(G.GraphError, match="unsatisfiable"):
+        list(G.sample_connected_graphs(4, 1, seed=0, max_deg=1))
+    assert time.monotonic() - t0 < 10
 
 
 def test_edge_list_round_trip():

@@ -36,6 +36,43 @@ def test_trees_campaign_counts_match_cayley():
     assert r.extra["equality_cases"] > 0
 
 
+def test_violations_carry_the_graph_text(monkeypatch):
+    # workers send the graph text back only with a violation; force one per tree
+    monkeypatch.setattr(H, "tree_oidrd", lambda g: 0)
+    r = H.audit_trees(3, workers=1)
+    assert r.status == "fail" and r.extra["equality_cases"] == 0
+    trees = [G.to_edge_list_text(t) for n in (1, 2, 3) for t in G.enumerate_trees(n)]
+    assert sorted(v.graph for v in r.violations) == sorted(trees)
+    assert {v.claim for v in r.violations} == {"tree_lower_bound"}
+
+
+
+def test_map_instances_clamps_workers_to_cpu_count(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, worker, payloads, chunksize):
+            return map(worker, payloads)
+
+    monkeypatch.setattr(H, "Pool", RecordingPool)
+    monkeypatch.setattr(H.os, "cpu_count", lambda: 2)
+    assert H._map_instances(abs, [-1, -2, 3], 10**6) == [1, 2, 3]
+    assert H._map_instances(abs, [-4], None) == [4]
+    assert started == [2, 2]
+    monkeypatch.setattr(H.os, "cpu_count", lambda: 1)
+    assert H._map_instances(abs, [-5], 64) == [5]
+    assert started == [2, 2]
+
+
 def test_forced_ones_campaign_default():
     r = H.audit_forced_ones()
     assert r.status == "pass"

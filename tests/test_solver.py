@@ -1,5 +1,13 @@
-import pytest
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oidrd import formulas as F
 from oidrd import graphs as G
 from oidrd import solver as S
 from oidrd.labeling import classes, is_oidrd, weight
@@ -121,3 +129,108 @@ def test_strict_gap_between_roman_variants():
 
 def test_node_count_positive():
     assert S.solve_oidrd(G.cycle(5)).node_count > 0
+
+
+def _components(g):
+    seen, count = set(), 0
+    for r in range(g.n):
+        if r not in seen:
+            count += 1
+            stack = [r]
+            seen.add(r)
+            while stack:
+                for w in g.adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+    return count
+
+
+def test_forest_routes_match_engine_on_every_small_forest():
+    forests = 0
+    for n in range(1, 7):
+        for g in G.enumerate_graphs(n):
+            if g.m != n - _components(g):
+                continue
+            forests += 1
+            assert S.tree_oidrd(g) == S.solve_oidrd(g).value, G.to_edge_list_text(g)
+            assert S.tree_beta(g) == S.solve_beta(g).value, G.to_edge_list_text(g)
+    # labeled forests on 1..6 vertices (OEIS A001858)
+    assert forests == 1 + 2 + 7 + 38 + 291 + 2932
+
+
+def test_forest_routes_match_oracle_on_sampled_trees():
+    for n in (8, 9, 10):
+        for t in G.sample_trees(n, 8, seed=n):
+            assert S.tree_oidrd(t) == S.brute_force_oidrd(t).value, G.to_edge_list_text(t)
+            assert S.tree_beta(t) == S.brute_force_beta(t).value, G.to_edge_list_text(t)
+
+
+@st.composite
+def relabeled_forest(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    parent = [draw(st.integers(-1, v - 1)) for v in range(n)]
+    perm = draw(st.permutations(range(n)))
+    edges = [(v, p) for v, p in enumerate(parent) if p >= 0]
+    return G.build(n, edges), G.build(n, [(perm[v], perm[p]) for v, p in edges])
+
+
+@settings(deadline=None)
+@given(relabeled_forest())
+def test_forest_routes_match_engine_and_ignore_labels(pair):
+    g, relabeled = pair
+    value = S.tree_oidrd(g)
+    assert value == S.solve_oidrd(g).value == S.tree_oidrd(relabeled)
+    assert S.tree_beta(g) == S.solve_beta(g).value == S.tree_beta(relabeled)
+
+
+def test_forest_routes_on_families():
+    assert S.tree_oidrd(G.path(2000)) == F.formula_path(2000)
+    assert S.tree_beta(G.path(2000)) == 1000
+    for k in range(1, 30):
+        assert S.tree_oidrd(G.star(k)) == F.formula_complete_bipartite(1, k)
+        assert S.tree_beta(G.star(k)) == 1
+    # forests: components add up, an isolated vertex costs 2
+    assert S.tree_oidrd(G.empty(5)) == 10 and S.tree_beta(G.empty(5)) == 0
+    two_p3 = G.build(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    assert S.tree_oidrd(two_p3) == 6 and S.tree_beta(two_p3) == 2
+
+
+def test_forest_routes_reject_graphs_with_cycles():
+    with_cycle = G.build(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+    for g in (G.cycle(3), G.complete(4), with_cycle):
+        with pytest.raises(G.GraphError, match="not a forest"):
+            S.tree_oidrd(g)
+        with pytest.raises(G.GraphError, match="not a forest"):
+            S.tree_beta(g)
+
+
+_PATCHED_PREDICATES = """
+import sys
+from oidrd import graphs as G, reduction as R, solver as S
+
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+{target}.{name} = lambda g, f: False
+try:
+    {call}
+except S.CertificationError as e:
+    print("CertificationError:", e)
+"""
+
+
+@pytest.mark.parametrize("target,name,call", [
+    ("S", "is_oidrd", "S.solve_oidrd(G.path(4))"),
+    ("S", "is_cover_labeling", "S.solve_beta(G.path(4))"),
+    ("S", "is_independent_labeling", "S.solve_alpha(G.path(4))"),
+    ("R", "is_oidrd", "R.witness_from_independent_set(G.path(2), [0])"),
+])
+def test_certification_checks_survive_optimize(target, name, call):
+    src = str(Path(S.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = textwrap.dedent(_PATCHED_PREDICATES).format(target=target, name=name, call=call)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificationError:"), out.stdout
