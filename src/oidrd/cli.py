@@ -71,30 +71,33 @@ def _solver_cap() -> int:
     return DEFAULT_MAX_N
 
 
-def parse_graph(source: str) -> G.Graph:
-    """Edge-list text ('n m' header then m 'u v' lines) or a generator DSL string."""
+def parse_graph(source: str, cap: int | None = None) -> G.Graph:
+    """Edge-list text ('n m' header then m 'u v' lines) or a generator DSL string.
+    With a cap, an edge-list header's n is checked before the graph is built."""
     s = source.strip()
     if not s:
         raise GraphError("empty graph input")
     head = s.splitlines()[0].split()
     if len(head) == 2 and all(tok.isdigit() for tok in head):
+        if cap is not None:
+            _check_cap(int(head[0]), cap)
         return G.from_edge_list_text(s)
     return G.family(G.parse_family_spec(s))
 
 
-def _load_graph(arg: str) -> G.Graph:
+def _load_graph(arg: str, cap: int | None = None) -> G.Graph:
     if arg == "-":
-        return parse_graph(sys.stdin.read())
+        return parse_graph(sys.stdin.read(), cap)
     p = Path(arg)
     if p.exists() and p.is_file():
-        return parse_graph(p.read_text(encoding="utf-8"))
-    return parse_graph(arg)
+        return parse_graph(p.read_text(encoding="utf-8"), cap)
+    return parse_graph(arg, cap)
 
 
-def _check_cap(g: G.Graph, cap: int) -> None:
-    if g.n > cap:
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
         raise UsageError(
-            f"graph has {g.n} vertices, above the solver cap {cap} "
+            f"graph has {n} vertices, above the solver cap {cap} "
             f"(override at your own risk with OIDRD_MAX_N)")
 
 
@@ -118,8 +121,9 @@ _WITNESS_PREDICATES = {
 
 
 def _run_solve(cmd: Command) -> int:
-    g = _load_graph(cmd.input)
-    _check_cap(g, _solver_cap())
+    cap = _solver_cap()
+    g = _load_graph(cmd.input, cap)
+    _check_cap(g.n, cap)
     inv = cmd.options.get("invariant", "gamma_oidr")
     as_json = cmd.options.get("json", False)
     if inv == "bundle":
@@ -163,8 +167,9 @@ def _run_solve(cmd: Command) -> int:
 
 
 def _run_bounds(cmd: Command) -> int:
-    g = _load_graph(cmd.input)
-    _check_cap(g, _solver_cap())
+    cap = _solver_cap()
+    g = _load_graph(cmd.input, cap)
+    _check_cap(g.n, cap)
     if g.n < 2 or not G.is_connected(g):
         raise UsageError("bounds requires a connected graph on at least 2 vertices")
     alpha = solve_alpha(g).value
@@ -200,8 +205,9 @@ def _run_bounds(cmd: Command) -> int:
 
 
 def _run_classify(cmd: Command) -> int:
-    g = _load_graph(cmd.input)
-    _check_cap(g, _solver_cap())
+    cap = _solver_cap()
+    g = _load_graph(cmd.input, cap)
+    _check_cap(g.n, cap)
     res = classify(g)
     payload = {
         "schema": SCHEMA,
@@ -221,9 +227,9 @@ def _run_classify(cmd: Command) -> int:
 
 
 def _run_reduce(cmd: Command) -> int:
-    g = _load_graph(cmd.input)
     env = os.environ.get("OIDRD_MAX_N")
     cap = (_solver_cap() // 4) if env is not None else 5
+    g = _load_graph(cmd.input, cap)
     if g.n > cap:
         raise UsageError(
             f"reduce verifies the identity by solving the 4n-vertex gadget; "
@@ -244,9 +250,10 @@ def _run_reduce(cmd: Command) -> int:
 
 
 def _run_corona(cmd: Command) -> int:
-    g = _load_graph(cmd.input)
-    h = _load_graph(cmd.input2)
-    _check_cap(G.corona(g, h), 4 * _solver_cap())
+    cap = 4 * _solver_cap()
+    g = _load_graph(cmd.input, cap)
+    h = _load_graph(cmd.input2, cap)
+    _check_cap(g.n * (h.n + 1), cap)  # the corona's order, before building it
     value, co = corona_value(g, h)
     payload = {
         "schema": SCHEMA,

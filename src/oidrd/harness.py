@@ -23,13 +23,12 @@ from . import graphs as G
 from .characterize import OTHER, classify, verify_classification
 from .reduction import verify_identity
 from .solver import (
+    _forest_routes,
     enumerate_optimal_oidrd,
     solve_alpha,
     solve_beta,
     solve_gamma,
     solve_oidrd,
-    tree_beta,
-    tree_oidrd,
 )
 
 
@@ -275,10 +274,10 @@ TREE_EXHAUSTIVE_CAP = 8
 
 
 def _tree_check(payload: tuple) -> tuple:
-    # the linear-time forest routes; tests cross-check them against the engine
+    # the linear-time forest routes, one traversal order for both; tests
+    # cross-check them against the engine
     g = _graph(payload)
-    beta = tree_beta(g)
-    goidr = tree_oidrd(g)
+    beta, goidr = _forest_routes(g)
     items = []
     if 2 * beta + 1 > goidr:
         items.append(("tree_lower_bound", 2 * beta + 1, goidr))

@@ -8,10 +8,14 @@ time: a bottom-up dynamic program over the labels (`tree_oidrd`) and greedy
 leaf matching (`tree_beta`).
 
 Canonical witness contract: the lexicographically smallest optimal
-labeling, values read in vertex order 0..n-1.  The engine finds the
-optimal value first (branching on vertices by descending degree, labels
-tried ascending), then re-derives the witness by a lexicographic descent
-at the optimal value.
+labeling, values read in vertex order 0..n-1.  The engine makes one
+optimizing pass along 0..n-1, labels tried ascending, from an incumbent one
+above an achievable weight, and keeps the labeling at each strict
+improvement.  The last one kept is canonical: until the lex-first optimum
+is reached the incumbent stays above the optimum, and every bound on that
+optimum's path is at most its weight, so no pruning cuts it off; after it,
+nothing improves.  Alpha has its own witness descent, since the complement
+of the lex-first minimum cover is not the lex-first maximum independent set.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .labeling import Labeling, is_drd, is_oidrd, is_oird, is_rd, weight, zeros_
 
 BRUTE_FORCE_CAP = 12
 _CACHE_LIMIT = 1 << 18
-_CHUNK = 1 << 18
 
 
 class CertificationError(RuntimeError):
@@ -36,7 +39,11 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimal value plus the canonical (lex-smallest) witness labeling."""
+    """Optimal value plus the canonical (lex-smallest) witness labeling.
+
+    node_count: feasible partial labelings the engine visited (for alpha and
+    beta, the cover search plus the witness descent); base^n for an oracle.
+    """
 
     value: int
     witness: Labeling
@@ -121,169 +128,151 @@ def _initial_ub(g: Graph, prob: _Problem) -> int:
     return n - k
 
 
-def _branch_and_bound(g: Graph, prob: _Problem, order: Sequence[int], ub: int,
-                      target: int | None = None) -> tuple:
-    """Min-weight labeling search.
+def _branch_and_bound(g: Graph, prob: _Problem, order: Sequence[int],
+                      ub: int) -> tuple[int, tuple[int, ...] | None, int]:
+    """Min-weight labeling search, labels tried ascending at each vertex of
+    `order`, so complete labelings are met in lex order along `order`.
 
-    target=None: return (optimal value, nodes), starting from the achievable
-    incumbent ub.  Otherwise: return (first valid labeling of weight <= target
-    in lex order along `order`, nodes); with target set to the optimal value
-    and order = 0..n-1 this is the canonical-witness descent.
+    Starts from the incumbent ub and keeps the labeling at each strict
+    improvement.  Returns (best weight, last labeling kept or None if none
+    beat ub, nodes), where nodes counts the feasible partial labelings
+    visited.  The state is the mask of free (unlabeled) vertices plus one
+    mask per label; a vertex is surrounded once no neighbor is free.
     """
     n = g.n
-    adj = [tuple(sorted(g.adj[v])) for v in range(n)]
-    masks = [sum(1 << w for w in a) for a in adj]
+    nbr = [sum(1 << w for w in g.adj[v]) for v in range(n)]
     base, oi, zmode, one_ge2 = prob.base, prob.oi, prob.zero_mode, prob.one_ge2
-    label = [-1] * n
-    unl = [len(a) for a in adj]
-    cnt = [[0, 0, 0, 0] for _ in range(n)]
+    bonus = 2 if zmode == 3 else 1
     nodes = 0
     best = ub
     found: tuple[int, ...] | None = None
-    optimize = target is None
 
-    def independence_lb() -> int:
-        # with an independent 0-class, the zeros among unlabeled vertices fit
+    def zero_ok(m: int, l1: int, l2: int, l3: int) -> int:
+        # a vertex with neighborhood m may be labeled 0 (truthy: yes)
+        if zmode == 3:
+            m2 = m & l2
+            return m & l3 or m2 & (m2 - 1)
+        if zmode == 2:
+            return m & l2
+        if zmode == 1:
+            return m & l1
+        return 1
+
+    def independence_lb(free: int, l0: int) -> int:
+        # with an independent 0-class, the zeros among free vertices fit
         # inside any clique cover of them; everything else costs at least 1
-        forced = 0
-        rest = []
-        for u in range(n):
-            if label[u] >= 0:
-                continue
-            if cnt[u][0] > 0:
-                forced += 1
-            else:
-                rest.append(u)
+        forced = rest = 0
         cliques: list[int] = []
-        for u in rest:
-            mu = masks[u]
+        while free:
+            low = free & -free
+            free ^= low
+            m = nbr[low.bit_length() - 1]
+            if m & l0:
+                forced += 1
+                continue
+            rest += 1
             for i, members in enumerate(cliques):
-                if members & ~mu == 0:
-                    cliques[i] = members | (1 << u)
+                if members & ~m == 0:
+                    cliques[i] = members | low
                     break
             else:
-                cliques.append(1 << u)
-        return forced + len(rest) - len(cliques)
-
-    def zero_ok(c: list) -> bool:
-        if zmode == 3:
-            return c[3] > 0 or c[2] > 1
-        if zmode == 2:
-            return c[2] > 0
-        if zmode == 1:
-            return c[1] > 0
-        return True
+                cliques.append(low)
+        return forced + rest - len(cliques)
 
     if zmode == 0:
         # vertex cover: forced 1s next to a 0, plus a greedy matching
-        def lower_bound() -> int:
+        def lower_bound(free: int, l0: int, l1: int, l2: int, l3: int) -> int:
             total = 0
-            used = bytearray(n)
-            for u in range(n):
-                if label[u] < 0 and cnt[u][0] > 0:
+            avail = free
+            rem = free
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                if nbr[low.bit_length() - 1] & l0:
                     total += 1
-                    used[u] = 1
-            for u in range(n):
-                if label[u] >= 0 or used[u]:
-                    continue
-                for w in adj[u]:
-                    if w > u and label[w] < 0 and not used[w]:
-                        total += 1
-                        used[u] = 1
-                        used[w] = 1
-                        break
+                    avail ^= low
+            rem = avail
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                cand = nbr[low.bit_length() - 1] & avail & -(low << 1)
+                if cand:
+                    w = cand & -cand
+                    total += 1
+                    avail ^= w
+                    rem &= ~w
             return total
     else:
         # exact minimum feasible label for surrounded vertices, plus a
         # packing of disjoint closed neighborhoods with no >=2 label nearby
-        bonus = 2 if zmode == 3 else 1
-
-        def lower_bound() -> int:
+        def lower_bound(free: int, l0: int, l1: int, l2: int, l3: int) -> int:
             total = 0
-            blocked = bytearray(n)
-            for u in range(n):
-                if label[u] >= 0:
-                    continue
-                c = cnt[u]
-                if unl[u] == 0:
-                    if (not oi or c[0] == 0) and zero_ok(c):
+            blocked = 0
+            high = l2 | l3
+            support = l1 if zmode == 1 else high
+            rem = free
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                m = nbr[low.bit_length() - 1]
+                if not m & free:
+                    if (not oi or not m & l0) and zero_ok(m, l1, l2, l3):
                         continue
-                    if not one_ge2 or c[2] + c[3] > 0:
-                        total += 1
-                    else:
-                        total += 2
-                elif not blocked[u]:
-                    uncov = c[1] == 0 if zmode == 1 else c[2] == 0 and c[3] == 0
-                    if uncov:
-                        ok = True
-                        for w in adj[u]:
-                            if label[w] < 0 and blocked[w]:
-                                ok = False
-                                break
-                        if ok:
-                            total += bonus
-                            blocked[u] = 1
-                            for w in adj[u]:
-                                if label[w] < 0:
-                                    blocked[w] = 1
+                    total += 1 if not one_ge2 or m & high else 2
+                elif not (blocked & low or m & support or m & blocked):
+                    total += bonus
+                    blocked |= low | (m & free)
             return total
 
-    def dfs(depth: int, w: int) -> None:
+    def dfs(depth: int, w: int, free: int, l0: int, l1: int, l2: int, l3: int) -> None:
         nonlocal best, found, nodes
-        if depth == n:
-            if optimize:
-                best = w
-            else:
-                found = tuple(label)
-            return
         v = order[depth]
-        av = adj[v]
-        cv = cnt[v]
+        bit = 1 << v
+        free ^= bit
+        m = nbr[v]
+        surrounded = not m & free
         for x in range(base):
             wx = w + x
-            if optimize:
-                if wx >= best:
-                    break
-            elif wx > target:
+            if wx >= best:
                 break
+            n0, n1, n2, n3 = l0, l1, l2, l3
             if x == 0:
-                if (oi and cv[0] > 0) or (unl[v] == 0 and not zero_ok(cv)):
+                if (oi and m & l0) or (surrounded and not zero_ok(m, l1, l2, l3)):
                     continue
-            elif x == 1 and one_ge2 and unl[v] == 0 and cv[2] + cv[3] == 0:
-                continue
-            label[v] = x
-            ok = True
-            for w2 in av:
-                c2 = cnt[w2]
-                c2[x] += 1
-                unl[w2] -= 1
-                if unl[w2] == 0:
-                    l2 = label[w2]
-                    if l2 == 0:
-                        if not zero_ok(c2):
-                            ok = False
-                    elif l2 == 1 and one_ge2 and c2[2] + c2[3] == 0:
-                        ok = False
-            if ok:
+                n0 |= bit
+            elif x == 1:
+                if one_ge2 and surrounded and not m & (l2 | l3):
+                    continue
+                n1 |= bit
+            elif x == 2:
+                n2 |= bit
+            else:
+                n3 |= bit
+            # labeled 0/1 neighbors that v's label just surrounded
+            watch = m & ((n0 if zmode else 0) | (n1 if one_ge2 else 0))
+            while watch:
+                low = watch & -watch
+                watch ^= low
+                mu = nbr[low.bit_length() - 1]
+                if mu & free:
+                    continue
+                if low & n0:
+                    if not zero_ok(mu, n1, n2, n3):
+                        break
+                elif not mu & (n2 | n3):
+                    break
+            else:
                 nodes += 1
-                bound = wx + lower_bound()
-                good = (bound < best) if optimize else (bound <= target)
-                if good and oi:
-                    bound = wx + independence_lb()
-                    good = (bound < best) if optimize else (bound <= target)
-                if good:
-                    dfs(depth + 1, wx)
-            for w2 in av:
-                cnt[w2][x] -= 1
-                unl[w2] += 1
-            label[v] = -1
-            if found is not None:
-                return
+                if not free:
+                    best = wx
+                    found = tuple(0 if n0 >> u & 1 else 1 if n1 >> u & 1 else
+                                  2 if n2 >> u & 1 else 3 for u in range(n))
+                elif (wx + lower_bound(free, n0, n1, n2, n3) < best
+                      and (not oi or wx + independence_lb(free, n0) < best)):
+                    dfs(depth + 1, wx, free, n0, n1, n2, n3)
 
-    dfs(0, 0)
-    if optimize:
-        return best, nodes
-    return found, nodes
+    dfs(0, 0, (1 << n) - 1, 0, 0, 0, 0)
+    return best, found, nodes
 
 
 def _degree_order(g: Graph) -> list[int]:
@@ -291,16 +280,15 @@ def _degree_order(g: Graph) -> list[int]:
 
 
 def _solve_min(g: Graph, prob: _Problem, predicate) -> SolveResult:
-    ub = _initial_ub(g, prob)
-    value, nodes1 = _branch_and_bound(g, prob, _degree_order(g), ub)
-    wit, nodes2 = _branch_and_bound(g, prob, range(g.n), ub, target=value)
+    # one pass along 0..n-1; ub + 1 so that an optimal ub is still met
+    value, wit, nodes = _branch_and_bound(g, prob, range(g.n), _initial_ub(g, prob) + 1)
     if wit is None:
-        raise CertificationError(f"witness descent found no labeling of weight {value}")
+        raise CertificationError(f"search found no labeling below its incumbent {value}")
     lab = Labeling(wit)
     if weight(lab) != value or not predicate(g, lab):
         raise CertificationError(f"witness {lab.to_text()} is not a valid labeling "
                                  f"of weight {value}")
-    return SolveResult(value, lab, nodes1 + nodes2)
+    return SolveResult(value, lab, nodes)
 
 
 def solve_oidrd(g: Graph, *, count_optimal: bool = False) -> SolveResult:
@@ -375,7 +363,7 @@ def _alpha_witness(g: Graph, alpha: int) -> tuple[tuple[int, ...], int]:
 def solve_alpha(g: Graph) -> SolveResult:
     """Exact independence number via complement-of-vertex-cover branch and bound."""
     ub = _initial_ub(g, _COVER)
-    cover_value, nodes1 = _branch_and_bound(g, _COVER, _degree_order(g), ub)
+    cover_value, _, nodes1 = _branch_and_bound(g, _COVER, _degree_order(g), ub)
     alpha = g.n - cover_value
     wit, nodes2 = _alpha_witness(g, alpha)
     lab = Labeling(wit)
@@ -474,8 +462,25 @@ def _forest_order(g: Graph) -> tuple[list[int], list[int]]:
     return order, parent
 
 
+def _forest_routes(g: Graph) -> tuple[int, int]:
+    """(beta, gamma_oidr) of a forest from one traversal order: the shared
+    entry of tree_beta and tree_oidrd for callers that need both."""
+    order, parent = _forest_order(g)
+    return _leaf_matching(order, parent), _label_dp(order, parent)
+
+
 def tree_oidrd(g: Graph) -> int:
-    """gamma_oidr of a forest by a bottom-up dynamic program, O(n).
+    """gamma_oidr of a forest by a bottom-up dynamic program, O(n)."""
+    return _label_dp(*_forest_order(g))
+
+
+def tree_beta(g: Graph) -> int:
+    """Vertex cover number of a forest by leaf matching, O(n)."""
+    return _leaf_matching(*_forest_order(g))
+
+
+def _label_dp(order: list[int], parent: list[int]) -> int:
+    """gamma_oidr of the forest given by a breadth-first order and parents.
 
     Each vertex v carries the minimum weight of its subtree for seven states
     of v, given the labels of its children only:
@@ -488,10 +493,10 @@ def tree_oidrd(g: Graph) -> int:
     Z1 and O0 a parent labeled 2 or 3, and no 0 may have a parent labeled 0.
     A root has no parent, so only Z2, O1, T and H are final there.
     """
-    order, parent = _forest_order(g)
-    inf = 3 * g.n + 1  # above every feasible weight; sums of it stay above too
+    n = len(order)
+    inf = 3 * n + 1  # above every feasible weight; sums of it stay above too
     # per-vertex accumulators [Z0, Z1, Z2, O0, O1, T, H], seeded for a leaf
-    acc = [[0, inf, inf, 1, inf, 2, 3] for _ in range(g.n)]
+    acc = [[0, inf, inf, 1, inf, 2, 3] for _ in range(n)]
     total = 0
     for v in reversed(order):
         z0, z1, z2, o0, o1, t, h = acc[v]
@@ -514,12 +519,12 @@ def tree_oidrd(g: Graph) -> int:
     return total
 
 
-def tree_beta(g: Graph) -> int:
-    """Vertex cover number of a forest, O(n): by Konig's theorem it equals
-    the maximum matching, which greedy matching of leaves to their parents
-    attains when vertices are taken deepest first."""
-    order, parent = _forest_order(g)
-    matched = bytearray(g.n)
+def _leaf_matching(order: list[int], parent: list[int]) -> int:
+    """Vertex cover number of the forest given by a breadth-first order and
+    parents: by Konig's theorem it equals the maximum matching, which greedy
+    matching of leaves to their parents attains when vertices are taken
+    deepest first."""
+    matched = bytearray(len(order))
     size = 0
     for v in reversed(order):
         p = parent[v]
@@ -547,13 +552,23 @@ def _cached_tables(base: int, n: int) -> dict:
     return t
 
 
-def _digits_for_range(base: int, n: int, start: int, stop: int) -> list[np.ndarray]:
-    idx = np.arange(start, stop, dtype=np.int64)
-    return [((idx // base ** (n - 1 - v)) % base).astype(np.int8) for v in range(n)]
+def _chunks(base: int, n: int) -> Iterator[tuple[int, list, np.ndarray]]:
+    """All base^n labelings in lex order, as (index of the first, digit
+    columns, weights) chunks: the cached table of the last k vertices under
+    each fixed prefix of the first n - k digits, given as numpy scalars."""
+    k = n
+    while base ** k > _CACHE_LIMIT:
+        k -= 1
+    t = _cached_tables(base, k)
+    for p in range(base ** (n - k)):
+        prefix = _decode(p, base, n - k)
+        s = sum(prefix)
+        yield (p * base ** k, [np.int8(d) for d in prefix] + t["vals"],
+               t["weight"] + s if s else t["weight"])
 
 
-def _valid_from_vals(g: Graph, prob: _Problem, vals: list[np.ndarray]) -> np.ndarray:
-    size = vals[0].shape[0]
+def _valid_from_vals(g: Graph, prob: _Problem, vals: list) -> np.ndarray:
+    size = vals[-1].shape[0]
     valid = np.ones(size, dtype=bool)
     if prob.oi:
         for u, v in g.edges():
@@ -592,50 +607,26 @@ def _decode(idx: int, base: int, n: int) -> tuple[int, ...]:
 def _brute_min(g: Graph, prob: _Problem) -> tuple[int, tuple[int, ...]]:
     """Scan all base^n labelings in lexicographic order; return the minimum
     weight and the first labeling attaining it."""
-    n, base = g.n, prob.base
-    size = base ** n
     best: int | None = None
     best_idx = -1
-    if size <= _CACHE_LIMIT:
-        t = _cached_tables(base, n)
-        valid = _valid_from_vals(g, prob, t["vals"])
-        if valid.any():
-            wt = t["weight"]
-            best = int(wt[valid].min())
-            best_idx = int(np.flatnonzero(valid & (wt == best))[0])
-    else:
-        for start in range(0, size, _CHUNK):
-            stop = min(start + _CHUNK, size)
-            vals = _digits_for_range(base, n, start, stop)
-            valid = _valid_from_vals(g, prob, vals)
-            if not valid.any():
-                continue
-            wt = sum(v.astype(np.int16) for v in vals)
-            m = int(wt[valid].min())
-            if best is None or m < best:
-                best = m
-                best_idx = start + int(np.flatnonzero(valid & (wt == m))[0])
+    for start, vals, wt in _chunks(prob.base, g.n):
+        valid = _valid_from_vals(g, prob, vals)
+        if not valid.any():
+            continue
+        m = int(wt[valid].min())
+        if best is None or m < best:
+            best = m
+            best_idx = start + int(np.flatnonzero(valid & (wt == m))[0])
     if best is None:
         raise CertificationError("full enumeration found no valid labeling")
-    return best, _decode(best_idx, base, n)
+    return best, _decode(best_idx, prob.base, g.n)
 
 
 def _iter_optimal_indices(g: Graph, prob: _Problem, value: int) -> Iterator[int]:
-    n, base = g.n, prob.base
-    size = base ** n
-    if size <= _CACHE_LIMIT:
-        t = _cached_tables(base, n)
-        valid = _valid_from_vals(g, prob, t["vals"])
-        for i in np.flatnonzero(valid & (t["weight"] == value)):
-            yield int(i)
-    else:
-        for start in range(0, size, _CHUNK):
-            stop = min(start + _CHUNK, size)
-            vals = _digits_for_range(base, n, start, stop)
-            valid = _valid_from_vals(g, prob, vals)
-            wt = sum(v.astype(np.int16) for v in vals)
-            for i in np.flatnonzero(valid & (wt == value)):
-                yield start + int(i)
+    for start, vals, wt in _chunks(prob.base, g.n):
+        valid = _valid_from_vals(g, prob, vals)
+        for i in np.flatnonzero(valid & (wt == value)):
+            yield start + int(i)
 
 
 def _check_brute_cap(g: Graph) -> None:

@@ -158,3 +158,26 @@ def test_stdin_input(capsys, monkeypatch):
 def test_unknown_flag_rejected(capsys):
     code = cli.main(["solve", "path:3", "--frobnicate"])
     assert code == 2
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("graph allocated before its size cap was checked")
+
+
+def test_edge_list_header_is_capped_before_build(capsys, monkeypatch):
+    monkeypatch.setattr(G, "build", _unreachable)
+    for verb in ("solve", "bounds", "classify", "reduce"):
+        code, _, err = run_cli(capsys, verb, "1000000000 0")
+        assert code == 2 and "1000000000 vertices" in err, verb
+    code, _, err = run_cli(capsys, "corona", "1000000000 0", "1000000000 0")
+    assert code == 2 and "1000000000 vertices" in err
+
+
+def test_corona_order_is_capped_before_build(capsys, monkeypatch):
+    monkeypatch.setattr(G, "corona", _unreachable)
+    # 10 * (10 + 1) = 110 vertices, above 4 * 24
+    code, _, err = run_cli(capsys, "corona", "path:10", "path:10")
+    assert code == 2 and "110 vertices" in err
+    # the formula itself never builds the corona
+    code, out, _ = run_cli(capsys, "corona", "path:2", "path:4")
+    assert code == 0 and "c0=6" in out

@@ -2,6 +2,7 @@ import pytest
 
 from oidrd import graphs as G
 from oidrd import harness as H
+from oidrd import solver as S
 
 
 def _strip_runtime(report):
@@ -38,7 +39,7 @@ def test_trees_campaign_counts_match_cayley():
 
 def test_violations_carry_the_graph_text(monkeypatch):
     # workers send the graph text back only with a violation; force one per tree
-    monkeypatch.setattr(H, "tree_oidrd", lambda g: 0)
+    monkeypatch.setattr(H, "_forest_routes", lambda g: (S.tree_beta(g), 0))
     r = H.audit_trees(3, workers=1)
     assert r.status == "fail" and r.extra["equality_cases"] == 0
     trees = [G.to_edge_list_text(t) for n in (1, 2, 3) for t in G.enumerate_trees(n)]

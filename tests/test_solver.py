@@ -131,6 +131,62 @@ def test_node_count_positive():
     assert S.solve_oidrd(G.cycle(5)).node_count > 0
 
 
+_LABEL_PROBLEMS = {"gamma_oidr": S._OIDR, "gamma_dr": S._DR, "gamma_oir": S._OIR,
+                   "gamma_r": S._R, "gamma": S._DOM}
+
+
+@st.composite
+def relabeled_graph(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    perm = draw(st.permutations(range(n)))
+    return G.build(n, edges), G.build(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabeled_graph())
+def test_engine_matches_oracle_and_ignores_labels(pair):
+    # any edge set on n <= 7: disconnected graphs and isolated vertices included
+    g, relabeled = pair
+    for key, solve in S.SOLVERS.items():
+        r = solve(g)
+        b = S.BRUTE_SOLVERS[key](g)
+        assert (r.value, r.witness.values) == (b.value, b.witness.values), key
+        assert solve(relabeled).value == r.value, key
+
+
+@pytest.mark.parametrize("spec", ["complete:1", "complete:2", "empty:4", "star:3"])
+def test_search_starts_above_an_optimal_incumbent(spec):
+    # the greedy incumbent is already optimal here, so the one-pass search
+    # must start strictly above it to meet any labeling at all
+    g = G.family(G.parse_family_spec(spec))
+    for key, prob in _LABEL_PROBLEMS.items():
+        r = S.SOLVERS[key](g)
+        b = S.BRUTE_SOLVERS[key](g)
+        assert S._initial_ub(g, prob) == r.value, key
+        assert (r.value, r.witness.values) == (b.value, b.witness.values), key
+
+
+@pytest.mark.parametrize("n,chunks", [(10, 4), (11, 16)])
+def test_oracle_chunks_match_engine(n, chunks):
+    # base-4 tables are cached for the last 9 vertices, so n = 10 scans them
+    # under one prefix digit and n = 11 under two
+    assert sum(1 for _ in S._chunks(4, n)) == chunks
+    for g in G.sample_connected_graphs(n, 2, seed=n):
+        for key in ("gamma_oidr", "gamma_dr"):
+            r = S.SOLVERS[key](g)
+            assert S._brute_min(g, _LABEL_PROBLEMS[key]) == (r.value, r.witness.values), key
+
+
+def test_balanced_bipartite_optimal_count_is_pinned():
+    # K_{5,5} takes the chunked path; 150 optima as counted by the earlier
+    # int64-index enumeration
+    res = S.solve_oidrd(G.complete_bipartite(5, 5), count_optimal=True)
+    assert (res.value, res.optimal_count) == (9, 150)
+
+
 def _components(g):
     seen, count = set(), 0
     for r in range(g.n):
