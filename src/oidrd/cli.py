@@ -291,7 +291,7 @@ def _run_formula(cmd: Command) -> int:
 
 
 def _run_generate(cmd: Command) -> int:
-    g = _load_graph(cmd.input)
+    g = _load_graph(cmd.input, _solver_cap())
     text = G.to_edge_list_text(g)
     out = cmd.options.get("output")
     if out:

@@ -527,42 +527,70 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
             yield _graph_from_mask(n, pairs, mask)
 
 
-def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
-    """Decode a Prufer sequence of length n-2 into its labeled tree."""
+def prufer_sequences(n: int, samples: int | None = None,
+                     seed: int = 0) -> Iterator[tuple[int, ...]]:
+    """Prufer sequences of the labeled trees on n vertices: all n^(n-2) in
+    lexicographic order, or with samples, that many seeded uniform draws
+    (one random.Random(seed), n - 2 calls to randrange(n) per sequence).
+    Orders 1 and 2 have the one empty sequence."""
+    if samples is None:
+        if not 1 <= n <= MAX_ENUM_TREE_N:
+            raise GraphError(f"tree enumeration supports 1 <= n <= {MAX_ENUM_TREE_N}, got {n}")
+        yield from product(range(n), repeat=max(n - 2, 0))
+        return
+    if n < 1:
+        raise GraphError(f"vertex count must be at least 1, got {n}")
+    rng = random.Random(seed)
+    for _ in range(samples):
+        yield tuple(rng.randrange(n) for _ in range(n - 2))
+
+
+def prufer_parents(seq: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+    """Decode a Prufer sequence of length max(n - 2, 0) into (order, parent).
+
+    The tree is rooted at n - 1, the last vertex left, and order is the
+    leaf-removal order reversed, so every parent comes before its children;
+    parent[v] is the vertex each leaf v was removed from, -1 at the root.
+    """
+    if n == 1:
+        return [0], [-1]
     deg = [1] * n
     for s in seq:
         deg[s] += 1
-    edges = []
+    parent = [-1] * n
+    order: list[int] = []
     ptr = 0
     leaf = -1
-    for s in seq:
+    # the appended n - 1 attaches the last leaf but one to n - 1, which is
+    # never the smallest leaf and so is the last vertex left, the root
+    for s in (*seq, n - 1):
         if leaf == -1:
             while deg[ptr] != 1:
                 ptr += 1
             leaf = ptr
-        edges.append((leaf, s))
-        deg[leaf] -= 1
+        parent[leaf] = s
+        order.append(leaf)
+        deg[leaf] = 0
         deg[s] -= 1
         if deg[s] == 1 and s < ptr:
             leaf = s
         else:
             leaf = -1
-    u, v = (x for x in range(n) if deg[x] == 1)
-    edges.append((u, v))
-    return build(n, edges)
+    order.append(n - 1)
+    order.reverse()
+    return order, parent
+
+
+def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
+    """Decode a Prufer sequence of length max(n - 2, 0) into its labeled tree."""
+    _, parent = prufer_parents(seq, n)
+    # the root n - 1 is the one vertex without a parent
+    return build(n, zip(range(n - 1), parent))
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """All n^(n-2) labeled trees via Prufer decoding, sequence-lexicographic order."""
-    if not 1 <= n <= MAX_ENUM_TREE_N:
-        raise GraphError(f"tree enumeration supports 1 <= n <= {MAX_ENUM_TREE_N}, got {n}")
-    if n == 1:
-        yield build(1, [])
-        return
-    if n == 2:
-        yield build(2, [(0, 1)])
-        return
-    for seq in product(range(n), repeat=n - 2):
+    for seq in prufer_sequences(n):
         yield prufer_decode(seq, n)
 
 
@@ -597,13 +625,7 @@ def sample_connected_graphs(n: int, count: int, seed: int,
 
 def sample_trees(n: int, count: int, seed: int) -> Iterator[Graph]:
     """Seeded uniform labeled trees via random Prufer sequences."""
-    rng = random.Random(seed)
-    if n <= 2:
-        for _ in range(count):
-            yield path(n)
-        return
-    for _ in range(count):
-        seq = tuple(rng.randrange(n) for _ in range(n - 2))
+    for seq in prufer_sequences(n, count, seed):
         yield prufer_decode(seq, n)
 
 

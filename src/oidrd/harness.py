@@ -4,7 +4,11 @@ reduction to the claims they certify, with machine-readable audit reports.
 Campaigns are deterministic given (campaign, parameters, seed); sample seeds
 are explicit inputs recorded in the report.  Instance work may fan out to a
 process pool; aggregation is order-independent (violations are sorted
-canonically before emission).
+canonically before emission).  Pool workers send a graph's text back only
+with a violation.  The trees campaign sends its workers chunks of Prufer
+sequences, which they decode straight into the forest routes' input, so no
+tree is built as a graph unless it violates the bound; the other campaigns
+send each graph as (n, edges) and the worker rebuilds it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import ceil
 from multiprocessing import Pool
 
@@ -119,15 +124,15 @@ def _violations(g: G.Graph, items: list[tuple]) -> list[tuple]:
     return [(text, *item) for item in items]
 
 
-def _map_instances(worker, payloads, workers: int | None) -> list:
+def _map_instances(worker, payloads, workers: int | None, *, chunksize: int = 64) -> list:
     """Run worker over an iterable of payloads, preserving order, on at most
-    os.cpu_count() processes."""
+    os.cpu_count() processes, chunksize payloads per pool task."""
     cpus = os.cpu_count() or 1
     workers = cpus if workers is None else min(workers, cpus)
     if workers <= 1:
         return [worker(p) for p in payloads]
     with Pool(workers) as pool:
-        return list(pool.imap(worker, payloads, chunksize=64))
+        return list(pool.imap(worker, payloads, chunksize=chunksize))
 
 
 def _report(campaign: str, params: dict, instances: int, violations: list[Violation],
@@ -271,23 +276,34 @@ def audit_reduction(max_n: int = 5, *, samples_n5: int = 50, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 TREE_EXHAUSTIVE_CAP = 8
+TREE_CHUNK = 1024  # Prufer sequences per pool payload
 
 
 def _tree_check(payload: tuple) -> tuple:
-    # the linear-time forest routes, one traversal order for both; tests
-    # cross-check them against the engine
-    g = _graph(payload)
-    beta, goidr = _forest_routes(g)
-    items = []
-    if 2 * beta + 1 > goidr:
-        items.append(("tree_lower_bound", 2 * beta + 1, goidr))
-    return goidr == 2 * beta + 1, _violations(g, items)
+    """(trees scored, equality cases, violations) for one chunk of Prufer
+    sequences.  Each decodes straight into the order and parents the linear
+    forest routes take; tests cross-check them against the engine.  Only a
+    violation builds its tree, for the text."""
+    n, seqs = payload
+    equality = 0
+    violations = []
+    for seq in seqs:
+        beta, goidr = _forest_routes(*G.prufer_parents(seq, n))
+        if goidr == 2 * beta + 1:
+            equality += 1
+        elif goidr < 2 * beta + 1:
+            violations += _violations(G.prufer_decode(seq, n),
+                                      [("tree_lower_bound", 2 * beta + 1, goidr)])
+    return len(seqs), equality, violations
 
 
 def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
                 workers: int | None = None) -> AuditReport:
     """Tree lower bound on all labeled trees up to min(max_n, 8) vertices,
-    seeded samples beyond, plus tightness of every even path up to max_n."""
+    seeded samples beyond, plus tightness of every even path up to max_n.
+
+    The pool receives the trees as (n, chunk of Prufer sequences) payloads
+    and builds no graph unless a tree violates the bound."""
     if not 1 <= max_n <= 10:
         raise ValueError("audit_trees supports 1 <= max_n <= 10")
     t0 = time.monotonic()
@@ -295,16 +311,17 @@ def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
                      for n in range(1, min(max_n, TREE_EXHAUSTIVE_CAP) + 1))
 
     def payloads():
-        for n in range(1, min(max_n, TREE_EXHAUSTIVE_CAP) + 1):
-            for g in G.enumerate_trees(n):
-                yield _payload(g)
-        for n in range(TREE_EXHAUSTIVE_CAP + 1, max_n + 1):
-            for g in G.sample_trees(n, samples, seed):
-                yield _payload(g)
+        for n in range(1, max_n + 1):
+            seqs = (G.prufer_sequences(n) if n <= TREE_EXHAUSTIVE_CAP
+                    else G.prufer_sequences(n, samples, seed))
+            while chunk := tuple(islice(seqs, TREE_CHUNK)):
+                yield n, chunk
 
-    results = _map_instances(_tree_check, payloads(), workers)
-    violations = [Violation(*v) for _, vs in results for v in vs]
-    equality_cases = sum(1 for eq, _ in results if eq)
+    # one chunk per task: a campaign has only tens to hundreds of chunks
+    results = _map_instances(_tree_check, payloads(), workers, chunksize=1)
+    instances = sum(count for count, _, _ in results)
+    equality_cases = sum(eq for _, eq, _ in results)
+    violations = [Violation(*v) for _, _, vs in results for v in vs]
     # even paths stay on the branch-and-bound engine: an anchor for the forest
     # routes inside the campaign itself
     for n in range(2, max_n + 1, 2):
@@ -315,7 +332,7 @@ def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
             violations.append(Violation(G.to_edge_list_text(p), "even_path_tightness",
                                         goidr, 2 * beta + 1))
     return _report("trees", {"max_n": max_n, "samples": samples, "seed": seed},
-                   len(results), violations, t0,
+                   instances, violations, t0,
                    extra={"equality_cases": equality_cases, "exhaustive_instances": exhaustive})
 
 

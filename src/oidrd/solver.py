@@ -462,10 +462,10 @@ def _forest_order(g: Graph) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _forest_routes(g: Graph) -> tuple[int, int]:
-    """(beta, gamma_oidr) of a forest from one traversal order: the shared
-    entry of tree_beta and tree_oidrd for callers that need both."""
-    order, parent = _forest_order(g)
+def _forest_routes(order: list[int], parent: list[int]) -> tuple[int, int]:
+    """(beta, gamma_oidr) of the forest given by an order that lists every
+    parent before its children and each vertex's parent (-1 at roots), such
+    as _forest_order or graphs.prufer_parents returns."""
     return _leaf_matching(order, parent), _label_dp(order, parent)
 
 
@@ -480,7 +480,7 @@ def tree_beta(g: Graph) -> int:
 
 
 def _label_dp(order: list[int], parent: list[int]) -> int:
-    """gamma_oidr of the forest given by a breadth-first order and parents.
+    """gamma_oidr of the forest given by a parent-before-child order and parents.
 
     Each vertex v carries the minimum weight of its subtree for seven states
     of v, given the labels of its children only:
@@ -520,10 +520,10 @@ def _label_dp(order: list[int], parent: list[int]) -> int:
 
 
 def _leaf_matching(order: list[int], parent: list[int]) -> int:
-    """Vertex cover number of the forest given by a breadth-first order and
-    parents: by Konig's theorem it equals the maximum matching, which greedy
-    matching of leaves to their parents attains when vertices are taken
-    deepest first."""
+    """Vertex cover number of the forest given by a parent-before-child order
+    and parents: by Konig's theorem it equals the maximum matching, which
+    greedy matching of leaves to their parents attains when every vertex is
+    taken after its children."""
     matched = bytearray(len(order))
     size = 0
     for v in reversed(order):

@@ -166,7 +166,7 @@ def _unreachable(*args, **kwargs):
 
 def test_edge_list_header_is_capped_before_build(capsys, monkeypatch):
     monkeypatch.setattr(G, "build", _unreachable)
-    for verb in ("solve", "bounds", "classify", "reduce"):
+    for verb in ("solve", "bounds", "classify", "reduce", "generate"):
         code, _, err = run_cli(capsys, verb, "1000000000 0")
         assert code == 2 and "1000000000 vertices" in err, verb
     code, _, err = run_cli(capsys, "corona", "1000000000 0", "1000000000 0")

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -171,6 +172,23 @@ def test_sampling_is_deterministic():
     t2 = [G.to_edge_list_text(g) for g in G.sample_trees(9, 4, seed=3)]
     assert t1 == t2
     assert all(g.count(" ") >= 0 for g in t1)
+
+
+def _digest(graphs) -> str:
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(G.to_edge_list_text(g).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_tree_sources_keep_their_sequences():
+    # recorded before the tree generators shared one Prufer source: the same
+    # seeded draws, and the same trees in the same order
+    sampled = (g for n in range(1, 11) for seed in range(20)
+               for g in G.sample_trees(n, 50, seed))
+    assert _digest(sampled) == "6a3b99a3a77eca2bc36e79c25093957398aed8a6977f89c36222fc30330a9d6d"
+    enumerated = (g for n in range(1, 8) for g in G.enumerate_trees(n))
+    assert _digest(enumerated) == "9b4ab39d82f2bdbd7cddb13823d01cdd6e197ce354e9b0e34119d59d1cd7f213"
 
 
 def test_sampling_gives_up_on_unsatisfiable_constraints():

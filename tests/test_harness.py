@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from oidrd import graphs as G
@@ -39,13 +41,45 @@ def test_trees_campaign_counts_match_cayley():
 
 def test_violations_carry_the_graph_text(monkeypatch):
     # workers send the graph text back only with a violation; force one per tree
-    monkeypatch.setattr(H, "_forest_routes", lambda g: (S.tree_beta(g), 0))
+    monkeypatch.setattr(H, "_forest_routes",
+                        lambda order, parent: (S._leaf_matching(order, parent), 0))
     r = H.audit_trees(3, workers=1)
     assert r.status == "fail" and r.extra["equality_cases"] == 0
     trees = [G.to_edge_list_text(t) for n in (1, 2, 3) for t in G.enumerate_trees(n)]
     assert sorted(v.graph for v in r.violations) == sorted(trees)
     assert {v.claim for v in r.violations} == {"tree_lower_bound"}
 
+
+
+def test_trees_campaign_builds_only_the_even_path_anchors(monkeypatch):
+    built = []
+    build = G.build
+
+    def counting_build(n, edges):
+        built.append(n)
+        return build(n, edges)
+
+    monkeypatch.setattr(G, "build", counting_build)
+    r = H.audit_trees(6, workers=1)
+    assert r.status == "pass" and r.instances_checked == 1 + 1 + 3 + 16 + 125 + 1296
+    assert built == [2, 4, 6]
+
+
+def test_trees_campaign_scores_every_tree_of_a_partial_last_chunk(monkeypatch):
+    scored = Counter()
+    check = H._tree_check
+
+    def counting_check(payload):
+        n, seqs = payload
+        assert 0 < len(seqs) <= H.TREE_CHUNK
+        scored[n] += len(seqs)
+        return check(payload)
+
+    monkeypatch.setattr(H, "_tree_check", counting_check)
+    r = H.audit_trees(7, workers=1)
+    assert 7 ** 5 % H.TREE_CHUNK
+    assert scored == {1: 1, 2: 1, 3: 3, 4: 16, 5: 125, 6: 1296, 7: 16807}
+    assert r.instances_checked == sum(scored.values())
 
 
 def test_map_instances_clamps_workers_to_cpu_count(monkeypatch):

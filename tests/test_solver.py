@@ -222,6 +222,24 @@ def test_forest_routes_match_oracle_on_sampled_trees():
             assert S.tree_beta(t) == S.brute_force_beta(t).value, G.to_edge_list_text(t)
 
 
+def test_prufer_route_matches_the_graph_route():
+    sequences = [(n, seq) for n in range(1, 8) for seq in G.prufer_sequences(n)]
+    sequences += [(n, seq) for n in (9, 10) for seq in G.prufer_sequences(n, 1000, seed=n)]
+    for n, seq in sequences:
+        g = G.prufer_decode(seq, n)
+        expected = (S.tree_beta(g), S.tree_oidrd(g))
+        assert S._forest_routes(*G.prufer_parents(seq, n)) == expected, (n, seq)
+    assert len(sequences) == 18249 + 2000
+
+
+def test_prufer_route_on_one_and_two_vertices():
+    assert G.prufer_parents((), 1) == ([0], [-1])
+    assert G.prufer_parents((), 2) == ([1, 0], [1, -1])
+    assert S._forest_routes(*G.prufer_parents((), 1)) == (0, 2)
+    assert S._forest_routes(*G.prufer_parents((), 2)) == (1, 3)
+    assert G.prufer_decode((), 1).m == 0 and G.prufer_decode((), 2).edges() == [(0, 1)]
+
+
 @st.composite
 def relabeled_forest(draw):
     n = draw(st.integers(min_value=1, max_value=9))
