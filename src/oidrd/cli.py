@@ -73,7 +73,8 @@ def _solver_cap() -> int:
 
 def parse_graph(source: str, cap: int | None = None) -> G.Graph:
     """Edge-list text ('n m' header then m 'u v' lines) or a generator DSL string.
-    With a cap, an edge-list header's n is checked before the graph is built."""
+    With a cap, the order (an edge-list header's n, or the DSL family's
+    order) is checked before the graph is built."""
     s = source.strip()
     if not s:
         raise GraphError("empty graph input")
@@ -82,7 +83,10 @@ def parse_graph(source: str, cap: int | None = None) -> G.Graph:
         if cap is not None:
             _check_cap(int(head[0]), cap)
         return G.from_edge_list_text(s)
-    return G.family(G.parse_family_spec(s))
+    spec = G.parse_family_spec(s)
+    if cap is not None:
+        _check_cap(G.spec_order(spec), cap)
+    return G.family(spec)
 
 
 def _load_graph(arg: str, cap: int | None = None) -> G.Graph:
@@ -229,7 +233,7 @@ def _run_classify(cmd: Command) -> int:
 def _run_reduce(cmd: Command) -> int:
     env = os.environ.get("OIDRD_MAX_N")
     cap = (_solver_cap() // 4) if env is not None else 5
-    g = _load_graph(cmd.input, cap)
+    g = _load_graph(cmd.input, _solver_cap())
     if g.n > cap:
         raise UsageError(
             f"reduce verifies the identity by solving the 4n-vertex gadget; "

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
@@ -40,6 +41,12 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
+
+    @cached_property
+    def nbr_masks(self) -> tuple[int, ...]:
+        """Bitmask of each open neighborhood (bit w set iff w ~ v), built on
+        first use and kept on the instance; fields, == and hash ignore it."""
+        return tuple(sum(1 << w for w in a) for a in self.adj)
 
 
 def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -385,17 +392,21 @@ class FamilySpec:
     inner: tuple["FamilySpec", ...] = ()
 
 
+def _inner_specs(spec: FamilySpec, count: int) -> tuple[FamilySpec, ...]:
+    if len(spec.inner) != count:
+        raise GraphError(f"{spec.tag} spec needs exactly {('one', 'two')[count - 1]} "
+                         f"inner spec{'s' if count > 1 else ''}")
+    return spec.inner
+
+
 def family(spec: FamilySpec) -> Graph:
     """Instantiate a FamilySpec; raises GraphError on violated family constraints."""
     t, p = spec.tag, spec.params
     if t == "corona":
-        if len(spec.inner) != 2:
-            raise GraphError("corona spec needs exactly two inner specs")
-        return corona(family(spec.inner[0]), family(spec.inner[1]))
+        g, h = _inner_specs(spec, 2)
+        return corona(family(g), family(h))
     if t == "gadget":
-        if len(spec.inner) != 1:
-            raise GraphError("gadget spec needs exactly one inner spec")
-        return gadget(family(spec.inner[0]))
+        return gadget(family(_inner_specs(spec, 1)[0]))
     if t in _H_SUBCASES:
         if spec.subcase is None:
             raise GraphError(f"{t} requires a subcase, one of {_H_SUBCASES[t]}")
@@ -444,11 +455,33 @@ def _split_top(s: str) -> list[str]:
     return parts
 
 
-_KNOWN_TAGS = frozenset({
-    "path", "cycle", "complete", "empty", "star", "double_star", "dstar",
-    "kbipartite", "kpartite", "g1", "g2", "g3",
-    "h1", "h2", "h3", "h4", "h5", "h6", "sharph",
-})
+# vertices of each plain family besides its size parameters, which add their
+# values (sharph also adds 3 per block: x_i, y_i, z_i)
+_BASE_ORDER = {
+    "path": 0, "cycle": 0, "complete": 0, "empty": 0, "star": 1,
+    "double_star": 2, "dstar": 2, "kbipartite": 0, "kpartite": 0,
+    "g1": 2, "g2": 2, "g3": 2,
+    "h1": 3, "h2": 3, "h3": 2, "h4": 3, "h5": 3, "h6": 3, "sharph": 0,
+}
+_KNOWN_TAGS = frozenset(_BASE_ORDER)
+
+
+def spec_order(spec: FamilySpec) -> int:
+    """Vertex count of family(spec), computed without building anything.
+
+    A negative size counts as 0, as it does for an h-family block, so the
+    result bounds what family(spec) allocates; the other families reject it.
+    """
+    t = spec.tag
+    if t == "corona":
+        g, h = (spec_order(inner) for inner in _inner_specs(spec, 2))
+        return g * (1 + h)
+    if t == "gadget":
+        return 4 * spec_order(_inner_specs(spec, 1)[0])
+    if t not in _BASE_ORDER:
+        raise GraphError(f"unknown family tag: {t!r}")
+    sizes = [max(p, 0) for p in spec.params]
+    return _BASE_ORDER[t] + sum(sizes) + (3 * len(sizes) if t == "sharph" else 0)
 
 
 def parse_family_spec(text: str) -> FamilySpec:

@@ -16,6 +16,13 @@ is reached the incumbent stays above the optimum, and every bound on that
 optimum's path is at most its weight, so no pruning cuts it off; after it,
 nothing improves.  Alpha has its own witness descent, since the complement
 of the lex-first minimum cover is not the lex-first maximum independent set.
+
+Since the vertex order is fixed, the free set at each depth of the search is
+the same on every path.  The clique-cover independence bound, which depends
+only on the depth and on which free vertices have a 0-neighbor, is therefore
+memoized in one dict per depth.  The memo lives for one search and stops
+growing at _BOUND_MEMO_LIMIT entries; it returns exactly the bound it
+replaces, so the search tree, node counts, values and witnesses are unchanged.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .labeling import Labeling, is_drd, is_oidrd, is_oird, is_rd, weight, zeros_
 
 BRUTE_FORCE_CAP = 12
 _CACHE_LIMIT = 1 << 18
+_BOUND_MEMO_LIMIT = 1 << 16  # memoized independence bounds kept per search
 
 
 class CertificationError(RuntimeError):
@@ -92,10 +100,15 @@ def is_independent_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
 
 
 def _greedy_max_independent(g: Graph) -> set[int]:
+    # ascending degree, ties by index (sorted is stable)
+    nbr = g.nbr_masks
+    deg = [len(a) for a in g.adj]
     chosen: set[int] = set()
-    for v in sorted(range(g.n), key=lambda u: (len(g.adj[u]), u)):
-        if g.adj[v].isdisjoint(chosen):
+    taken = 0
+    for v in sorted(range(g.n), key=deg.__getitem__):
+        if not nbr[v] & taken:
             chosen.add(v)
+            taken |= 1 << v
     return chosen
 
 
@@ -138,14 +151,30 @@ def _branch_and_bound(g: Graph, prob: _Problem, order: Sequence[int],
     beat ub, nodes), where nodes counts the feasible partial labelings
     visited.  The state is the mask of free (unlabeled) vertices plus one
     mask per label; a vertex is surrounded once no neighbor is free.
+
+    After order[d] is labeled the free set is order[d+1:] on every path, so
+    the independence bound there depends only on d and on l0 & touch[d],
+    where touch[d] is the union of the free vertices' neighborhoods.  It is
+    memoized in one dict per depth, created on first use, for this search
+    only; once _BOUND_MEMO_LIMIT entries are stored, misses are computed but
+    no longer kept.
     """
     n = g.n
-    nbr = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+    nbr = g.nbr_masks
     base, oi, zmode, one_ge2 = prob.base, prob.oi, prob.zero_mode, prob.one_ge2
     bonus = 2 if zmode == 3 else 1
     nodes = 0
     best = ub
     found: tuple[int, ...] | None = None
+    if oi:
+        # touch[d]: union of the neighborhoods of the free set order[d+1:]
+        touch = [0] * n
+        union = 0
+        for d in range(n - 1, -1, -1):
+            touch[d] = union
+            union |= nbr[order[d]]
+        memo: list[dict[int, int] | None] = [None] * n
+        room = _BOUND_MEMO_LIMIT
 
     def zero_ok(m: int, l1: int, l2: int, l3: int) -> int:
         # a vertex with neighborhood m may be labeled 0 (truthy: yes)
@@ -225,12 +254,17 @@ def _branch_and_bound(g: Graph, prob: _Problem, order: Sequence[int],
             return total
 
     def dfs(depth: int, w: int, free: int, l0: int, l1: int, l2: int, l3: int) -> None:
-        nonlocal best, found, nodes
+        nonlocal best, found, nodes, room
         v = order[depth]
         bit = 1 << v
         free ^= bit
         m = nbr[v]
         surrounded = not m & free
+        if oi:
+            near = touch[depth]
+            table = memo[depth]
+            if table is None:
+                table = memo[depth] = {}
         for x in range(base):
             wx = w + x
             if wx >= best:
@@ -267,8 +301,17 @@ def _branch_and_bound(g: Graph, prob: _Problem, order: Sequence[int],
                     best = wx
                     found = tuple(0 if n0 >> u & 1 else 1 if n1 >> u & 1 else
                                   2 if n2 >> u & 1 else 3 for u in range(n))
-                elif (wx + lower_bound(free, n0, n1, n2, n3) < best
-                      and (not oi or wx + independence_lb(free, n0) < best)):
+                elif wx + lower_bound(free, n0, n1, n2, n3) < best:
+                    if oi:
+                        key = n0 & near
+                        lb = table.get(key)
+                        if lb is None:
+                            lb = independence_lb(free, key)
+                            if room:
+                                table[key] = lb
+                                room -= 1
+                        if wx + lb >= best:
+                            continue
                     dfs(depth + 1, wx, free, n0, n1, n2, n3)
 
     dfs(0, 0, (1 << n) - 1, 0, 0, 0, 0)

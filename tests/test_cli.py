@@ -173,6 +173,18 @@ def test_edge_list_header_is_capped_before_build(capsys, monkeypatch):
     assert code == 2 and "1000000000 vertices" in err
 
 
+def test_dsl_family_size_is_capped_before_build(capsys, monkeypatch):
+    monkeypatch.setattr(G, "family", _unreachable)
+    for verb in ("solve", "bounds", "classify", "reduce", "generate"):
+        for spec, n in (("complete:100000", 100000),
+                        ("gadget(complete:100000)", 400000),
+                        ("corona(complete:1000,path:1000)", 1001000)):
+            code, _, err = run_cli(capsys, verb, spec)
+            assert code == 2 and f"{n} vertices" in err, (verb, spec)
+    code, _, err = run_cli(capsys, "corona", "complete:100000", "path:2")
+    assert code == 2 and "100000 vertices" in err
+
+
 def test_corona_order_is_capped_before_build(capsys, monkeypatch):
     monkeypatch.setattr(G, "corona", _unreachable)
     # 10 * (10 + 1) = 110 vertices, above 4 * 24

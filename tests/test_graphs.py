@@ -213,3 +213,43 @@ def test_edge_list_parse_errors():
         G.from_edge_list_text("3 1\n0 9")
     with pytest.raises(GraphError, match="header"):
         G.from_edge_list_text("oops")
+
+
+_SPECS = ["path:1", "path:6", "cycle:5", "complete:4", "empty:3", "star:5", "dstar:2,3",
+          "double_star:1,1", "kbipartite:3,7", "kpartite:1,2,3", "g1:2,1", "g2:1", "g3:4",
+          "h1:a1,2", "h1:c1,1,2,3,4", "h1:a1,2,0,0,-3", "h2:b2,0,1,1,2", "h3:1,1", "h4:b4,2,1",
+          "h5:a5,1,1", "h6:b6,3", "sharph:2,2,2", "sharph:3,2,4,2",
+          "corona(path:2,empty:2)", "corona(cycle:3,star:2)", "gadget(path:3)",
+          "gadget(corona(path:2,star:1))", "corona(gadget(path:1),path:2)"]
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_spec_order_is_the_built_order(spec):
+    parsed = G.parse_family_spec(spec)
+    assert G.spec_order(parsed) == G.family(parsed).n
+
+
+def test_spec_order_builds_nothing(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("spec_order built a graph")
+
+    monkeypatch.setattr(G, "build", unreachable)
+    spec = G.parse_family_spec("corona(complete:100000,gadget(star:1999))")
+    assert G.spec_order(spec) == 100000 * (1 + 4 * 2000)
+    assert G.spec_order(G.parse_family_spec("sharph:10000,2,2")) == 3 * 3 + 10004
+    with pytest.raises(GraphError, match="exactly two inner specs"):
+        G.spec_order(G.parse_family_spec("corona(path:2)"))
+    with pytest.raises(GraphError, match="exactly one inner spec"):
+        G.spec_order(G.parse_family_spec("gadget(path:2,path:3)"))
+
+
+def test_nbr_masks_are_the_adjacency_and_leave_identity_alone():
+    for g in (G.path(5), G.complete(4), G.empty(3), G.sharpness_h([2, 3, 2])):
+        twin = G.build(g.n, g.edges())
+        assert g == twin and hash(g) == hash(twin)
+        masks = g.nbr_masks
+        assert masks == tuple(sum(1 << w for w in g.adj[v]) for v in range(g.n))
+        assert all((masks[v] >> w & 1) == (w in g.adj[v]) for v in range(g.n) for w in range(g.n))
+        # cached on the instance: the same object, and no change to == or hash
+        assert g.nbr_masks is masks
+        assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)

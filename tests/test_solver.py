@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -308,3 +309,41 @@ def test_certification_checks_survive_optimize(target, name, call):
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("CertificationError:"), out.stdout
+
+
+@pytest.mark.parametrize("spec,nodes", [
+    ("corona(cycle:3,cycle:4)", 40871),
+    ("sharph:3,2,2", 33756),
+    ("cycle:15", 16175),
+    ("path:17", 12395),
+    ("kpartite:4,4,4,4,4,4", 3805),
+])
+def test_search_tree_is_pinned(spec, nodes):
+    # node counts recorded before the independence bound was memoized: the
+    # memo may only make the search faster, never change what it visits
+    assert S.solve_oidrd(G.family(G.parse_family_spec(spec))).node_count == nodes
+
+
+def test_small_graph_results_are_pinned():
+    # sha256 over (invariant, value, witness, node count) of every SOLVERS
+    # entry on every connected graph with n <= 5, recorded on the engine
+    # before the independence bound was memoized
+    h = hashlib.sha256()
+    for n in range(1, 6):
+        for g in G.enumerate_connected_graphs(n):
+            for key, solve in S.SOLVERS.items():
+                r = solve(g)
+                h.update(repr((key, r.value, r.witness.values, r.node_count)).encode())
+    assert h.hexdigest() == "956ec7e05de20736f0a6d2757a63694ff5a218828869a94a0b1783b582ab4c09"
+
+
+@pytest.mark.parametrize("limit", [0, 1])
+def test_full_bound_memo_changes_nothing(monkeypatch, limit):
+    graphs = [G.family(G.parse_family_spec(spec)) for spec in
+              ("cycle:12", "sharph:2,2,2", "corona(path:2,empty:4)", "gadget(path:3)")]
+    graphs += G.sample_connected_graphs(11, 2, seed=3)
+    keys = ("gamma_oidr", "gamma_oir", "alpha")
+    uncapped = [(S.SOLVERS[k](g), k) for g in graphs for k in keys]
+    monkeypatch.setattr(S, "_BOUND_MEMO_LIMIT", limit)
+    capped = [(S.SOLVERS[k](g), k) for g in graphs for k in keys]
+    assert capped == uncapped
