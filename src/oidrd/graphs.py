@@ -407,6 +407,9 @@ def family(spec: FamilySpec) -> Graph:
         return corona(family(g), family(h))
     if t == "gadget":
         return gadget(family(_inner_specs(spec, 1)[0]))
+    if t not in _PLAIN_FAMILIES:
+        raise GraphError(f"unknown family tag: {t!r}")
+    _check_arity(spec)
     if t in _H_SUBCASES:
         if spec.subcase is None:
             raise GraphError(f"{t} requires a subcase, one of {_H_SUBCASES[t]}")
@@ -430,9 +433,7 @@ def family(spec: FamilySpec) -> Graph:
         return table[t](*p)
     if t == "kpartite":
         return complete_multipartite(p)
-    if t == "sharph":
-        return sharpness_h(p)
-    raise GraphError(f"unknown family tag: {t!r}")
+    return sharpness_h(p)
 
 
 def _split_top(s: str) -> list[str]:
@@ -455,15 +456,27 @@ def _split_top(s: str) -> list[str]:
     return parts
 
 
-# vertices of each plain family besides its size parameters, which add their
-# values (sharph also adds 3 per block: x_i, y_i, z_i)
-_BASE_ORDER = {
-    "path": 0, "cycle": 0, "complete": 0, "empty": 0, "star": 1,
-    "double_star": 2, "dstar": 2, "kbipartite": 0, "kpartite": 0,
-    "g1": 2, "g2": 2, "g3": 2,
-    "h1": 3, "h2": 3, "h3": 2, "h4": 3, "h5": 3, "h6": 3, "sharph": 0,
+# per plain family: vertices besides its size parameters, which add their
+# values (sharph also adds 3 per block: x_i, y_i, z_i), and the least and
+# most parameters it takes after any subcase (None: any number)
+_PLAIN_FAMILIES = {
+    "path": (0, 1, 1), "cycle": (0, 1, 1), "complete": (0, 1, 1), "empty": (0, 1, 1),
+    "star": (1, 1, 1), "double_star": (2, 2, 2), "dstar": (2, 2, 2),
+    "kbipartite": (0, 2, 2), "kpartite": (0, 0, None),
+    "g1": (2, 2, 2), "g2": (2, 1, 1), "g3": (2, 1, 1),
+    "h1": (3, 1, 4), "h2": (3, 1, 4), "h3": (2, 2, 2), "h4": (3, 1, 2), "h5": (3, 1, 2),
+    "h6": (3, 1, 2), "sharph": (0, 0, None),
 }
-_KNOWN_TAGS = frozenset(_BASE_ORDER)
+_KNOWN_TAGS = frozenset(_PLAIN_FAMILIES)
+
+
+def _check_arity(spec: FamilySpec) -> None:
+    _, least, most = _PLAIN_FAMILIES[spec.tag]
+    count = len(spec.params)
+    if count < least or (most is not None and count > most):
+        wanted = str(least) if least == most else f"{least} to {most}"
+        raise GraphError(f"{spec.tag} takes {wanted} parameter{'s' if most != 1 else ''}, "
+                         f"got {count}")
 
 
 def spec_order(spec: FamilySpec) -> int:
@@ -478,10 +491,10 @@ def spec_order(spec: FamilySpec) -> int:
         return g * (1 + h)
     if t == "gadget":
         return 4 * spec_order(_inner_specs(spec, 1)[0])
-    if t not in _BASE_ORDER:
+    if t not in _PLAIN_FAMILIES:
         raise GraphError(f"unknown family tag: {t!r}")
     sizes = [max(p, 0) for p in spec.params]
-    return _BASE_ORDER[t] + sum(sizes) + (3 * len(sizes) if t == "sharph" else 0)
+    return _PLAIN_FAMILIES[t][0] + sum(sizes) + (3 * len(sizes) if t == "sharph" else 0)
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -508,7 +521,9 @@ def parse_family_spec(text: str) -> FamilySpec:
         params = tuple(int(a) for a in raw)
     except ValueError:
         raise GraphError(f"non-integer parameter in spec {text!r}") from None
-    return FamilySpec(name, params=params, subcase=subcase)
+    spec = FamilySpec(name, params=params, subcase=subcase)
+    _check_arity(spec)
+    return spec
 
 
 # ---------------------------------------------------------------------------

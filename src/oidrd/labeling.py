@@ -27,10 +27,6 @@ class Labeling:
             if v not in (0, 1, 2, 3):
                 raise LabelingError(f"label out of range 0..3: {v}")
 
-    @property
-    def graph_size(self) -> int:
-        return len(self.values)
-
     def __len__(self) -> int:
         return len(self.values)
 

@@ -3,6 +3,12 @@
 Every parameter has two independent routes: a branch-and-bound engine
 (pure Python, usable at desk scale) and a vectorized full-enumeration
 oracle capped at n <= 12, used to cross-validate values and witnesses.
+The oracle keeps one bit-packed plane per vertex and label over all base^n
+labelings.  One bitwise kernel turns the planes of a vertex and its
+neighbours into that vertex's packed validity column, and a graph's valid set
+is the AND of its n columns.  Columns are memoized per neighbourhood while
+base^n <= _MEMO_LIMIT; above _CACHE_LIMIT labelings the scan runs in chunks
+under fixed label prefixes, whose vertices get constant planes.
 On forests, gamma_oidr and beta have a third, value-only route in linear
 time: a bottom-up dynamic program over the labels (`tree_oidrd`) and greedy
 leaf matching (`tree_beta`).
@@ -36,7 +42,9 @@ from .graphs import Graph, GraphError
 from .labeling import Labeling, is_drd, is_oidrd, is_oird, is_rd, weight, zeros_independent
 
 BRUTE_FORCE_CAP = 12
-_CACHE_LIMIT = 1 << 18
+_CACHE_LIMIT = 1 << 18  # labelings per oracle chunk
+_MEMO_LIMIT = 1 << 12  # oracle columns are memoized while base^n <= this
+_NO_SCORE = np.iinfo(np.int16).max  # above every labeling weight
 _BOUND_MEMO_LIMIT = 1 << 16  # memoized independence bounds kept per search
 
 
@@ -579,68 +587,101 @@ def _leaf_matching(order: list[int], parent: list[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # Full-enumeration oracles (independent of the engine above)
+#
+# The base^n labelings are indexed in lex order, vertex 0 most significant.
+# planes[v][x] is the bit-packed column (np.packbits, 8 labelings per byte) of
+# "v is labeled x".  Each vertex's constraint is one packed column built with
+# bitwise ops from the planes of v and its neighbours (_column); a graph's
+# valid set is the AND of its n columns, unpacked once.  While base^n <=
+# _MEMO_LIMIT, columns are memoized per (problem, n, v, neighbourhood mask).
+# Above _CACHE_LIMIT labelings the scan runs in chunks: the cached planes of
+# the last k vertices under each fixed prefix of the first n - k labels,
+# whose vertices get constant planes, so the same kernel runs in every chunk.
 # ---------------------------------------------------------------------------
 
-_digit_cache: dict[tuple[int, int], dict] = {}
+_NONE = np.uint8(0)
+_ALL = np.uint8(0xFF)
+# the planes of a vertex with a fixed label d, indexed by label
+_CONSTANT_PLANES = [tuple(_ALL if x == d else _NONE for x in range(4)) for d in range(4)]
+_plane_cache: dict[tuple[int, int], dict] = {}
+_column_memo: dict[tuple[_Problem, int], dict[tuple[int, int], np.ndarray]] = {}
 
 
 def _cached_tables(base: int, n: int) -> dict:
     key = (base, n)
-    t = _digit_cache.get(key)
+    t = _plane_cache.get(key)
     if t is None:
-        idx = np.arange(base ** n, dtype=np.int64)
-        vals = [((idx // base ** (n - 1 - v)) % base).astype(np.int8) for v in range(n)]
-        t = {"vals": vals, "weight": sum(v.astype(np.int16) for v in vals)}
-        _digit_cache[key] = t
+        weight = np.zeros(base ** n, dtype=np.int16)
+        planes = []
+        for v in range(n):
+            # v's label along the lex order: each label base^(n-1-v) times in
+            # a row, that block repeated base^v times
+            digit = np.tile(np.arange(base, dtype=np.int8).repeat(base ** (n - 1 - v)), base ** v)
+            planes.append(tuple(np.packbits(digit == x) for x in range(base)))
+            weight += digit
+        t = _plane_cache[key] = {"planes": planes, "weight": weight}
     return t
 
 
-def _chunks(base: int, n: int) -> Iterator[tuple[int, list, np.ndarray]]:
-    """All base^n labelings in lex order, as (index of the first, digit
-    columns, weights) chunks: the cached table of the last k vertices under
-    each fixed prefix of the first n - k digits, given as numpy scalars."""
+def _chunks(base: int, n: int) -> Iterator[tuple[int, list, np.ndarray, int]]:
+    """All base^n labelings in lex order, as (index of the first, planes,
+    weights, weight offset) chunks: the cached planes and weights of the last
+    k vertices under each fixed prefix of the first n - k labels.  A prefix
+    vertex labeled d gets the constant planes _ALL for d and _NONE for every
+    other label; the offset is the prefix's weight."""
     k = n
     while base ** k > _CACHE_LIMIT:
         k -= 1
     t = _cached_tables(base, k)
     for p in range(base ** (n - k)):
         prefix = _decode(p, base, n - k)
-        s = sum(prefix)
-        yield (p * base ** k, [np.int8(d) for d in prefix] + t["vals"],
-               t["weight"] + s if s else t["weight"])
+        yield (p * base ** k, [_CONSTANT_PLANES[d] for d in prefix] + t["planes"],
+               t["weight"], sum(prefix))
 
 
-def _valid_from_vals(g: Graph, prob: _Problem, vals: list) -> np.ndarray:
-    size = vals[-1].shape[0]
-    valid = np.ones(size, dtype=bool)
-    if prob.oi:
-        for u, v in g.edges():
-            valid &= ~((vals[u] == 0) & (vals[v] == 0))
+def _column(prob: _Problem, planes: list, v: int, nbrs) -> np.ndarray:
+    """Packed column of the labelings that meet v's constraint, from the
+    planes of v and of its neighbours nbrs."""
     zmode = prob.zero_mode
-    for v in range(g.n):
-        nb = sorted(g.adj[v])
-        if zmode:
-            if not nb:
-                valid &= vals[v] != 0
-            elif zmode == 3:
-                any3 = np.zeros(size, dtype=bool)
-                cnt2 = np.zeros(size, dtype=np.int8)
-                for w in nb:
-                    any3 |= vals[w] == 3
-                    cnt2 += vals[w] == 2
-                valid &= (vals[v] != 0) | any3 | (cnt2 >= 2)
+    one = two = three = zeros = _NONE
+    for w in nbrs:
+        pw = planes[w]
+        if prob.oi:
+            zeros = zeros | pw[0]
+        if zmode == 3:
+            # running accumulators: some / at least two neighbours labeled 2
+            two = two | (one & pw[2])
+            one = one | pw[2]
+            three = three | pw[3]
+        elif zmode:
+            one = one | pw[zmode]  # the label a 0 needs next to it
+    # a 0 needs its zero_mode support and, with oi, no neighbour labeled 0
+    ok0 = (three | two) if zmode == 3 else one if zmode else _ALL
+    if prob.oi:
+        ok0 = ok0 & ~zeros
+    col = ~planes[v][0] | ok0
+    if prob.one_ge2:
+        # a 1 needs a neighbour labeled 2 or 3 (one_ge2 implies zero_mode 3)
+        col &= ~planes[v][1] | one | three
+    return col
+
+
+def _scan(g: Graph, prob: _Problem) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
+    """(index of the first labeling, valid mask, weights, weight offset) for
+    each chunk of the base^n labelings of g, in lex order."""
+    n = g.n
+    memo = _column_memo.setdefault((prob, n), {}) if prob.base ** n <= _MEMO_LIMIT else None
+    for start, planes, wt, offset in _chunks(prob.base, n):
+        valid = _ALL
+        for v, mask in enumerate(g.nbr_masks):
+            if memo is None:
+                col = _column(prob, planes, v, g.adj[v])
             else:
-                want = 2 if zmode == 2 else 1
-                sat = np.zeros(size, dtype=bool)
-                for w in nb:
-                    sat |= vals[w] == want
-                valid &= (vals[v] != 0) | sat
-        if prob.one_ge2:
-            sat1 = np.zeros(size, dtype=bool)
-            for w in nb:
-                sat1 |= vals[w] >= 2
-            valid &= (vals[v] != 1) | sat1
-    return valid
+                col = memo.get((v, mask))
+                if col is None:
+                    col = memo[(v, mask)] = _column(prob, planes, v, g.adj[v])
+            valid &= col  # the first AND rebinds the scalar to a new array
+        yield start, np.unpackbits(valid, count=wt.size).view(bool), wt, offset
 
 
 def _decode(idx: int, base: int, n: int) -> tuple[int, ...]:
@@ -652,23 +693,20 @@ def _brute_min(g: Graph, prob: _Problem) -> tuple[int, tuple[int, ...]]:
     weight and the first labeling attaining it."""
     best: int | None = None
     best_idx = -1
-    for start, vals, wt in _chunks(prob.base, g.n):
-        valid = _valid_from_vals(g, prob, vals)
-        if not valid.any():
-            continue
-        m = int(wt[valid].min())
-        if best is None or m < best:
-            best = m
-            best_idx = start + int(np.flatnonzero(valid & (wt == m))[0])
+    for start, valid, wt, offset in _scan(g, prob):
+        scores = np.where(valid, wt, _NO_SCORE)
+        i = int(scores.argmin())  # the first minimum
+        m = int(scores[i]) + offset
+        if valid[i] and (best is None or m < best):
+            best, best_idx = m, start + i
     if best is None:
         raise CertificationError("full enumeration found no valid labeling")
     return best, _decode(best_idx, prob.base, g.n)
 
 
 def _iter_optimal_indices(g: Graph, prob: _Problem, value: int) -> Iterator[int]:
-    for start, vals, wt in _chunks(prob.base, g.n):
-        valid = _valid_from_vals(g, prob, vals)
-        for i in np.flatnonzero(valid & (wt == value)):
+    for start, valid, wt, offset in _scan(g, prob):
+        for i in np.flatnonzero(valid & (wt == value - offset)):
             yield start + int(i)
 
 
@@ -704,20 +742,23 @@ def brute_force_gamma(g: Graph) -> SolveResult:
     return _brute_result(g, _DOM)
 
 
+def _independent_sets(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(valid mask, weights) of the 2^n 0/1 indicators in lex order, valid
+    where the 1-set is independent.  An indicator is independent iff its
+    complement is a vertex cover, and complementing maps lex index i to
+    2^n - 1 - i, so this is the cover scan read backwards (one chunk, since
+    2^n <= _CACHE_LIMIT for n <= BRUTE_FORCE_CAP)."""
+    _, cover, wt, _ = next(_scan(g, _COVER))
+    return cover[::-1], wt
+
+
 def brute_force_alpha(g: Graph) -> SolveResult:
     """Oracle twin of solve_alpha: scan of 2^n indicators, first maximum wins."""
     _check_brute_cap(g)
-    n = g.n
-    size = 2 ** n
-    t = _cached_tables(2, n)
-    vals = t["vals"]
-    valid = np.ones(size, dtype=bool)
-    for u, v in g.edges():
-        valid &= ~((vals[u] == 1) & (vals[v] == 1))
-    wt = t["weight"]
-    best = int(wt[valid].max())
-    idx = int(np.flatnonzero(valid & (wt == best))[0])
-    return SolveResult(best, Labeling(_decode(idx, 2, n)), node_count=size)
+    valid, wt = _independent_sets(g)
+    scores = np.where(valid, wt, -1)
+    idx = int(scores.argmax())  # the first maximum
+    return SolveResult(int(scores[idx]), Labeling(_decode(idx, 2, g.n)), node_count=wt.size)
 
 
 def brute_force_beta(g: Graph) -> SolveResult:

@@ -93,6 +93,25 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and "capped" in err
 
 
+def test_wrong_parameter_count_exits_2(capsys):
+    cases = (("path:3,4", "path takes 1 parameter, got 2"),
+             ("kbipartite:3", "kbipartite takes 2 parameters, got 1"),
+             ("h4:a4,2,0,1", "h4 takes 1 to 2 parameters, got 3"),
+             ("corona(path:2)", "corona spec needs exactly two inner specs"),
+             ("gadget(path:2,path:3)", "gadget spec needs exactly one inner spec"),
+             ("corona(path:2,dstar:1)", "dstar takes 2 parameters, got 1"))
+    for verb in ("solve", "bounds", "classify", "reduce", "generate"):
+        for spec, message in cases:
+            code, _, err = run_cli(capsys, verb, spec)
+            assert code == 2 and message in err, (verb, spec)
+    code, _, err = run_cli(capsys, "formula", "path:3,4")
+    assert code == 2 and "path takes 1 parameter, got 2" in err
+    code, _, err = run_cli(capsys, "corona", "kbipartite:3", "path:2")
+    assert code == 2 and "kbipartite takes 2 parameters, got 1" in err
+    with pytest.raises(G.GraphError, match="cycle takes 1 parameter, got 0"):
+        G.family(G.FamilySpec("cycle"))
+
+
 def test_edge_list_error_reports_line(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 2\n0 1\n")

@@ -1,17 +1,19 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oidrd import formulas as F
 from oidrd import graphs as G
 from oidrd import solver as S
-from oidrd.labeling import classes, is_oidrd, weight
+from oidrd.labeling import classes, is_drd, is_oidrd, is_oird, is_rd, weight
 
 
 def test_known_values():
@@ -170,15 +172,87 @@ def test_search_starts_above_an_optimal_incumbent(spec):
         assert (r.value, r.witness.values) == (b.value, b.witness.values), key
 
 
-@pytest.mark.parametrize("n,chunks", [(10, 4), (11, 16)])
-def test_oracle_chunks_match_engine(n, chunks):
+@pytest.mark.parametrize("base,n,chunks", [pytest.param(4, 10, 4, id="10-4"),
+                                           pytest.param(4, 11, 16, id="11-16"),
+                                           pytest.param(3, 12, 3, id="base3-12-3")])
+def test_oracle_chunks_match_engine(base, n, chunks):
     # base-4 tables are cached for the last 9 vertices, so n = 10 scans them
-    # under one prefix digit and n = 11 under two
-    assert sum(1 for _ in S._chunks(4, n)) == chunks
+    # under one prefix digit and n = 11 under two; base-3 tables for the last
+    # 11, so n = 12 scans them under one prefix digit
+    assert sum(1 for _ in S._chunks(base, n)) == chunks
+    keys = ("gamma_oidr", "gamma_dr") if base == 4 else ("gamma_oir", "gamma_r")
     for g in G.sample_connected_graphs(n, 2, seed=n):
-        for key in ("gamma_oidr", "gamma_dr"):
+        for key in keys:
             r = S.SOLVERS[key](g)
             assert S._brute_min(g, _LABEL_PROBLEMS[key]) == (r.value, r.witness.values), key
+
+
+_LABEL_PREDICATES = {"gamma_oidr": is_oidrd, "gamma_dr": is_drd, "gamma_oir": is_oird,
+                     "gamma_r": is_rd, "gamma": S.is_dominating_labeling}
+
+
+def _seeded_graphs():
+    # every order up to 8, sparse to dense; the sparse ones have isolated vertices
+    rng = random.Random(2024)
+    graphs = []
+    for n in range(1, 9):
+        for density in (0.0, 0.2, 0.5, 0.9):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+            graphs.append(G.build(n, edges))
+    return graphs
+
+
+def _labeling_sample(rng, valid, base, n):
+    # every labeling while there are at most 256, otherwise random ones drawn
+    # from skewed label weights (so that some are valid) plus ones the
+    # kernel accepts
+    if base ** n <= 256:
+        return range(base ** n)
+    picks = []
+    for _ in range(300):
+        w = [rng.random() ** 2 for _ in range(base)]
+        picks.append(sum(rng.choices(range(base), w)[0] * base ** (n - 1 - v) for v in range(n)))
+    accepted = np.flatnonzero(valid)
+    return picks + [int(i) for i in rng.sample(list(accepted), min(100, len(accepted)))]
+
+
+def test_packed_columns_match_the_predicates():
+    rng = random.Random(7)
+    isolated = 0
+    for g in _seeded_graphs():
+        isolated += any(not a for a in g.adj)
+        for key, predicate in _LABEL_PREDICATES.items():
+            prob = _LABEL_PROBLEMS[key]
+            (_, valid, wt, offset), = S._scan(g, prob)
+            assert offset == 0 and valid.size == prob.base ** g.n
+            for idx in _labeling_sample(rng, valid, prob.base, g.n):
+                f = S._decode(idx, prob.base, g.n)
+                assert bool(valid[idx]) == predicate(g, f), (key, G.to_edge_list_text(g), f)
+                assert wt[idx] == sum(f)
+        # 0/1 indicators: the cover scan, and the independent sets alpha reads
+        (_, cover, _, _), = S._scan(g, S._COVER)
+        independent, wt = S._independent_sets(g)
+        for idx in _labeling_sample(rng, independent, 2, g.n):
+            f = S._decode(idx, 2, g.n)
+            assert bool(cover[idx]) == S.is_cover_labeling(g, f), G.to_edge_list_text(g)
+            assert bool(independent[idx]) == S.is_independent_labeling(g, f), G.to_edge_list_text(g)
+            assert wt[idx] == sum(f)
+    assert isolated > 8
+
+
+def test_oracle_without_column_memo_is_unchanged(monkeypatch):
+    graphs = _seeded_graphs()[::3] + list(G.enumerate_connected_graphs(4))
+    def results():
+        return [(key, f(g)) for g in graphs for key, f in S.BRUTE_SOLVERS.items()]
+    def optima():
+        return [[f.values for f in S.enumerate_optimal_oidrd(g)] +
+                [f.values for f in S.enumerate_optimal_oir(g)] for g in graphs[:20]]
+    memoized = results(), optima()
+    assert S._column_memo
+    monkeypatch.setattr(S, "_column_memo", {})
+    monkeypatch.setattr(S, "_MEMO_LIMIT", 0)
+    assert (results(), optima()) == memoized
+    assert not S._column_memo
 
 
 def test_balanced_bipartite_optimal_count_is_pinned():
