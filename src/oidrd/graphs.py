@@ -71,10 +71,6 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(frozenset(s) for s in nbrs), m)
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.degree(v)
-
-
 def max_degree(g: Graph) -> int:
     return g.max_degree
 
@@ -437,6 +433,10 @@ def family(spec: FamilySpec) -> Graph:
 
 
 def _split_top(s: str) -> list[str]:
+    """Split a corona/gadget argument into its inner specs at top-level
+    commas.  A nonempty piece with neither ':' nor '(' is one more parameter
+    of the spec before it, so 'kbipartite:2,3,path:2' gives
+    ['kbipartite:2,3', 'path:2']."""
     parts, depth, cur = [], 0, []
     for ch in s:
         if ch == "(":
@@ -453,7 +453,13 @@ def _split_top(s: str) -> list[str]:
     if depth != 0:
         raise GraphError(f"unbalanced parentheses in spec: {s!r}")
     parts.append("".join(cur))
-    return parts
+    specs: list[str] = []
+    for part in parts:
+        if specs and part.strip() and ":" not in part and "(" not in part:
+            specs[-1] += "," + part
+        else:
+            specs.append(part)
+    return specs
 
 
 # per plain family: vertices besides its size parameters, which add their

@@ -20,8 +20,10 @@ above an achievable weight, and keeps the labeling at each strict
 improvement.  The last one kept is canonical: until the lex-first optimum
 is reached the incumbent stays above the optimum, and every bound on that
 optimum's path is at most its weight, so no pruning cuts it off; after it,
-nothing improves.  Alpha has its own witness descent, since the complement
-of the lex-first minimum cover is not the lex-first maximum independent set.
+nothing improves.  The vertex cover problem tries 1 before 0 instead, so
+the same pass keeps the lex-largest minimum cover: that is the beta
+witness, and its complement, the lex-smallest maximum independent set, is
+the alpha witness.  All seven invariants thus come from one search.
 
 Since the vertex order is fixed, the free set at each depth of the search is
 the same on every path.  The clique-cover independence bound, which depends
@@ -55,10 +57,11 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimal value plus the canonical (lex-smallest) witness labeling.
+    """Optimal value plus the canonical witness labeling: the lex-smallest
+    optimum, or for beta the lex-largest minimum cover.
 
-    node_count: feasible partial labelings the engine visited (for alpha and
-    beta, the cover search plus the witness descent); base^n for an oracle.
+    node_count: feasible partial labelings the engine visited (alpha reports
+    the cover search it complements); base^n for an oracle.
     """
 
     value: int
@@ -70,11 +73,13 @@ class SolveResult:
 @dataclass(frozen=True)
 class _Problem:
     # zero_mode: 0 = none, 1 = needs a 1-neighbor, 2 = needs a 2-neighbor,
-    # 3 = needs a 3-neighbor or two 2-neighbors
+    # 3 = needs a 3-neighbor or two 2-neighbors; descending: the search
+    # tries labels high to low
     base: int
     oi: bool
     zero_mode: int
     one_ge2: bool
+    descending: bool = False
 
 
 _OIDR = _Problem(4, True, 3, True)
@@ -82,7 +87,7 @@ _DR = _Problem(4, False, 3, True)
 _OIR = _Problem(3, True, 2, False)
 _R = _Problem(3, False, 2, False)
 _DOM = _Problem(2, False, 1, False)
-_COVER = _Problem(2, True, 0, False)
+_COVER = _Problem(2, True, 0, False, descending=True)
 
 
 def is_dominating_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
@@ -149,10 +154,12 @@ def _initial_ub(g: Graph, prob: _Problem) -> int:
     return n - k
 
 
-def _branch_and_bound(g: Graph, prob: _Problem, order: Sequence[int],
+def _branch_and_bound(g: Graph, prob: _Problem,
                       ub: int) -> tuple[int, tuple[int, ...] | None, int]:
-    """Min-weight labeling search, labels tried ascending at each vertex of
-    `order`, so complete labelings are met in lex order along `order`.
+    """Min-weight labeling search along vertices 0..n-1.  Labels are tried
+    in the problem's fixed order: ascending for the five label problems, so
+    complete labelings are met in lex order, and descending (1 before 0) for
+    the vertex cover, so covers are met in reverse lex order.
 
     Starts from the incumbent ub and keeps the labeling at each strict
     improvement.  Returns (best weight, last labeling kept or None if none
@@ -160,9 +167,9 @@ def _branch_and_bound(g: Graph, prob: _Problem, order: Sequence[int],
     visited.  The state is the mask of free (unlabeled) vertices plus one
     mask per label; a vertex is surrounded once no neighbor is free.
 
-    After order[d] is labeled the free set is order[d+1:] on every path, so
-    the independence bound there depends only on d and on l0 & touch[d],
-    where touch[d] is the union of the free vertices' neighborhoods.  It is
+    After vertex d is labeled the free set is d+1..n-1 on every path, so the
+    independence bound there depends only on d and on l0 & touch[d], where
+    touch[d] is the union of the free vertices' neighborhoods.  It is
     memoized in one dict per depth, created on first use, for this search
     only; once _BOUND_MEMO_LIMIT entries are stored, misses are computed but
     no longer kept.
@@ -170,17 +177,19 @@ def _branch_and_bound(g: Graph, prob: _Problem, order: Sequence[int],
     n = g.n
     nbr = g.nbr_masks
     base, oi, zmode, one_ge2 = prob.base, prob.oi, prob.zero_mode, prob.one_ge2
+    descending = prob.descending
+    labels = range(base - 1, -1, -1) if descending else range(base)
     bonus = 2 if zmode == 3 else 1
     nodes = 0
     best = ub
     found: tuple[int, ...] | None = None
     if oi:
-        # touch[d]: union of the neighborhoods of the free set order[d+1:]
+        # touch[d]: union of the neighborhoods of the free set d+1..n-1
         touch = [0] * n
         union = 0
         for d in range(n - 1, -1, -1):
             touch[d] = union
-            union |= nbr[order[d]]
+            union |= nbr[d]
         memo: list[dict[int, int] | None] = [None] * n
         room = _BOUND_MEMO_LIMIT
 
@@ -263,19 +272,20 @@ def _branch_and_bound(g: Graph, prob: _Problem, order: Sequence[int],
 
     def dfs(depth: int, w: int, free: int, l0: int, l1: int, l2: int, l3: int) -> None:
         nonlocal best, found, nodes, room
-        v = order[depth]
-        bit = 1 << v
+        bit = 1 << depth
         free ^= bit
-        m = nbr[v]
+        m = nbr[depth]
         surrounded = not m & free
         if oi:
             near = touch[depth]
             table = memo[depth]
             if table is None:
                 table = memo[depth] = {}
-        for x in range(base):
+        for x in labels:
             wx = w + x
             if wx >= best:
+                if descending:
+                    continue  # a lower label may still beat best
                 break
             n0, n1, n2, n3 = l0, l1, l2, l3
             if x == 0:
@@ -326,13 +336,9 @@ def _branch_and_bound(g: Graph, prob: _Problem, order: Sequence[int],
     return best, found, nodes
 
 
-def _degree_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
-
-
 def _solve_min(g: Graph, prob: _Problem, predicate) -> SolveResult:
     # one pass along 0..n-1; ub + 1 so that an optimal ub is still met
-    value, wit, nodes = _branch_and_bound(g, prob, range(g.n), _initial_ub(g, prob) + 1)
+    value, wit, nodes = _branch_and_bound(g, prob, _initial_ub(g, prob) + 1)
     if wit is None:
         raise CertificationError(f"search found no labeling below its incumbent {value}")
     lab = Labeling(wit)
@@ -372,67 +378,21 @@ def solve_gamma(g: Graph) -> SolveResult:
     return _solve_min(g, _DOM, is_dominating_labeling)
 
 
-def _alpha_witness(g: Graph, alpha: int) -> tuple[tuple[int, ...], int]:
-    """Lex-smallest 0/1 indicator of a maximum independent set."""
-    n = g.n
-    adj = [tuple(sorted(g.adj[v])) for v in range(n)]
-    label = [0] * n
-    conflict = [0] * n
-    nodes = 0
-    found: tuple[int, ...] | None = None
-
-    def dfs(depth: int, ones: int) -> None:
-        nonlocal found, nodes
-        if found is not None:
-            return
-        free = sum(1 for u in range(depth, n) if conflict[u] == 0)
-        if ones + free < alpha:
-            return
-        if depth == n:
-            found = tuple(label)
-            return
-        nodes += 1
-        label[depth] = 0
-        dfs(depth + 1, ones)
-        if found is not None:
-            return
-        if conflict[depth] == 0:
-            label[depth] = 1
-            for w in adj[depth]:
-                conflict[w] += 1
-            dfs(depth + 1, ones + 1)
-            for w in adj[depth]:
-                conflict[w] -= 1
-        label[depth] = 0
-
-    dfs(0, 0)
-    if found is None:
-        raise CertificationError(f"witness descent found no independent set of size {alpha}")
-    return found, nodes
+def solve_beta(g: Graph) -> SolveResult:
+    """Exact vertex cover number; witness is the lex-largest minimum cover."""
+    return _solve_min(g, _COVER, is_cover_labeling)
 
 
 def solve_alpha(g: Graph) -> SolveResult:
-    """Exact independence number via complement-of-vertex-cover branch and bound."""
-    ub = _initial_ub(g, _COVER)
-    cover_value, _, nodes1 = _branch_and_bound(g, _COVER, _degree_order(g), ub)
-    alpha = g.n - cover_value
-    wit, nodes2 = _alpha_witness(g, alpha)
-    lab = Labeling(wit)
+    """Exact independence number, n - beta; witness is the complement of the
+    beta witness, i.e. the lex-smallest maximum independent set."""
+    b = solve_beta(g)
+    alpha = g.n - b.value
+    lab = Labeling(tuple(1 - x for x in b.witness.values))
     if weight(lab) != alpha or not is_independent_labeling(g, lab):
         raise CertificationError(f"alpha witness {lab.to_text()} is not an independent set "
                                  f"of size {alpha}")
-    return SolveResult(alpha, lab, nodes1 + nodes2)
-
-
-def solve_beta(g: Graph) -> SolveResult:
-    """Exact vertex cover number, n - alpha; witness is the complement of the
-    alpha witness."""
-    a = solve_alpha(g)
-    comp = tuple(1 - x for x in a.witness.values)
-    lab = Labeling(comp)
-    if not is_cover_labeling(g, lab):
-        raise CertificationError(f"beta witness {lab.to_text()} is not a vertex cover")
-    return SolveResult(g.n - a.value, lab, a.node_count)
+    return SolveResult(alpha, lab, b.node_count)
 
 
 @dataclass(frozen=True)

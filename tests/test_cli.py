@@ -112,6 +112,17 @@ def test_wrong_parameter_count_exits_2(capsys):
         G.family(G.FamilySpec("cycle"))
 
 
+def test_generate_nested_multi_parameter_families(capsys):
+    cases = (("corona(kbipartite:2,3,path:2)", G.corona(G.complete_bipartite(2, 3), G.path(2))),
+             ("gadget(kpartite:1,2,3)", G.gadget(G.complete_multipartite((1, 2, 3)))),
+             ("corona(h1:a1,2,path:2)", G.corona(G.h1("a1", 2), G.path(2))))
+    for spec, expected in cases:
+        code, out, _ = run_cli(capsys, "generate", spec)
+        assert code == 0 and out.strip() == G.to_edge_list_text(expected).strip(), spec
+    code, _, err = run_cli(capsys, "generate", "corona(2,path:2)")
+    assert code == 2 and "cannot parse graph spec '2'" in err
+
+
 def test_edge_list_error_reports_line(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 2\n0 1\n")

@@ -229,6 +229,22 @@ def test_spec_order_is_the_built_order(spec):
     assert G.spec_order(parsed) == G.family(parsed).n
 
 
+_NESTED = {
+    "corona(kbipartite:2,3,path:2)": lambda: G.corona(G.complete_bipartite(2, 3), G.path(2)),
+    "gadget(kpartite:1,2,3)": lambda: G.gadget(G.complete_multipartite((1, 2, 3))),
+    "corona(h1:a1,2,path:2)": lambda: G.corona(G.h1("a1", 2), G.path(2)),
+}
+
+
+@pytest.mark.parametrize("spec", _NESTED)
+def test_wrappers_nest_multi_parameter_families(spec):
+    # a piece with neither ':' nor '(' is one more parameter of the spec before it
+    parsed = G.parse_family_spec(spec)
+    built, expected = G.family(parsed), _NESTED[spec]()
+    assert (built.n, built.edges()) == (expected.n, expected.edges())
+    assert G.spec_order(parsed) == built.n
+
+
 def test_spec_order_builds_nothing(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("spec_order built a graph")

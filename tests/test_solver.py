@@ -385,30 +385,42 @@ def test_certification_checks_survive_optimize(target, name, call):
     assert out.stdout.startswith("CertificationError:"), out.stdout
 
 
-@pytest.mark.parametrize("spec,nodes", [
-    ("corona(cycle:3,cycle:4)", 40871),
-    ("sharph:3,2,2", 33756),
-    ("cycle:15", 16175),
-    ("path:17", 12395),
-    ("kpartite:4,4,4,4,4,4", 3805),
-])
-def test_search_tree_is_pinned(spec, nodes):
-    # node counts recorded before the independence bound was memoized: the
-    # memo may only make the search faster, never change what it visits
-    assert S.solve_oidrd(G.family(G.parse_family_spec(spec))).node_count == nodes
+_PINNED_TREES = {
+    "gamma_oidr": [("corona(cycle:3,cycle:4)", 40871), ("sharph:3,2,2", 33756),
+                   ("cycle:15", 16175), ("path:17", 12395), ("kpartite:4,4,4,4,4,4", 3805)],
+    "beta": [("corona(cycle:3,cycle:4)", 26), ("sharph:3,2,2", 47), ("cycle:15", 23),
+             ("path:17", 25), ("kpartite:4,4,4,4,4,4", 44)],
+}
+
+
+@pytest.mark.parametrize("key,spec,nodes", [
+    pytest.param(key, spec, nodes, id=f"{'' if key == 'gamma_oidr' else key + '-'}{spec}-{nodes}")
+    for key, cases in _PINNED_TREES.items() for spec, nodes in cases])
+def test_search_tree_is_pinned(key, spec, nodes):
+    # gamma_oidr counts recorded before the independence bound was memoized:
+    # the memo may only make the search faster, never change what it visits;
+    # beta counts recorded when the cover search moved onto the one-pass engine
+    assert S.SOLVERS[key](G.family(G.parse_family_spec(spec))).node_count == nodes
 
 
 def test_small_graph_results_are_pinned():
     # sha256 over (invariant, value, witness, node count) of every SOLVERS
     # entry on every connected graph with n <= 5, recorded on the engine
-    # before the independence bound was memoized
+    # before alpha and beta moved onto the one-pass search; their node counts
+    # enter as None here and are pinned by total below
     h = hashlib.sha256()
+    cover_nodes = {"alpha": 0, "beta": 0}
     for n in range(1, 6):
         for g in G.enumerate_connected_graphs(n):
             for key, solve in S.SOLVERS.items():
                 r = solve(g)
-                h.update(repr((key, r.value, r.witness.values, r.node_count)).encode())
-    assert h.hexdigest() == "956ec7e05de20736f0a6d2757a63694ff5a218828869a94a0b1783b582ab4c09"
+                nodes = r.node_count
+                if key in cover_nodes:
+                    cover_nodes[key] += nodes
+                    nodes = None
+                h.update(repr((key, r.value, r.witness.values, nodes)).encode())
+    assert h.hexdigest() == "b201eef9bd933c2262345e491bcc87253353e3b94a5c186b89f8f054b47cd57b"
+    assert cover_nodes == {"alpha": 6184, "beta": 6184}
 
 
 @pytest.mark.parametrize("limit", [0, 1])
