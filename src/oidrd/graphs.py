@@ -516,7 +516,9 @@ def parse_family_spec(text: str) -> FamilySpec:
         raise GraphError(f"cannot parse graph spec {text!r}: expected family:params")
     if name not in _KNOWN_TAGS:
         raise GraphError(f"unknown family tag: {name!r}")
-    raw = [a.strip() for a in argstr.split(",") if a.strip() != ""]
+    raw = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
+    if "" in raw:
+        raise GraphError(f"empty parameter in spec {text!r}")
     subcase = None
     if name in _H_SUBCASES:
         if not raw or raw[0] not in _H_SUBCASES[name]:

@@ -20,7 +20,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import ceil
 from multiprocessing import Pool
 
@@ -126,9 +126,16 @@ def _violations(g: G.Graph, items: list[tuple]) -> list[tuple]:
 
 def _map_instances(worker, payloads, workers: int | None, *, chunksize: int = 64) -> list:
     """Run worker over an iterable of payloads, preserving order, on at most
-    os.cpu_count() processes, chunksize payloads per pool task."""
+    os.cpu_count() processes and no more than there are payloads, chunksize
+    payloads per pool task.  Only the first `workers` payloads are taken
+    ahead to count them; the rest stay a lazy iterator."""
     cpus = os.cpu_count() or 1
     workers = cpus if workers is None else min(workers, cpus)
+    if workers > 1:
+        payloads = iter(payloads)
+        head = list(islice(payloads, workers))
+        workers = len(head)
+        payloads = chain(head, payloads)
     if workers <= 1:
         return [worker(p) for p in payloads]
     with Pool(workers) as pool:

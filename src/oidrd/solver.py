@@ -26,11 +26,17 @@ witness, and its complement, the lex-smallest maximum independent set, is
 the alpha witness.  All seven invariants thus come from one search.
 
 Since the vertex order is fixed, the free set at each depth of the search is
-the same on every path.  The clique-cover independence bound, which depends
-only on the depth and on which free vertices have a 0-neighbor, is therefore
-memoized in one dict per depth.  The memo lives for one search and stops
-growing at _BOUND_MEMO_LIMIT entries; it returns exactly the bound it
-replaces, so the search tree, node counts, values and witnesses are unchanged.
+the same on every path, and so is all that depends on it alone.  One plan
+per graph (_build_plan) holds it per depth: the free vertices' (bit,
+neighborhood) pairs that every lower bound scans, the neighbors whose last
+neighbor the depth's vertex is, whether that vertex has a later neighbor,
+and the union of the free neighborhoods.  The seven searches on one graph
+share the plan through a one-entry cache keyed by graph identity.  The
+clique-cover independence bound, which depends only on the depth and on
+which free vertices have a 0-neighbor, is memoized in one dict per depth.
+The memo lives for one search and stops growing at _BOUND_MEMO_LIMIT
+entries; it returns exactly the bound it replaces, so the search tree, node
+counts, values and witnesses are unchanged.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ _CACHE_LIMIT = 1 << 18  # labelings per oracle chunk
 _MEMO_LIMIT = 1 << 12  # oracle columns are memoized while base^n <= this
 _NO_SCORE = np.iinfo(np.int16).max  # above every labeling weight
 _BOUND_MEMO_LIMIT = 1 << 16  # memoized independence bounds kept per search
+_last_plan: tuple | None = None  # (graph, plan) of the last search
 
 
 class CertificationError(RuntimeError):
@@ -154,6 +161,49 @@ def _initial_ub(g: Graph, prob: _Problem) -> int:
     return n - k
 
 
+def _search_plan(g: Graph) -> list[tuple]:
+    """The plan of a search along 0..n-1 on g, from a one-entry cache keyed
+    by graph identity, so the searches on one graph share one plan.  The
+    cache holds the graph itself, so its identity cannot be reused; the entry
+    is read once, so a graph never gets a plan another caller just stored."""
+    global _last_plan
+    last = _last_plan
+    if last is None or last[0] is not g:
+        last = _last_plan = (g, _build_plan(g))
+    return last[1]
+
+
+def _build_plan(g: Graph) -> list[tuple]:
+    """Per depth d, the static part of labeling vertex d, the same on every
+    path of a search along 0..n-1:
+    (bit, nbr, free, shut, closing, tail, touch), where
+      bit, nbr  1 << d and the neighborhood mask of d
+      free      the mask of d+1..n-1, free once d is labeled
+      shut      d has no neighbor in free, so its own label is final now
+      closing   (bit, nbr) of each neighbor u < d whose last neighbor is d
+      tail      (bit, nbr) of each vertex of free, ascending: one pair list
+                sliced per depth, which every lower bound scans
+      touch     the union of the neighborhoods of free
+    """
+    n = g.n
+    nbr = g.nbr_masks
+    pairs = [(1 << v, m) for v, m in enumerate(nbr)]
+    closing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, m in enumerate(nbr):
+        last = m.bit_length() - 1
+        if last > u:
+            closing[last].append(pairs[u])
+    plan = [None] * n
+    union = 0
+    full = (1 << n) - 1
+    for d in range(n - 1, -1, -1):
+        bit, m = pairs[d]
+        free = full ^ ((bit << 1) - 1)
+        plan[d] = (bit, m, free, not m & free, closing[d], pairs[d + 1:], union)
+        union |= m
+    return plan
+
+
 def _branch_and_bound(g: Graph, prob: _Problem,
                       ub: int) -> tuple[int, tuple[int, ...] | None, int]:
     """Min-weight labeling search along vertices 0..n-1.  Labels are tried
@@ -164,18 +214,21 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     Starts from the incumbent ub and keeps the labeling at each strict
     improvement.  Returns (best weight, last labeling kept or None if none
     beat ub, nodes), where nodes counts the feasible partial labelings
-    visited.  The state is the mask of free (unlabeled) vertices plus one
-    mask per label; a vertex is surrounded once no neighbor is free.
+    visited.  The state is one mask per label.  Since vertex d is labeled
+    at depth d, the free set there is d+1..n-1 on every path, and all that
+    depends on it alone comes from the graph's plan (_build_plan): the
+    lower bounds scan the free vertices' (bit, nbr) pairs, d's own label is
+    checked when d is shut, and each neighbor u < d that d closes, being its
+    last neighbor, has its label checked there.
 
-    After vertex d is labeled the free set is d+1..n-1 on every path, so the
-    independence bound there depends only on d and on l0 & touch[d], where
+    The independence bound depends only on d and on l0 & touch[d], where
     touch[d] is the union of the free vertices' neighborhoods.  It is
     memoized in one dict per depth, created on first use, for this search
     only; once _BOUND_MEMO_LIMIT entries are stored, misses are computed but
     no longer kept.
     """
     n = g.n
-    nbr = g.nbr_masks
+    plan = _search_plan(g)
     base, oi, zmode, one_ge2 = prob.base, prob.oi, prob.zero_mode, prob.one_ge2
     descending = prob.descending
     labels = range(base - 1, -1, -1) if descending else range(base)
@@ -184,12 +237,6 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     best = ub
     found: tuple[int, ...] | None = None
     if oi:
-        # touch[d]: union of the neighborhoods of the free set d+1..n-1
-        touch = [0] * n
-        union = 0
-        for d in range(n - 1, -1, -1):
-            touch[d] = union
-            union |= nbr[d]
         memo: list[dict[int, int] | None] = [None] * n
         room = _BOUND_MEMO_LIMIT
 
@@ -204,15 +251,12 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             return m & l1
         return 1
 
-    def independence_lb(free: int, l0: int) -> int:
+    def independence_lb(tail: list[tuple[int, int]], l0: int) -> int:
         # with an independent 0-class, the zeros among free vertices fit
         # inside any clique cover of them; everything else costs at least 1
         forced = rest = 0
         cliques: list[int] = []
-        while free:
-            low = free & -free
-            free ^= low
-            m = nbr[low.bit_length() - 1]
+        for low, m in tail:
             if m & l0:
                 forced += 1
                 continue
@@ -227,57 +271,45 @@ def _branch_and_bound(g: Graph, prob: _Problem,
 
     if zmode == 0:
         # vertex cover: forced 1s next to a 0, plus a greedy matching
-        def lower_bound(free: int, l0: int, l1: int, l2: int, l3: int) -> int:
+        def lower_bound(tail: list[tuple[int, int]], free: int,
+                        l0: int, l1: int, l2: int, l3: int) -> int:
             total = 0
             avail = free
-            rem = free
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                if nbr[low.bit_length() - 1] & l0:
+            for low, m in tail:
+                if m & l0:
                     total += 1
                     avail ^= low
-            rem = avail
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                cand = nbr[low.bit_length() - 1] & avail & -(low << 1)
-                if cand:
-                    w = cand & -cand
-                    total += 1
-                    avail ^= w
-                    rem &= ~w
+            for low, m in tail:
+                if low & avail:
+                    cand = m & avail & -(low << 1)
+                    if cand:
+                        total += 1
+                        avail ^= cand & -cand
             return total
     else:
         # exact minimum feasible label for surrounded vertices, plus a
         # packing of disjoint closed neighborhoods with no >=2 label nearby
-        def lower_bound(free: int, l0: int, l1: int, l2: int, l3: int) -> int:
+        def lower_bound(tail: list[tuple[int, int]], free: int,
+                        l0: int, l1: int, l2: int, l3: int) -> int:
             total = 0
             blocked = 0
             high = l2 | l3
             support = l1 if zmode == 1 else high
-            rem = free
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                m = nbr[low.bit_length() - 1]
-                if not m & free:
+            for low, m in tail:
+                mf = m & free
+                if not mf:
                     if (not oi or not m & l0) and zero_ok(m, l1, l2, l3):
                         continue
                     total += 1 if not one_ge2 or m & high else 2
                 elif not (blocked & low or m & support or m & blocked):
                     total += bonus
-                    blocked |= low | (m & free)
+                    blocked |= low | mf
             return total
 
-    def dfs(depth: int, w: int, free: int, l0: int, l1: int, l2: int, l3: int) -> None:
+    def dfs(depth: int, w: int, l0: int, l1: int, l2: int, l3: int) -> None:
         nonlocal best, found, nodes, room
-        bit = 1 << depth
-        free ^= bit
-        m = nbr[depth]
-        surrounded = not m & free
+        bit, m, free, shut, closing, tail, near = plan[depth]
         if oi:
-            near = touch[depth]
             table = memo[depth]
             if table is None:
                 table = memo[depth] = {}
@@ -289,29 +321,23 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                 break
             n0, n1, n2, n3 = l0, l1, l2, l3
             if x == 0:
-                if (oi and m & l0) or (surrounded and not zero_ok(m, l1, l2, l3)):
+                if (oi and m & l0) or (shut and not zero_ok(m, l1, l2, l3)):
                     continue
                 n0 |= bit
             elif x == 1:
-                if one_ge2 and surrounded and not m & (l2 | l3):
+                if one_ge2 and shut and not m & (l2 | l3):
                     continue
                 n1 |= bit
             elif x == 2:
                 n2 |= bit
             else:
                 n3 |= bit
-            # labeled 0/1 neighbors that v's label just surrounded
-            watch = m & ((n0 if zmode else 0) | (n1 if one_ge2 else 0))
-            while watch:
-                low = watch & -watch
-                watch ^= low
-                mu = nbr[low.bit_length() - 1]
-                if mu & free:
-                    continue
+            # neighbors whose last neighbor is this vertex: their labels are final
+            for low, mu in closing:
                 if low & n0:
                     if not zero_ok(mu, n1, n2, n3):
                         break
-                elif not mu & (n2 | n3):
+                elif one_ge2 and low & n1 and not mu & (n2 | n3):
                     break
             else:
                 nodes += 1
@@ -319,20 +345,20 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                     best = wx
                     found = tuple(0 if n0 >> u & 1 else 1 if n1 >> u & 1 else
                                   2 if n2 >> u & 1 else 3 for u in range(n))
-                elif wx + lower_bound(free, n0, n1, n2, n3) < best:
+                elif wx + lower_bound(tail, free, n0, n1, n2, n3) < best:
                     if oi:
                         key = n0 & near
                         lb = table.get(key)
                         if lb is None:
-                            lb = independence_lb(free, key)
+                            lb = independence_lb(tail, key)
                             if room:
                                 table[key] = lb
                                 room -= 1
                         if wx + lb >= best:
                             continue
-                    dfs(depth + 1, wx, free, n0, n1, n2, n3)
+                    dfs(depth + 1, wx, n0, n1, n2, n3)
 
-    dfs(0, 0, (1 << n) - 1, 0, 0, 0, 0)
+    dfs(0, 0, 0, 0, 0, 0)
     return best, found, nodes
 
 
@@ -420,8 +446,14 @@ def bundle(g: Graph) -> InvariantBundle:
         gamma_dr=solve_gamma_dr(g).value,
         gamma_oidr=solve_oidrd(g).value,
     )
-    if b.alpha + b.beta != g.n:
-        raise CertificationError(f"alpha + beta = {b.alpha + b.beta} != n = {g.n}")
+    # a maximum independent set dominates
+    if b.gamma > b.alpha:
+        raise CertificationError(f"gamma = {b.gamma} > alpha = {b.alpha}")
+    # label a minimum cover 3, isolated vertices 2 and the rest 0
+    cover_labeling = 3 * b.beta + 2 * sum(1 for a in g.adj if not a)
+    if b.gamma_oidr > cover_labeling:
+        raise CertificationError(f"gamma_oidr = {b.gamma_oidr} > 3 beta + 2 (isolated) "
+                                 f"= {cover_labeling}")
     if b.gamma_dr > b.gamma_oidr:
         raise CertificationError(f"gamma_dr = {b.gamma_dr} > gamma_oidr = {b.gamma_oidr}")
     if b.gamma_oir >= b.gamma_oidr:

@@ -112,6 +112,22 @@ def test_wrong_parameter_count_exits_2(capsys):
         G.family(G.FamilySpec("cycle"))
 
 
+def test_empty_parameters_exit_2(capsys):
+    cases = (("path:2,", "empty parameter in spec 'path:2,'"),
+             ("kbipartite:2,,3", "empty parameter in spec 'kbipartite:2,,3'"),
+             ("h1:a1,,2", "empty parameter in spec 'h1:a1,,2'"),
+             ("path:,2", "empty parameter in spec 'path:,2'"),
+             ("corona(path:2,,path:2)", "cannot parse graph spec ''"))
+    for verb in ("solve", "bounds", "classify", "reduce", "generate", "formula"):
+        for spec, message in cases:
+            code, _, err = run_cli(capsys, verb, spec)
+            assert code == 2 and message in err, (verb, spec)
+    code, _, err = run_cli(capsys, "corona", "path:2,", "path:2")
+    assert code == 2 and "empty parameter in spec 'path:2,'" in err
+    code, _, err = run_cli(capsys, "corona", "path:2", "kbipartite:2,,3")
+    assert code == 2 and "empty parameter" in err
+
+
 def test_generate_nested_multi_parameter_families(capsys):
     cases = (("corona(kbipartite:2,3,path:2)", G.corona(G.complete_bipartite(2, 3), G.path(2))),
              ("gadget(kpartite:1,2,3)", G.gadget(G.complete_multipartite((1, 2, 3)))),

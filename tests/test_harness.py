@@ -82,7 +82,9 @@ def test_trees_campaign_scores_every_tree_of_a_partial_last_chunk(monkeypatch):
     assert r.instances_checked == sum(scored.values())
 
 
-def test_map_instances_clamps_workers_to_cpu_count(monkeypatch):
+def _record_pool_starts(monkeypatch, cpus):
+    """Replace the pool by an in-process stub and fake cpu_count; returns
+    the list of process counts the stub is started with."""
     started = []
 
     class RecordingPool:
@@ -99,12 +101,32 @@ def test_map_instances_clamps_workers_to_cpu_count(monkeypatch):
             return map(worker, payloads)
 
     monkeypatch.setattr(H, "Pool", RecordingPool)
-    monkeypatch.setattr(H.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(H.os, "cpu_count", lambda: cpus)
+    return started
+
+
+def test_map_instances_clamps_workers_to_cpu_count(monkeypatch):
+    started = _record_pool_starts(monkeypatch, 2)
     assert H._map_instances(abs, [-1, -2, 3], 10**6) == [1, 2, 3]
-    assert H._map_instances(abs, [-4], None) == [4]
+    assert H._map_instances(abs, [-4, -6], None) == [4, 6]
     assert started == [2, 2]
     monkeypatch.setattr(H.os, "cpu_count", lambda: 1)
-    assert H._map_instances(abs, [-5], 64) == [5]
+    assert H._map_instances(abs, [-5, -7], 64) == [5, 7]
+    assert started == [2, 2]
+
+
+def test_map_instances_starts_no_idle_processes(monkeypatch):
+    started = _record_pool_starts(monkeypatch, 2)
+
+    def payloads(k):
+        # a generator, as the campaigns pass it: it can be read only once
+        yield from range(-1, -k - 1, -1)
+
+    assert H._map_instances(abs, payloads(1), 2) == [1]
+    assert H._map_instances(abs, payloads(0), 2) == []
+    assert started == []
+    assert H._map_instances(abs, payloads(2), 2) == [1, 2]
+    assert H._map_instances(abs, payloads(5), 2) == [1, 2, 3, 4, 5]
     assert started == [2, 2]
 
 

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,29 @@ def test_bundle_consistency():
     b = S.bundle(G.cycle(4))
     assert (b.gamma_oidr, b.gamma_oir) == (4, 3)
     assert b.alpha + b.beta == 4
+
+
+def _one_too_high(solve):
+    def wrong(g):
+        r = solve(g)
+        return replace(r, value=r.value + 1)
+    return wrong
+
+
+def test_bundle_rejects_gamma_above_alpha(monkeypatch):
+    monkeypatch.setattr(S, "solve_gamma", _one_too_high(S.solve_gamma))
+    with pytest.raises(S.CertificationError, match="gamma = 3 > alpha = 2"):
+        S.bundle(G.path(4))
+
+
+def test_bundle_rejects_gamma_oidr_above_the_cover_labeling(monkeypatch):
+    # one edge and two isolated vertices: 3 beta + 2 * 2 = 7 is attained
+    g = G.build(4, [(0, 1)])
+    b = S.bundle(g)
+    assert (b.beta, b.gamma_oidr) == (1, 7)
+    monkeypatch.setattr(S, "solve_oidrd", _one_too_high(S.solve_oidrd))
+    with pytest.raises(S.CertificationError, match=r"gamma_oidr = 8 > 3 beta \+ 2 \(isolated\) = 7"):
+        S.bundle(g)
 
 
 def test_brute_cap_enforced():
@@ -433,3 +457,50 @@ def test_full_bound_memo_changes_nothing(monkeypatch, limit):
     monkeypatch.setattr(S, "_BOUND_MEMO_LIMIT", limit)
     capped = [(S.SOLVERS[k](g), k) for g in graphs for k in keys]
     assert capped == uncapped
+
+
+def test_searches_on_one_graph_share_one_plan(monkeypatch):
+    built = []
+    build = S._build_plan
+    monkeypatch.setattr(S, "_build_plan", lambda g: built.append(g) or build(g))
+    g, twin = G.cycle(7), G.cycle(7)
+    results = {key: solve(g) for key, solve in S.SOLVERS.items()}
+    assert len(built) == 1 and built[0] is g
+    # an equal graph is another object, so it gets a plan of its own
+    assert {key: solve(twin) for key, solve in S.SOLVERS.items()} == results
+    assert len(built) == 2 and built[1] is twin
+    other = G.double_star(2, 3)
+    for key, solve in S.SOLVERS.items():
+        assert solve(other).witness == S.BRUTE_SOLVERS[key](other).witness, key
+    assert len(built) == 3 and built[2] is other
+
+
+def _pendants_and_isolated(rng, base):
+    # hang a pendant on up to two vertices of base, add up to two isolated
+    # vertices, and relabel at random so they land at every depth
+    edges = base.edges()
+    n = base.n
+    for v in rng.sample(range(base.n), rng.randint(0, 2)):
+        edges.append((v, n))
+        n += 1
+    n += rng.randint(0 if n > base.n else 1, 2)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return G.build(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_engine_matches_oracle_with_isolated_and_pendant_vertices():
+    rng = random.Random(8)
+    graphs = [G.build(4, [(1, 2)]), G.build(5, [(0, 4), (1, 4), (2, 4)]), G.star(6),
+              G.build(6, [(0, 5), (1, 2), (2, 3)]), G.build(7, [(1, 2), (3, 6)])]
+    for n in (3, 4, 5):
+        for base in G.sample_connected_graphs(n, 12, seed=n):
+            graphs.append(_pendants_and_isolated(rng, base))
+    shut_early = 0
+    for g in graphs:
+        shut_early += any(m >> (v + 1) == 0 for v, m in enumerate(g.nbr_masks[:-1]))
+        for key, solve in S.SOLVERS.items():
+            r, b = solve(g), S.BRUTE_SOLVERS[key](g)
+            assert (r.value, r.witness) == (b.value, b.witness), (key, G.to_edge_list_text(g))
+    # most graphs have a vertex other than the last with no later neighbor
+    assert shut_early > len(graphs) // 2
