@@ -596,6 +596,8 @@ def prufer_sequences(n: int, samples: int | None = None,
         return
     if n < 1:
         raise GraphError(f"vertex count must be at least 1, got {n}")
+    if samples < 0:
+        raise GraphError(f"sample count must be at least 0, got {samples}")
     rng = random.Random(seed)
     for _ in range(samples):
         yield tuple(rng.randrange(n) for _ in range(n - 2))
@@ -660,6 +662,8 @@ def sample_connected_graphs(n: int, count: int, seed: int,
     Raises GraphError after SAMPLE_ATTEMPTS rejections in a row, which is how
     a constraint that no graph (or almost none) meets shows up.
     """
+    if count < 0:
+        raise GraphError(f"sample count must be at least 0, got {count}")
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
     produced = 0

@@ -212,6 +212,8 @@ def audit_characterization(max_n: int = 6, *, n7_samples: int = 300, seed: int =
     connected graphs with 3..max_n vertices, plus seeded samples at n = 7."""
     if not 3 <= max_n <= 6:
         raise ValueError("audit_characterization supports 3 <= max_n <= 6 exhaustive")
+    if n7_samples < 0:
+        raise ValueError(f"n7_samples must be at least 0, got {n7_samples}")
     t0 = time.monotonic()
 
     def payloads():
@@ -261,6 +263,8 @@ def audit_reduction(max_n: int = 5, *, samples_n5: int = 50, seed: int = 0,
     vertices, plus seeded connected samples at n = 5 with max degree 3."""
     if not 1 <= max_n <= 5:
         raise ValueError("audit_reduction supports 1 <= max_n <= 5")
+    if samples_n5 < 0:
+        raise ValueError(f"samples_n5 must be at least 0, got {samples_n5}")
     t0 = time.monotonic()
 
     def payloads():
@@ -313,6 +317,8 @@ def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
     and builds no graph unless a tree violates the bound."""
     if not 1 <= max_n <= 10:
         raise ValueError("audit_trees supports 1 <= max_n <= 10")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     t0 = time.monotonic()
     exhaustive = sum(1 if n <= 2 else n ** (n - 2)
                      for n in range(1, min(max_n, TREE_EXHAUSTIVE_CAP) + 1))

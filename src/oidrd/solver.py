@@ -27,16 +27,21 @@ the alpha witness.  All seven invariants thus come from one search.
 
 Since the vertex order is fixed, the free set at each depth of the search is
 the same on every path, and so is all that depends on it alone.  One plan
-per graph (_build_plan) holds it per depth: the free vertices' (bit,
-neighborhood) pairs that every lower bound scans, the neighbors whose last
-neighbor the depth's vertex is, whether that vertex has a later neighbor,
-and the union of the free neighborhoods.  The seven searches on one graph
-share the plan through a one-entry cache keyed by graph identity.  The
-clique-cover independence bound, which depends only on the depth and on
-which free vertices have a 0-neighbor, is memoized in one dict per depth.
-The memo lives for one search and stops growing at _BOUND_MEMO_LIMIT
-entries; it returns exactly the bound it replaces, so the search tree, node
-counts, values and witnesses are unchanged.
+per graph (_build_plan) holds it per depth: the settled vertices, whose
+labels become final there; the sealed free vertices, with no free neighbor;
+and the opened ones, with their closed neighborhoods within the free set.
+The seven searches on one graph share the plan, and the initial incumbents'
+greedy independent set and isolated vertices, through a one-entry cache
+keyed by graph identity.  The search state is a few masks: the vertices
+labeled 0 and 1, and those with a 0-neighbor, a support neighbor, two
+2-neighbors or a 3-neighbor.  The feasibility checks of the settled vertices
+and the sealed vertices' share of the lower bound are a few bitwise ops
+each.  What is left, a packing (or for the cover a matching) over the opened
+vertices and the clique-cover independence bound, depends only on the depth
+and on one mask, and is memoized under it in one dict per depth.  The memo
+lives for one search and stops growing at _BOUND_MEMO_LIMIT entries; it
+returns exactly the bound it replaces, so the search tree, node counts,
+values and witnesses are unchanged.
 """
 
 from __future__ import annotations
@@ -53,8 +58,8 @@ BRUTE_FORCE_CAP = 12
 _CACHE_LIMIT = 1 << 18  # labelings per oracle chunk
 _MEMO_LIMIT = 1 << 12  # oracle columns are memoized while base^n <= this
 _NO_SCORE = np.iinfo(np.int16).max  # above every labeling weight
-_BOUND_MEMO_LIMIT = 1 << 16  # memoized independence bounds kept per search
-_last_plan: tuple | None = None  # (graph, plan) of the last search
+_BOUND_MEMO_LIMIT = 1 << 16  # memoized bounds kept per search
+_last_plan: tuple | None = None  # _search_plan of the last graph, with the graph
 
 
 class CertificationError(RuntimeError):
@@ -133,15 +138,12 @@ def _greedy_max_independent(g: Graph) -> set[int]:
 
 
 def _greedy_domination_size(g: Graph) -> int:
-    undominated = set(range(g.n))
+    # repeatedly take the first vertex dominating the most undominated ones
+    closed = [m | 1 << v for v, m in enumerate(g.nbr_masks)]
+    undominated = (1 << g.n) - 1
     size = 0
     while undominated:
-        best_v, best_cov = 0, -1
-        for v in range(g.n):
-            cov = (v in undominated) + sum(1 for w in g.adj[v] if w in undominated)
-            if cov > best_cov:
-                best_v, best_cov = v, cov
-        undominated -= g.adj[best_v] | {best_v}
+        undominated &= ~max(closed, key=lambda c: (c & undominated).bit_count())
         size += 1
     return size
 
@@ -149,58 +151,64 @@ def _greedy_domination_size(g: Graph) -> int:
 def _initial_ub(g: Graph, prob: _Problem) -> int:
     # every returned bound is the weight of some valid labeling
     n = g.n
-    iso = sum(1 for v in range(n) if not g.adj[v])
-    ind = _greedy_max_independent(g)
-    k = len(ind)
+    if prob.zero_mode == 1:
+        return _greedy_domination_size(g)
+    _, iso, k = _search_plan(g)
     if prob.base == 4:
         return min(2 * n, 3 * (n - k) + 2 * iso)
     if prob.base == 3:
         return min(n, 2 * (n - k) + iso)
-    if prob.zero_mode == 1:
-        return _greedy_domination_size(g)
     return n - k
 
 
-def _search_plan(g: Graph) -> list[tuple]:
-    """The plan of a search along 0..n-1 on g, from a one-entry cache keyed
-    by graph identity, so the searches on one graph share one plan.  The
-    cache holds the graph itself, so its identity cannot be reused; the entry
-    is read once, so a graph never gets a plan another caller just stored."""
+def _search_plan(g: Graph) -> tuple[list[tuple], int, int]:
+    """(plan, isolated vertices, greedy independent set size) of g, from a
+    one-entry cache keyed by graph identity, so the searches on one graph
+    share one plan and one set of incumbents.  The cache holds the graph
+    itself, so its identity cannot be reused; the entry is read once, so a
+    graph never gets a plan another caller just stored."""
     global _last_plan
     last = _last_plan
     if last is None or last[0] is not g:
-        last = _last_plan = (g, _build_plan(g))
-    return last[1]
+        last = _last_plan = (g, _build_plan(g), sum(1 for a in g.adj if not a),
+                             len(_greedy_max_independent(g)))
+    return last[1:]
 
 
 def _build_plan(g: Graph) -> list[tuple]:
     """Per depth d, the static part of labeling vertex d, the same on every
     path of a search along 0..n-1:
-    (bit, nbr, free, shut, closing, tail, touch), where
+    (bit, nbr, free, settled, sealed, opened, open), where
       bit, nbr  1 << d and the neighborhood mask of d
       free      the mask of d+1..n-1, free once d is labeled
-      shut      d has no neighbor in free, so its own label is final now
-      closing   (bit, nbr) of each neighbor u < d whose last neighbor is d
-      tail      (bit, nbr) of each vertex of free, ascending: one pair list
-                sliced per depth, which every lower bound scans
-      touch     the union of the neighborhoods of free
+      settled   the labeled vertices whose neighbors are all labeled once d
+                is: d itself if it has no neighbor in free, and each
+                neighbor u < d whose last neighbor is d
+      sealed    the vertices of free with no neighbor in free
+      opened    (bit, bit | nbr & free) of every other vertex of free,
+                ascending: its closed neighborhood within free
+      open      the mask of those vertices, free & ~sealed
     """
     n = g.n
     nbr = g.nbr_masks
-    pairs = [(1 << v, m) for v, m in enumerate(nbr)]
-    closing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    settled = [0] * n
     for u, m in enumerate(nbr):
-        last = m.bit_length() - 1
-        if last > u:
-            closing[last].append(pairs[u])
-    plan = [None] * n
-    union = 0
+        settled[max(u, m.bit_length() - 1)] |= 1 << u
+    plan = []
     full = (1 << n) - 1
-    for d in range(n - 1, -1, -1):
-        bit, m = pairs[d]
+    for d, m in enumerate(nbr):
+        bit = 1 << d
         free = full ^ ((bit << 1) - 1)
-        plan[d] = (bit, m, free, not m & free, closing[d], pairs[d + 1:], union)
-        union |= m
+        sealed = 0
+        opened = []
+        for v in range(d + 1, n):
+            low = 1 << v
+            near = nbr[v] & free
+            if near:
+                opened.append((low, low | near))
+            else:
+                sealed |= low
+        plan.append((bit, m, free, settled[d], sealed, opened, free ^ sealed))
     return plan
 
 
@@ -214,151 +222,153 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     Starts from the incumbent ub and keeps the labeling at each strict
     improvement.  Returns (best weight, last labeling kept or None if none
     beat ub, nodes), where nodes counts the feasible partial labelings
-    visited.  The state is one mask per label.  Since vertex d is labeled
-    at depth d, the free set there is d+1..n-1 on every path, and all that
-    depends on it alone comes from the graph's plan (_build_plan): the
-    lower bounds scan the free vertices' (bit, nbr) pairs, d's own label is
-    checked when d is shut, and each neighbor u < d that d closes, being its
-    last neighbor, has its label checked there.
+    visited.  The state is a handful of masks: l0 and l1, the vertices
+    labeled 0 and 1; z, those with a 0-neighbor; s1, those with a support
+    neighbor (labeled 1 for gamma, 2 otherwise); s2, those with two
+    2-neighbors; s3, those with a 3-neighbor.  Labeling d ORs nbr[d] into
+    one or two of them, and "may this vertex be 0" is a bit test against
+    ok: s3 | s2, or s1, or every vertex for the cover, less z when the
+    0-class is independent.  Since vertex d is labeled at depth d, the
+    free set there is d+1..n-1 on every path, and all that depends on it
+    alone comes from the graph's plan (_build_plan): each settled vertex,
+    whose neighbors are all labeled now, is checked with one mask test, and
+    each sealed vertex adds the least label it can still take to the lower
+    bound, bitwise.
 
-    The independence bound depends only on d and on l0 & touch[d], where
-    touch[d] is the union of the free vertices' neighborhoods.  It is
-    memoized in one dict per depth, created on first use, for this search
-    only; once _BOUND_MEMO_LIMIT entries are stored, misses are computed but
-    no longer kept.
+    The rest of the lower bound loops over the opened vertices: a packing
+    of disjoint closed neighborhoods with no support, which depends only on
+    the opened vertices without support, or for the cover a greedy
+    matching, which depends only on the opened vertices without a
+    0-neighbor.  The clique-cover independence bound, for the problems
+    with an independent 0-class, depends only on z & free.  Both are
+    memoized under that key in one dict per depth, for this search only;
+    once _BOUND_MEMO_LIMIT entries are stored in all, misses are computed
+    but no longer kept.
     """
     n = g.n
-    plan = _search_plan(g)
-    base, oi, zmode, one_ge2 = prob.base, prob.oi, prob.zero_mode, prob.one_ge2
+    plan = _search_plan(g)[0]
+    oi, zmode, one_ge2 = prob.oi, prob.zero_mode, prob.one_ge2
     descending = prob.descending
-    labels = range(base - 1, -1, -1) if descending else range(base)
+    labels = range(prob.base - 1, -1, -1) if descending else range(prob.base)
     bonus = 2 if zmode == 3 else 1
     nodes = 0
     best = ub
     found: tuple[int, ...] | None = None
-    if oi:
-        memo: list[dict[int, int] | None] = [None] * n
-        room = _BOUND_MEMO_LIMIT
+    path = [0] * n
+    pack_memo: list[dict[int, int]] = [{} for _ in range(n)]
+    clique_memo: list[dict[int, int]] = [{} for _ in range(n)] if oi else []
+    room = _BOUND_MEMO_LIMIT
 
-    def zero_ok(m: int, l1: int, l2: int, l3: int) -> int:
-        # a vertex with neighborhood m may be labeled 0 (truthy: yes)
-        if zmode == 3:
-            m2 = m & l2
-            return m & l3 or m2 & (m2 - 1)
-        if zmode == 2:
-            return m & l2
-        if zmode == 1:
-            return m & l1
-        return 1
-
-    def independence_lb(tail: list[tuple[int, int]], l0: int) -> int:
+    def independence_lb(opened: list[tuple[int, int]], key: int) -> int:
         # with an independent 0-class, the zeros among free vertices fit
-        # inside any clique cover of them; everything else costs at least 1
-        forced = rest = 0
+        # inside any clique cover of them; everything else costs at least 1.
+        # key: the free vertices with a 0-neighbor, forced nonzero; a sealed
+        # vertex is a clique of its own
+        rest = 0
         cliques: list[int] = []
-        for low, m in tail:
-            if m & l0:
-                forced += 1
+        for low, near in opened:
+            if low & key:
                 continue
             rest += 1
             for i, members in enumerate(cliques):
-                if members & ~m == 0:
+                if members & ~near == 0:
                     cliques[i] = members | low
                     break
             else:
                 cliques.append(low)
-        return forced + rest - len(cliques)
+        return key.bit_count() + rest - len(cliques)
 
-    if zmode == 0:
-        # vertex cover: forced 1s next to a 0, plus a greedy matching
-        def lower_bound(tail: list[tuple[int, int]], free: int,
-                        l0: int, l1: int, l2: int, l3: int) -> int:
-            total = 0
-            avail = free
-            for low, m in tail:
-                if m & l0:
-                    total += 1
-                    avail ^= low
-            for low, m in tail:
-                if low & avail:
-                    cand = m & avail & -(low << 1)
-                    if cand:
-                        total += 1
-                        avail ^= cand & -cand
-            return total
+    if zmode:
+        def pack(opened: list[tuple[int, int]], avail: int) -> int:
+            # disjoint closed neighborhoods of the opened vertices in avail,
+            # which have no support yet: each holds a label >= bonus
+            count = blocked = 0
+            for low, near in opened:
+                if low & avail and not near & blocked:
+                    count += 1
+                    blocked |= near
+            return bonus * count
     else:
-        # exact minimum feasible label for surrounded vertices, plus a
-        # packing of disjoint closed neighborhoods with no >=2 label nearby
-        def lower_bound(tail: list[tuple[int, int]], free: int,
-                        l0: int, l1: int, l2: int, l3: int) -> int:
-            total = 0
-            blocked = 0
-            high = l2 | l3
-            support = l1 if zmode == 1 else high
-            for low, m in tail:
-                mf = m & free
-                if not mf:
-                    if (not oi or not m & l0) and zero_ok(m, l1, l2, l3):
-                        continue
-                    total += 1 if not one_ge2 or m & high else 2
-                elif not (blocked & low or m & support or m & blocked):
-                    total += bonus
-                    blocked |= low | mf
-            return total
+        def pack(opened: list[tuple[int, int]], avail: int) -> int:
+            # vertex cover: a forced 1 at each opened vertex outside avail,
+            # which has a 0-neighbor, plus a greedy matching inside avail
+            count = len(opened) - avail.bit_count()
+            for low, near in opened:
+                if low & avail:
+                    cand = near & avail & -(low << 1)
+                    if cand:
+                        count += 1
+                        avail ^= cand & -cand
+            return count
 
-    def dfs(depth: int, w: int, l0: int, l1: int, l2: int, l3: int) -> None:
+    def dfs(depth: int, w: int, l0: int, l1: int, z: int, s1: int, s2: int, s3: int) -> None:
         nonlocal best, found, nodes, room
-        bit, m, free, shut, closing, tail, near = plan[depth]
-        if oi:
-            table = memo[depth]
-            if table is None:
-                table = memo[depth] = {}
+        bit, m, free, settled, sealed, opened, open_mask = plan[depth]
+        packs = pack_memo[depth]
         for x in labels:
             wx = w + x
             if wx >= best:
                 if descending:
                     continue  # a lower label may still beat best
                 break
-            n0, n1, n2, n3 = l0, l1, l2, l3
+            n0, n1, nz, t1, t2, t3 = l0, l1, z, s1, s2, s3
             if x == 0:
-                if (oi and m & l0) or (shut and not zero_ok(m, l1, l2, l3)):
+                if oi and bit & z:
                     continue
                 n0 |= bit
+                nz |= m
             elif x == 1:
-                if one_ge2 and shut and not m & (l2 | l3):
-                    continue
                 n1 |= bit
+                if zmode == 1:
+                    t1 |= m
             elif x == 2:
-                n2 |= bit
+                t2 |= t1 & m
+                t1 |= m
             else:
-                n3 |= bit
-            # neighbors whose last neighbor is this vertex: their labels are final
-            for low, mu in closing:
-                if low & n0:
-                    if not zero_ok(mu, n1, n2, n3):
-                        break
-                elif one_ge2 and low & n1 and not mu & (n2 | n3):
-                    break
-            else:
-                nodes += 1
-                if not free:
-                    best = wx
-                    found = tuple(0 if n0 >> u & 1 else 1 if n1 >> u & 1 else
-                                  2 if n2 >> u & 1 else 3 for u in range(n))
-                elif wx + lower_bound(tail, free, n0, n1, n2, n3) < best:
-                    if oi:
-                        key = n0 & near
-                        lb = table.get(key)
-                        if lb is None:
-                            lb = independence_lb(tail, key)
-                            if room:
-                                table[key] = lb
-                                room -= 1
-                        if wx + lb >= best:
-                            continue
-                    dfs(depth + 1, wx, n0, n1, n2, n3)
+                t3 |= m
+            high = t1 | t3  # a 2- or 3-neighbor (for gamma, a 1-neighbor)
+            ok = t3 | t2 if zmode == 3 else t1 if zmode else -1
+            if oi:
+                ok &= ~nz
+            # settled labels are final: a 0 needs ok, a 1 may need high
+            if settled & n0 & ~ok or one_ge2 and settled & n1 & ~high:
+                continue
+            nodes += 1
+            path[depth] = x
+            if not free:
+                best = wx
+                found = tuple(path)
+                continue
+            # a sealed vertex that may not be 0 takes 1, or 2 if a 1 needs high
+            lb = wx
+            bad = sealed & ~ok
+            if bad:
+                lb += bad.bit_count()
+                if one_ge2:
+                    lb += (bad & ~high).bit_count()
+            avail = open_mask & ~(high if zmode else nz)
+            p = packs.get(avail)
+            if p is None:
+                p = pack(opened, avail)
+                if room:
+                    packs[avail] = p
+                    room -= 1
+            if lb + p >= best:
+                continue
+            if oi:
+                key = nz & free
+                cliques = clique_memo[depth]
+                c = cliques.get(key)
+                if c is None:
+                    c = independence_lb(opened, key)
+                    if room:
+                        cliques[key] = c
+                        room -= 1
+                if wx + c >= best:
+                    continue
+            dfs(depth + 1, wx, n0, n1, nz, t1, t2, t3)
 
-    dfs(0, 0, 0, 0, 0, 0)
+    dfs(0, 0, 0, 0, 0, 0, 0, 0)
     return best, found, nodes
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,22 @@ def test_audit_samples_zero_disables_sampling(capsys):
                            "--samples", "0", "--workers", "1", "--json")
     assert code == 0
     assert json.loads(out)["reports"][0]["instances_checked"] == 4
+
+
+@pytest.mark.parametrize("campaign", ["characterization", "reduction", "trees"])
+def test_audit_negative_samples_exit_2(capsys, campaign):
+    code, out, err = run_cli(capsys, "audit", campaign, "--samples", "-1", "--workers", "1")
+    assert code == 2 and "at least 0" in err and not out
+
+
+def test_python_m_oidrd_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-m", "oidrd", "solve", "path:3", "--json"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["gamma_oidr"] == 3
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -199,6 +199,13 @@ def test_sampling_gives_up_on_unsatisfiable_constraints():
     assert time.monotonic() - t0 < 10
 
 
+def test_samplers_reject_negative_counts():
+    with pytest.raises(G.GraphError, match="at least 0"):
+        list(G.prufer_sequences(5, -1))
+    with pytest.raises(G.GraphError, match="at least 0"):
+        list(G.sample_connected_graphs(5, -1, seed=0))
+
+
 def test_edge_list_round_trip():
     for g in (G.path(3), G.complete_bipartite(2, 3), G.gadget(G.path(2))):
         again = G.from_edge_list_text(G.to_edge_list_text(g))

@@ -39,6 +39,16 @@ def test_trees_campaign_counts_match_cayley():
     assert r.extra["equality_cases"] > 0
 
 
+@pytest.mark.parametrize("campaign,kwargs", [
+    pytest.param(H.audit_characterization, {"max_n": 3, "n7_samples": -1}, id="characterization"),
+    pytest.param(H.audit_trees, {"max_n": 9, "samples": -5}, id="trees"),
+    pytest.param(H.audit_reduction, {"max_n": 5, "samples_n5": -3}, id="reduction"),
+])
+def test_campaigns_reject_negative_sample_counts(campaign, kwargs):
+    with pytest.raises(ValueError, match="at least 0"):
+        campaign(workers=1, **kwargs)
+
+
 def test_violations_carry_the_graph_text(monkeypatch):
     # workers send the graph text back only with a violation; force one per tree
     monkeypatch.setattr(H, "_forest_routes",

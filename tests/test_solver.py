@@ -414,6 +414,14 @@ _PINNED_TREES = {
                    ("cycle:15", 16175), ("path:17", 12395), ("kpartite:4,4,4,4,4,4", 3805)],
     "beta": [("corona(cycle:3,cycle:4)", 26), ("sharph:3,2,2", 47), ("cycle:15", 23),
              ("path:17", 25), ("kpartite:4,4,4,4,4,4", 44)],
+    "gamma_dr": [("corona(cycle:3,cycle:4)", 9389), ("sharph:3,2,2", 33034), ("cycle:15", 6415),
+                 ("path:17", 17174), ("kpartite:4,4,4,4,4,4", 129359)],
+    "gamma_oir": [("corona(cycle:3,cycle:4)", 1966), ("sharph:3,2,2", 2209), ("cycle:15", 3653),
+                  ("path:17", 3080), ("kpartite:4,4,4,4,4,4", 215)],
+    "gamma_r": [("corona(cycle:3,cycle:4)", 4440), ("sharph:3,2,2", 11500), ("cycle:15", 2168),
+                ("path:17", 5694), ("kpartite:4,4,4,4,4,4", 5448)],
+    "gamma": [("corona(cycle:3,cycle:4)", 97), ("sharph:3,2,2", 1022), ("cycle:15", 23),
+              ("path:17", 26), ("kpartite:4,4,4,4,4,4", 96)],
 }
 
 
@@ -423,7 +431,8 @@ _PINNED_TREES = {
 def test_search_tree_is_pinned(key, spec, nodes):
     # gamma_oidr counts recorded before the independence bound was memoized:
     # the memo may only make the search faster, never change what it visits;
-    # beta counts recorded when the cover search moved onto the one-pass engine
+    # beta counts recorded when the cover search moved onto the one-pass
+    # engine; the other label problems' counts before the bounds went bitwise
     assert S.SOLVERS[key](G.family(G.parse_family_spec(spec))).node_count == nodes
 
 
@@ -452,10 +461,9 @@ def test_full_bound_memo_changes_nothing(monkeypatch, limit):
     graphs = [G.family(G.parse_family_spec(spec)) for spec in
               ("cycle:12", "sharph:2,2,2", "corona(path:2,empty:4)", "gadget(path:3)")]
     graphs += G.sample_connected_graphs(11, 2, seed=3)
-    keys = ("gamma_oidr", "gamma_oir", "alpha")
-    uncapped = [(S.SOLVERS[k](g), k) for g in graphs for k in keys]
+    uncapped = [(solve(g), k) for g in graphs for k, solve in S.SOLVERS.items()]
     monkeypatch.setattr(S, "_BOUND_MEMO_LIMIT", limit)
-    capped = [(S.SOLVERS[k](g), k) for g in graphs for k in keys]
+    capped = [(solve(g), k) for g in graphs for k, solve in S.SOLVERS.items()]
     assert capped == uncapped
 
 
@@ -473,6 +481,18 @@ def test_searches_on_one_graph_share_one_plan(monkeypatch):
     for key, solve in S.SOLVERS.items():
         assert solve(other).witness == S.BRUTE_SOLVERS[key](other).witness, key
     assert len(built) == 3 and built[2] is other
+
+
+def test_incumbents_are_computed_once_per_graph(monkeypatch):
+    # the greedy independent set and the isolated vertices sit beside the
+    # plan, so the seven searches on one graph compute them once
+    calls = []
+    greedy = S._greedy_max_independent
+    monkeypatch.setattr(S, "_greedy_max_independent", lambda g: calls.append(g) or greedy(g))
+    g = G.corona(G.path(3), G.empty(2))
+    for key, solve in S.SOLVERS.items():
+        assert solve(g).witness == S.BRUTE_SOLVERS[key](g).witness, key
+    assert len(calls) == 1 and calls[0] is g
 
 
 def _pendants_and_isolated(rng, base):
