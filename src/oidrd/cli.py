@@ -9,11 +9,10 @@ only; the rational lower bound is emitted as a [numerator, denominator] pair.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from . import graphs as G
@@ -29,18 +28,9 @@ from .formulas import (
     formula_path,
 )
 from .graphs import GraphError
-from .labeling import Labeling, LabelingError, is_drd, is_oidrd, is_oird, is_rd, weight
+from .labeling import Labeling, LabelingError, weight
 from .reduction import ReductionError, build_gadget, verify_identity
-from .solver import (
-    SOLVERS,
-    bundle,
-    is_cover_labeling,
-    is_dominating_labeling,
-    is_independent_labeling,
-    solve_alpha,
-    solve_gamma,
-    solve_oidrd,
-)
+from .solver import SOLVERS, bundle, is_feasible, solve_oidrd
 
 SCHEMA = "oidrd/1"
 DEFAULT_MAX_N = 24
@@ -48,14 +38,6 @@ DEFAULT_MAX_N = 24
 
 class UsageError(ValueError):
     """Command-line input the program cannot act on."""
-
-
-@dataclass
-class Command:
-    verb: str
-    input: str | None = None
-    input2: str | None = None
-    options: dict = field(default_factory=dict)
 
 
 def _solver_cap() -> int:
@@ -105,6 +87,13 @@ def _check_cap(n: int, cap: int) -> None:
             f"(override at your own risk with OIDRD_MAX_N)")
 
 
+def _solver_graph(arg: str) -> G.Graph:
+    cap = _solver_cap()
+    g = _load_graph(arg, cap)
+    _check_cap(g.n, cap)
+    return g
+
+
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -113,35 +102,20 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-_WITNESS_PREDICATES = {
-    "gamma_oidr": is_oidrd,
-    "gamma_dr": is_drd,
-    "gamma_oir": is_oird,
-    "gamma_r": is_rd,
-    "gamma": is_dominating_labeling,
-    "beta": is_cover_labeling,
-    "alpha": is_independent_labeling,
-}
-
-
-def _run_solve(cmd: Command) -> int:
-    cap = _solver_cap()
-    g = _load_graph(cmd.input, cap)
-    _check_cap(g.n, cap)
-    inv = cmd.options.get("invariant", "gamma_oidr")
-    as_json = cmd.options.get("json", False)
+def _run_solve(args: argparse.Namespace) -> int:
+    inv = args.invariant
+    if args.count_optimal and inv != "gamma_oidr":
+        raise UsageError("--count-optimal counts gamma_oidr labelings only")
+    if inv == "bundle" and args.verify_witness is not None:
+        raise UsageError("--verify-witness checks one invariant, not bundle")
+    g = _solver_graph(args.graph)
     if inv == "bundle":
         b = bundle(g)
         payload = {"schema": SCHEMA, "n": g.n, "m": g.m}
         payload.update(b.__dict__)
-        _emit(payload, as_json, [f"{k} = {v}" for k, v in b.__dict__.items()])
+        _emit(payload, args.json, [f"{k} = {v}" for k, v in b.__dict__.items()])
         return 0
-    if inv not in SOLVERS:
-        raise UsageError(f"unknown invariant {inv!r}; choose from {sorted(SOLVERS)} or 'bundle'")
-    if inv == "gamma_oidr" and cmd.options.get("count_optimal"):
-        res = solve_oidrd(g, count_optimal=True)
-    else:
-        res = SOLVERS[inv](g)
+    res = solve_oidrd(g, count_optimal=True) if args.count_optimal else SOLVERS[inv](g)
     payload = {
         "schema": SCHEMA,
         "n": g.n,
@@ -155,10 +129,9 @@ def _run_solve(cmd: Command) -> int:
     if res.optimal_count is not None:
         payload["optimal_count"] = res.optimal_count
         lines.append(f"optimal labelings: {res.optimal_count}")
-    check = cmd.options.get("verify_witness")
-    if check is not None:
-        lab = Labeling.from_text(check)
-        valid = _WITNESS_PREDICATES[inv](g, lab)
+    if args.verify_witness is not None:
+        lab = Labeling.from_text(args.verify_witness)
+        valid = is_feasible(inv, g, lab)
         payload["checked_witness"] = {
             "labeling": lab.to_text(),
             "valid": valid,
@@ -166,52 +139,44 @@ def _run_solve(cmd: Command) -> int:
             "optimal": valid and weight(lab) == res.value,
         }
         lines.append(f"checked witness {lab.to_text()}: valid={valid} weight={weight(lab)}")
-    _emit(payload, as_json, lines)
+    _emit(payload, args.json, lines)
     return 0
 
 
-def _run_bounds(cmd: Command) -> int:
-    cap = _solver_cap()
-    g = _load_graph(cmd.input, cap)
-    _check_cap(g.n, cap)
+def _run_bounds(args: argparse.Namespace) -> int:
+    g = _solver_graph(args.graph)
     if g.n < 2 or not G.is_connected(g):
         raise UsageError("bounds requires a connected graph on at least 2 vertices")
-    alpha = solve_alpha(g).value
-    beta = g.n - alpha
-    gamma = solve_gamma(g).value
-    goidr = solve_oidrd(g).value
-    frac = Fraction(2 * alpha, g.max_degree)
-    lower = max(Fraction(gamma), frac) + beta
-    holds = lower <= goidr <= 3 * beta
+    s = H.sandwich(g)
+    holds = s.lower <= s.gamma_oidr <= s.upper
     payload = {
         "schema": SCHEMA,
         "n": g.n,
         "m": g.m,
-        "gamma": gamma,
-        "alpha": alpha,
-        "beta": beta,
+        "gamma": s.gamma,
+        "alpha": s.alpha,
+        "beta": s.beta,
         "max_degree": g.max_degree,
-        "two_alpha_over_delta": [frac.numerator, frac.denominator],
-        "lower_bound": [lower.numerator, lower.denominator],
-        "upper_bound": 3 * beta,
-        "gamma_oidr": goidr,
+        "two_alpha_over_delta": [s.two_alpha_over_delta.numerator,
+                                 s.two_alpha_over_delta.denominator],
+        "lower_bound": [s.lower.numerator, s.lower.denominator],
+        "upper_bound": s.upper,
+        "gamma_oidr": s.gamma_oidr,
         "bounds_hold": holds,
     }
     lines = [
-        f"gamma = {gamma}, alpha = {alpha}, beta = {beta}, max degree = {g.max_degree}",
-        f"lower bound max(gamma, 2*alpha/Delta) + beta = {lower}",
-        f"gamma_oidr = {goidr}",
-        f"upper bound 3*beta = {3 * beta}",
+        f"gamma = {s.gamma}, alpha = {s.alpha}, beta = {s.beta}, max degree = {g.max_degree}",
+        f"lower bound max(gamma, 2*alpha/Delta) + beta = {s.lower}",
+        f"gamma_oidr = {s.gamma_oidr}",
+        f"upper bound 3*beta = {s.upper}",
         f"bounds hold: {holds}",
     ]
-    _emit(payload, cmd.options.get("json", False), lines)
+    _emit(payload, args.json, lines)
     return 0
 
 
-def _run_classify(cmd: Command) -> int:
-    cap = _solver_cap()
-    g = _load_graph(cmd.input, cap)
-    _check_cap(g.n, cap)
+def _run_classify(args: argparse.Namespace) -> int:
+    g = _solver_graph(args.graph)
     res = classify(g)
     payload = {
         "schema": SCHEMA,
@@ -226,14 +191,14 @@ def _run_classify(cmd: Command) -> int:
     if res.family:
         lines.append(f"family: {res.family}" + (f" ({res.subcase})" if res.subcase else ""))
         lines.append(f"anchors: {','.join(map(str, res.anchors))}")
-    _emit(payload, cmd.options.get("json", False), lines)
+    _emit(payload, args.json, lines)
     return 0
 
 
-def _run_reduce(cmd: Command) -> int:
+def _run_reduce(args: argparse.Namespace) -> int:
     env = os.environ.get("OIDRD_MAX_N")
     cap = (_solver_cap() // 4) if env is not None else 5
-    g = _load_graph(cmd.input, _solver_cap())
+    g = _load_graph(args.graph, _solver_cap())
     if g.n > cap:
         raise UsageError(
             f"reduce verifies the identity by solving the 4n-vertex gadget; "
@@ -249,14 +214,14 @@ def _run_reduce(cmd: Command) -> int:
     }
     lines = [G.to_edge_list_text(gm.gadget), "",
              f"gamma_oidr(G') = {rep.lhs}, 4n - alpha(G) = {rep.rhs}, equal: {rep.equal}"]
-    _emit(payload, cmd.options.get("json", False), lines)
+    _emit(payload, args.json, lines)
     return 0
 
 
-def _run_corona(cmd: Command) -> int:
+def _run_corona(args: argparse.Namespace) -> int:
     cap = 4 * _solver_cap()
-    g = _load_graph(cmd.input, cap)
-    h = _load_graph(cmd.input2, cap)
+    g = _load_graph(args.graph_g, cap)
+    h = _load_graph(args.graph_h, cap)
     _check_cap(g.n * (h.n + 1), cap)  # the corona's order, before building it
     value, co = corona_value(g, h)
     payload = {
@@ -271,12 +236,12 @@ def _run_corona(cmd: Command) -> int:
         f"gamma_oidr(corona) = {value}",
         f"coefficients: c0={co.c0} c1={co.c1} c2={co.c2} c3={co.c3}",
     ]
-    _emit(payload, cmd.options.get("json", False), lines)
+    _emit(payload, args.json, lines)
     return 0
 
 
-def _run_formula(cmd: Command) -> int:
-    spec = G.parse_family_spec(cmd.input)
+def _run_formula(args: argparse.Namespace) -> int:
+    spec = G.parse_family_spec(args.family)
     table = {
         "path": lambda p: formula_path(*p),
         "cycle": lambda p: formula_cycle(*p),
@@ -290,59 +255,56 @@ def _run_formula(cmd: Command) -> int:
     value = table[spec.tag](spec.params)
     payload = {"schema": SCHEMA, "family": spec.tag,
                "params": list(spec.params), "value": value}
-    _emit(payload, cmd.options.get("json", False), [f"gamma_oidr = {value}"])
+    _emit(payload, args.json, [f"gamma_oidr = {value}"])
     return 0
 
 
-def _run_generate(cmd: Command) -> int:
-    g = _load_graph(cmd.input, _solver_cap())
+def _run_generate(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph, _solver_cap())
     text = G.to_edge_list_text(g)
-    out = cmd.options.get("output")
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+    if args.output:
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
     return 0
 
 
-def _run_audit(cmd: Command) -> int:
-    opts = cmd.options
-    seed = opts.get("seed", 0)
-    workers = opts.get("workers")
-    which = cmd.input
-    if opts.get("all"):
-        reports = H.run_all(opts.get("max_n", 5), seed=seed, workers=workers)
-    elif which == "bounds":
-        reports = [H.audit_bounds(opts.get("max_n", 5), workers=workers)]
-    elif which == "characterization":
-        reports = [H.audit_characterization(
-            opts.get("max_n", 6), n7_samples=opts.get("samples", 300),
-            seed=seed, workers=workers)]
-    elif which == "reduction":
-        reports = [H.audit_reduction(opts.get("max_n", 5),
-                                     samples_n5=opts.get("samples", 50),
-                                     seed=seed, workers=workers)]
-    elif which == "trees":
-        reports = [H.audit_trees(opts.get("max_n", 8),
-                                 samples=opts.get("samples", 10000),
-                                 seed=seed, workers=workers)]
-    elif which == "forced_ones":
-        reports = [H.audit_forced_ones()]
-    elif which == "sharpness":
-        reports = [H.audit_sharpness_h()]
+# audit option -> the campaign keywords it may stand for, in the order tried
+_AUDIT_KEYWORDS = {"max_n": ("max_n",), "samples": ("n7_samples", "samples_n5", "samples"),
+                   "seed": ("seed",), "workers": ("workers",)}
+
+
+def _run_audit(args: argparse.Namespace) -> int:
+    """Call the campaign, or run_all for --all, with only the options given,
+    so its signature holds the defaults; an option it takes no keyword for
+    is a usage error."""
+    if args.all and args.campaign:
+        raise UsageError("audit takes a campaign or --all, not both")
+    if args.all:
+        name, campaign = "--all", H.run_all
+    elif args.campaign:
+        name, campaign = args.campaign, H.CAMPAIGNS[args.campaign]
     else:
-        raise UsageError(f"unknown audit campaign {which!r}; choose from "
-                         f"{sorted(H.CAMPAIGNS)} or use --all")
-    out_dir = opts.get("output_dir")
-    if out_dir:
-        d = Path(out_dir)
+        raise UsageError(f"audit needs a campaign, one of {sorted(H.CAMPAIGNS)}, or --all")
+    params = inspect.signature(campaign).parameters
+    kwargs = {}
+    for option, keywords in _AUDIT_KEYWORDS.items():
+        value = getattr(args, option)
+        if value is None:
+            continue
+        keyword = next((k for k in keywords if k in params), None)
+        if keyword is None:
+            raise UsageError(f"audit {name} takes no --{option.replace('_', '-')}")
+        kwargs[keyword] = value
+    reports = campaign(**kwargs) if args.all else [campaign(**kwargs)]
+    if args.output_dir:
+        d = Path(args.output_dir)
         d.mkdir(parents=True, exist_ok=True)
         for r in reports:
             (d / f"{r.campaign}.json").write_text(r.to_json() + "\n", encoding="utf-8")
-    csv_path = opts.get("csv")
-    if csv_path:
-        Path(csv_path).write_text(H.csv_summary(reports), encoding="utf-8")
-    if opts.get("json"):
+    if args.csv:
+        Path(args.csv).write_text(H.csv_summary(reports), encoding="utf-8")
+    if args.json:
         print(json.dumps({"schema": SCHEMA, "reports": [r.to_dict() for r in reports]},
                          indent=2, sort_keys=True))
     else:
@@ -353,26 +315,6 @@ def _run_audit(cmd: Command) -> int:
             for v in r.violations[:10]:
                 print(f"  {v.claim}: lhs={v.lhs} rhs={v.rhs} on\n{v.graph}")
     return 0 if all(r.status == "pass" for r in reports) else 1
-
-
-_RUNNERS = {
-    "solve": _run_solve,
-    "bounds": _run_bounds,
-    "classify": _run_classify,
-    "reduce": _run_reduce,
-    "corona": _run_corona,
-    "formula": _run_formula,
-    "generate": _run_generate,
-    "audit": _run_audit,
-}
-
-
-def run(cmd: Command) -> int:
-    """Execute a parsed command; returns the process exit code."""
-    runner = _RUNNERS.get(cmd.verb)
-    if runner is None:
-        raise UsageError(f"unknown verb {cmd.verb!r}")
-    return runner(cmd)
 
 
 _GRAPH_HELP = ("edge-list file, '-' for stdin, or DSL such as path:6, cycle:5, "
@@ -387,10 +329,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact outer independent double Roman domination at desk scale.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def add(verb, run, help):
+        p = sub.add_parser(verb, help=help)
+        p.set_defaults(run=run)
+        return p
+
     def add_json(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    p = sub.add_parser("solve", help="compute an invariant with a canonical witness")
+    p = add("solve", _run_solve, "compute an invariant with a canonical witness")
     p.add_argument("graph", help=_GRAPH_HELP)
     p.add_argument("--invariant", default="gamma_oidr",
                    choices=sorted(SOLVERS) + ["bundle"])
@@ -400,37 +347,37 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check a comma-separated labeling against the invariant")
     add_json(p)
 
-    p = sub.add_parser("bounds", help="evaluate the sandwich bounds on one graph")
+    p = add("bounds", _run_bounds, "evaluate the sandwich bounds on one graph")
     p.add_argument("graph", help=_GRAPH_HELP)
     add_json(p)
 
-    p = sub.add_parser("classify", help="small-value family classification")
+    p = add("classify", _run_classify, "small-value family classification")
     p.add_argument("graph", help=_GRAPH_HELP)
     add_json(p)
 
-    p = sub.add_parser("reduce", help="build the hardness gadget and verify its identity")
+    p = add("reduce", _run_reduce, "build the hardness gadget and verify its identity")
     p.add_argument("graph", help=_GRAPH_HELP)
     add_json(p)
 
-    p = sub.add_parser("corona", help="corona formula value and coefficient table")
+    p = add("corona", _run_corona, "corona formula value and coefficient table")
     p.add_argument("graph_g", help="base graph: " + _GRAPH_HELP)
     p.add_argument("graph_h", help="per-vertex copy graph H")
     add_json(p)
 
-    p = sub.add_parser("formula", help="closed-form value for a basic family")
+    p = add("formula", _run_formula, "closed-form value for a basic family")
     p.add_argument("family", help="path:n, cycle:n, complete:n, kbipartite:m,n or kpartite:n1,n2,...")
     add_json(p)
 
-    p = sub.add_parser("generate", help="emit a graph in edge-list text form")
+    p = add("generate", _run_generate, "emit a graph in edge-list text form")
     p.add_argument("graph", help=_GRAPH_HELP)
     p.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
 
-    p = sub.add_parser("audit", help="run verification campaigns")
-    p.add_argument("campaign", nargs="?", help=f"one of {sorted(H.CAMPAIGNS)}")
+    p = add("audit", _run_audit, "run verification campaigns")
+    p.add_argument("campaign", nargs="?", choices=H.CAMPAIGNS, help="campaign to run")
     p.add_argument("--all", action="store_true", help="run every campaign")
     p.add_argument("--max-n", type=int, dest="max_n", help="largest exhaustive order")
     p.add_argument("--samples", type=int, help="sample count at the sampled sizes")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
     p.add_argument("--workers", type=int, help="process count (default: all cores)")
     p.add_argument("--output-dir", dest="output_dir", help="write one JSON report per campaign")
     p.add_argument("--csv", help="write a CSV summary table")
@@ -439,30 +386,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_command(args: argparse.Namespace) -> Command:
-    ns = vars(args)
-    verb = ns.pop("verb")
-    first = ns.pop("graph", None)
-    if verb == "audit":
-        first = ns.pop("campaign", None)
-    if verb == "formula":
-        first = ns.pop("family", None)
-    second = ns.pop("graph_h", None)
-    if verb == "corona":
-        first = ns.pop("graph_g", None)
-    options = {k: v for k, v in ns.items() if v is not None and v is not False}
-    return Command(verb, first, second, options)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cmd = _to_command(args)
     try:
-        return run(cmd)
+        return args.run(args)
     except (GraphError, LabelingError, FormulaError, ReductionError,
             CharacterizeError, UsageError, ValueError) as exc:
         print(f"oidrd: {exc}", file=sys.stderr)

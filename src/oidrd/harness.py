@@ -154,24 +154,43 @@ def _report(campaign: str, params: dict, instances: int, violations: list[Violat
 # ---------------------------------------------------------------------------
 
 
-def _bounds_check(payload: tuple) -> tuple:
-    g = _graph(payload)
+@dataclass(frozen=True)
+class Sandwich:
+    """The terms of both sandwich bounds on one graph; the lower bound is an
+    exact rational, never floating point."""
+
+    gamma: int
+    alpha: int
+    beta: int
+    two_alpha_over_delta: Fraction
+    lower: Fraction
+    upper: int
+    gamma_oidr: int
+
+
+def sandwich(g: G.Graph) -> Sandwich:
+    """Both sandwich bounds on g, which has an edge."""
     alpha = solve_alpha(g).value
     beta = g.n - alpha
     gamma = solve_gamma(g).value
-    goidr = solve_oidrd(g).value
+    frac = Fraction(2 * alpha, g.max_degree)
+    return Sandwich(gamma, alpha, beta, frac, max(Fraction(gamma), frac) + beta, 3 * beta,
+                    solve_oidrd(g).value)
+
+
+def _bounds_check(payload: tuple) -> tuple:
+    g = _graph(payload)
+    s = sandwich(g)
     items = []
-    if goidr > 3 * beta:
-        items.append(("upper_3beta", goidr, 3 * beta))
-    # the lower bound is compared as an exact rational, never floating point
-    lower = max(Fraction(gamma), Fraction(2 * alpha, g.max_degree)) + beta
-    if lower > goidr:
+    if s.gamma_oidr > s.upper:
+        items.append(("upper_3beta", s.gamma_oidr, s.upper))
+    if s.lower > s.gamma_oidr:
         items.append(("lower_max_gamma_2alpha_over_delta_plus_beta",
-                      [lower.numerator, lower.denominator], goidr))
+                      [s.lower.numerator, s.lower.denominator], s.gamma_oidr))
     return _violations(g, items)
 
 
-def audit_bounds(max_n: int, *, workers: int | None = None) -> AuditReport:
+def audit_bounds(max_n: int = 5, *, workers: int | None = None) -> AuditReport:
     """Both sandwich bounds on every connected graph of order 2..max_n."""
     if not 2 <= max_n <= 6:
         raise ValueError("audit_bounds supports 2 <= max_n <= 6")

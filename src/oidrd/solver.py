@@ -47,12 +47,14 @@ values and witnesses are unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .graphs import Graph, GraphError
-from .labeling import Labeling, is_drd, is_oidrd, is_oird, is_rd, weight, zeros_independent
+from .labeling import (Labeling, _check_size, _values, is_drd, is_oidrd, is_oird, is_rd,
+                       weight, zeros_independent)
 
 BRUTE_FORCE_CAP = 12
 _CACHE_LIMIT = 1 << 18  # labelings per oracle chunk
@@ -102,21 +104,55 @@ _DOM = _Problem(2, False, 1, False)
 _COVER = _Problem(2, True, 0, False, descending=True)
 
 
+def _indicator(g: Graph, f: Labeling | Sequence[int]) -> tuple[int, ...] | None:
+    """The values of f if they are all 0 or 1, else None.  Raises
+    LabelingError unless f has one label in 0..3 per vertex of g."""
+    vals = _values(f)
+    _check_size(g, vals)
+    return vals if max(vals, default=0) <= 1 else None
+
+
 def is_dominating_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
     """0/1 labeling whose 1-set dominates g."""
-    vals = tuple(f)
-    return all(x == 1 or any(vals[w] == 1 for w in g.adj[v]) for v, x in enumerate(vals))
+    vals = _indicator(g, f)
+    return vals is not None and all(x == 1 or any(vals[w] == 1 for w in g.adj[v])
+                                    for v, x in enumerate(vals))
 
 
 def is_cover_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
     """0/1 labeling whose 1-set covers every edge."""
-    return zeros_independent(g, tuple(f))
+    vals = _indicator(g, f)
+    return vals is not None and zeros_independent(g, vals)
 
 
 def is_independent_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
     """0/1 labeling whose 1-set is independent."""
-    vals = tuple(f)
-    return not any(vals[u] == 1 and any(vals[w] == 1 for w in g.adj[u]) for u in range(g.n))
+    vals = _indicator(g, f)
+    return vals is not None and not any(vals[u] == 1 and any(vals[w] == 1 for w in g.adj[u])
+                                        for u in range(g.n))
+
+
+# The seven invariants, in report order: name -> (the problem both exact
+# routes solve, the name of the predicate that certifies a labeling).  The
+# predicate is looked up when a labeling is checked, so rebinding it here
+# reaches every route.  Two rows are read off another search: the engine's
+# alpha is the complement of its cover search, and the oracle's beta the
+# complement of its independent-set scan.
+INVARIANTS: dict[str, tuple[_Problem, str]] = {
+    "gamma_oidr": (_OIDR, "is_oidrd"),
+    "gamma_dr": (_DR, "is_drd"),
+    "gamma_oir": (_OIR, "is_oird"),
+    "gamma_r": (_R, "is_rd"),
+    "gamma": (_DOM, "is_dominating_labeling"),
+    "alpha": (_COVER, "is_independent_labeling"),
+    "beta": (_COVER, "is_cover_labeling"),
+}
+
+
+def is_feasible(name: str, g: Graph, f: Labeling | Sequence[int]) -> bool:
+    """Whether f is a feasible labeling of g for the invariant `name`.
+    Raises LabelingError on a wrong length or an out-of-range label."""
+    return globals()[INVARIANTS[name][1]](g, f)
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +408,25 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     return best, found, nodes
 
 
-def _solve_min(g: Graph, prob: _Problem, predicate) -> SolveResult:
-    # one pass along 0..n-1; ub + 1 so that an optimal ub is still met
-    value, wit, nodes = _branch_and_bound(g, prob, _initial_ub(g, prob) + 1)
-    if wit is None:
-        raise CertificationError(f"search found no labeling below its incumbent {value}")
-    lab = Labeling(wit)
-    if weight(lab) != value or not predicate(g, lab):
-        raise CertificationError(f"witness {lab.to_text()} is not a valid labeling "
+def _certified(g: Graph, name: str, lab: Labeling, value: int, nodes: int) -> SolveResult:
+    if weight(lab) != value or not is_feasible(name, g, lab):
+        raise CertificationError(f"{name} witness {lab.to_text()} is not a valid labeling "
                                  f"of weight {value}")
     return SolveResult(value, lab, nodes)
 
 
+def _solve_min(g: Graph, name: str) -> SolveResult:
+    # one pass along 0..n-1; ub + 1 so that an optimal ub is still met
+    prob = INVARIANTS[name][0]
+    value, wit, nodes = _branch_and_bound(g, prob, _initial_ub(g, prob) + 1)
+    if wit is None:
+        raise CertificationError(f"search found no labeling below its incumbent {value}")
+    return _certified(g, name, Labeling(wit), value, nodes)
+
+
 def solve_oidrd(g: Graph, *, count_optimal: bool = False) -> SolveResult:
     """Exact outer independent double Roman domination number with witness."""
-    res = _solve_min(g, _OIDR, is_oidrd)
+    res = _solve_min(g, "gamma_oidr")
     if count_optimal:
         _check_brute_cap(g)
         n_opt = sum(1 for _ in _iter_optimal_indices(g, _OIDR, res.value))
@@ -396,39 +436,35 @@ def solve_oidrd(g: Graph, *, count_optimal: bool = False) -> SolveResult:
 
 def solve_gamma_dr(g: Graph) -> SolveResult:
     """Exact double Roman domination number with witness."""
-    return _solve_min(g, _DR, is_drd)
+    return _solve_min(g, "gamma_dr")
 
 
 def solve_gamma_oir(g: Graph) -> SolveResult:
     """Exact outer independent Roman domination number with witness."""
-    return _solve_min(g, _OIR, is_oird)
+    return _solve_min(g, "gamma_oir")
 
 
 def solve_gamma_r(g: Graph) -> SolveResult:
     """Exact Roman domination number with witness."""
-    return _solve_min(g, _R, is_rd)
+    return _solve_min(g, "gamma_r")
 
 
 def solve_gamma(g: Graph) -> SolveResult:
     """Exact domination number; witness is the 0/1 indicator of the set."""
-    return _solve_min(g, _DOM, is_dominating_labeling)
+    return _solve_min(g, "gamma")
 
 
 def solve_beta(g: Graph) -> SolveResult:
     """Exact vertex cover number; witness is the lex-largest minimum cover."""
-    return _solve_min(g, _COVER, is_cover_labeling)
+    return _solve_min(g, "beta")
 
 
 def solve_alpha(g: Graph) -> SolveResult:
     """Exact independence number, n - beta; witness is the complement of the
     beta witness, i.e. the lex-smallest maximum independent set."""
     b = solve_beta(g)
-    alpha = g.n - b.value
-    lab = Labeling(tuple(1 - x for x in b.witness.values))
-    if weight(lab) != alpha or not is_independent_labeling(g, lab):
-        raise CertificationError(f"alpha witness {lab.to_text()} is not an independent set "
-                                 f"of size {alpha}")
-    return SolveResult(alpha, lab, b.node_count)
+    return _certified(g, "alpha", Labeling(tuple(1 - x for x in b.witness.values)),
+                      g.n - b.value, b.node_count)
 
 
 @dataclass(frozen=True)
@@ -471,6 +507,7 @@ def bundle(g: Graph) -> InvariantBundle:
     return b
 
 
+# the engine route of each INVARIANTS row, in the same order
 SOLVERS = {
     "gamma_oidr": solve_oidrd,
     "gamma_dr": solve_gamma_dr,
@@ -717,7 +754,8 @@ def _check_brute_cap(g: Graph) -> None:
         raise ValueError(f"full enumeration capped at n <= {BRUTE_FORCE_CAP}, got n = {g.n}")
 
 
-def _brute_result(g: Graph, prob: _Problem) -> SolveResult:
+def _brute_result(g: Graph, name: str) -> SolveResult:
+    prob = INVARIANTS[name][0]
     _check_brute_cap(g)
     value, wit = _brute_min(g, prob)
     return SolveResult(value, Labeling(wit), node_count=prob.base ** g.n)
@@ -725,23 +763,7 @@ def _brute_result(g: Graph, prob: _Problem) -> SolveResult:
 
 def brute_force_oidrd(g: Graph) -> SolveResult:
     """Oracle twin of solve_oidrd: full scan of 4^n labelings, n <= 12."""
-    return _brute_result(g, _OIDR)
-
-
-def brute_force_gamma_dr(g: Graph) -> SolveResult:
-    return _brute_result(g, _DR)
-
-
-def brute_force_gamma_oir(g: Graph) -> SolveResult:
-    return _brute_result(g, _OIR)
-
-
-def brute_force_gamma_r(g: Graph) -> SolveResult:
-    return _brute_result(g, _R)
-
-
-def brute_force_gamma(g: Graph) -> SolveResult:
-    return _brute_result(g, _DOM)
+    return _brute_result(g, "gamma_oidr")
 
 
 def _independent_sets(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -771,28 +793,25 @@ def brute_force_beta(g: Graph) -> SolveResult:
     return SolveResult(g.n - a.value, Labeling(comp), node_count=a.node_count)
 
 
-BRUTE_SOLVERS = {
-    "gamma_oidr": brute_force_oidrd,
-    "gamma_dr": brute_force_gamma_dr,
-    "gamma_oir": brute_force_gamma_oir,
-    "gamma_r": brute_force_gamma_r,
-    "gamma": brute_force_gamma,
-    "alpha": brute_force_alpha,
-    "beta": brute_force_beta,
-}
+# the full scan of each row's problem, but alpha and beta read the
+# independent-set scan; callers look entries up when they call, so one can be swapped
+BRUTE_SOLVERS = {name: partial(_brute_result, name=name) for name in INVARIANTS}
+BRUTE_SOLVERS.update(alpha=brute_force_alpha, beta=brute_force_beta)
+
+
+def _optimal_labelings(g: Graph, name: str) -> Iterator[Labeling]:
+    _check_brute_cap(g)
+    prob = INVARIANTS[name][0]
+    value, _ = _brute_min(g, prob)
+    for idx in _iter_optimal_indices(g, prob, value):
+        yield Labeling(_decode(idx, prob.base, g.n))
 
 
 def enumerate_optimal_oidrd(g: Graph) -> Iterator[Labeling]:
     """All optimal OIDRD labelings in lexicographic order (n <= 12)."""
-    _check_brute_cap(g)
-    value, _ = _brute_min(g, _OIDR)
-    for idx in _iter_optimal_indices(g, _OIDR, value):
-        yield Labeling(_decode(idx, 4, g.n))
+    return _optimal_labelings(g, "gamma_oidr")
 
 
 def enumerate_optimal_oir(g: Graph) -> Iterator[Labeling]:
     """All optimal outer independent Roman labelings in lexicographic order (n <= 12)."""
-    _check_brute_cap(g)
-    value, _ = _brute_min(g, _OIR)
-    for idx in _iter_optimal_indices(g, _OIR, value):
-        yield Labeling(_decode(idx, 3, g.n))
+    return _optimal_labelings(g, "gamma_oir")

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import pytest
 
 from oidrd import cli
 from oidrd import graphs as G
+from oidrd import harness as H
 
 
 def run_cli(capsys, *argv):
@@ -259,3 +262,129 @@ def test_corona_order_is_capped_before_build(capsys, monkeypatch):
     # the formula itself never builds the corona
     code, out, _ = run_cli(capsys, "corona", "path:2", "path:4")
     assert code == 0 and "c0=6" in out
+
+
+_ALL_THREES = {"gamma_oidr": ("3,3,3,3", True), "gamma_dr": ("3,3,3,3", True),
+               "gamma_oir": ("2,2,2,2", True), "gamma_r": ("2,2,2,2", True),
+               "gamma": ("1,2,0,1", False), "alpha": ("1,0,2,0", False),
+               "beta": ("3,3,3,3", False)}
+
+
+@pytest.mark.parametrize("inv", list(_ALL_THREES))
+def test_verify_witness_checks_length_and_range(capsys, inv):
+    code, out, err = run_cli(capsys, "solve", "path:4", "--invariant", inv,
+                             "--verify-witness", "1,0,1")
+    assert code == 2 and "3 values for a graph on 4 vertices" in err and not out
+    # a label above 1 makes a labeling invalid for gamma, alpha and beta
+    labeling, valid = _ALL_THREES[inv]
+    code, out, _ = run_cli(capsys, "solve", "path:4", "--invariant", inv,
+                           "--verify-witness", labeling, "--json")
+    assert code == 0
+    checked = json.loads(out)["checked_witness"]
+    assert checked["valid"] is valid and checked["optimal"] is False
+
+
+_IGNORED_OPTIONS = [
+    (["audit", "bounds", "--samples", "7"], "audit bounds takes no --samples"),
+    (["audit", "sharpness", "--max-n", "9"], "audit sharpness takes no --max-n"),
+    (["audit", "forced_ones", "--samples", "3", "--seed", "4"], "audit forced_ones takes no"),
+    (["audit", "forced_ones", "--seed", "4"], "audit forced_ones takes no --seed"),
+    (["audit", "sharpness", "--workers", "2"], "audit sharpness takes no --workers"),
+    (["audit", "--all", "--samples", "3"], "audit --all takes no --samples"),
+    (["audit", "trees", "--all"], "a campaign or --all, not both"),
+    (["audit"], "audit needs a campaign"),
+    (["solve", "path:4", "--invariant", "alpha", "--count-optimal"], "gamma_oidr labelings only"),
+    (["solve", "path:4", "--invariant", "bundle", "--count-optimal"], "gamma_oidr labelings only"),
+    (["solve", "path:4", "--invariant", "bundle", "--verify-witness", "0,3,3,0"],
+     "not bundle"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _IGNORED_OPTIONS,
+                         ids=[" ".join(argv) for argv, _ in _IGNORED_OPTIONS])
+def test_ignored_options_exit_2(capsys, monkeypatch, argv, message):
+    for name in H.CAMPAIGNS:
+        monkeypatch.setitem(H.CAMPAIGNS, name, _unreachable)
+    monkeypatch.setattr(H, "run_all", _unreachable)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and message in err and not out
+
+
+def _recorder(name, calls):
+    # stands in for the campaign, with its signature, and runs nothing
+    signature = inspect.signature(H.CAMPAIGNS[name])
+
+    def record(**kwargs):
+        bound = signature.bind(**kwargs)
+        bound.apply_defaults()
+        calls.append((kwargs, bound.arguments))
+        return H.AuditReport(name, 0, [], 0, {})
+    record.__signature__ = signature
+    return record
+
+
+@pytest.mark.parametrize("campaign", list(H.CAMPAIGNS))
+def test_audit_defaults_come_from_the_campaign_signature(capsys, monkeypatch, campaign):
+    calls = []
+    monkeypatch.setitem(H.CAMPAIGNS, campaign, _recorder(campaign, calls))
+    code, out, _ = run_cli(capsys, "audit", campaign)
+    assert code == 0 and "PASS" in out
+    (kwargs, arguments), = calls
+    assert set(kwargs) <= {"workers"}
+    if campaign == "trees":
+        assert arguments["max_n"] == 10
+
+
+def test_audit_samples_maps_to_each_campaign_keyword(capsys, monkeypatch):
+    keywords = {"characterization": "n7_samples", "reduction": "samples_n5", "trees": "samples"}
+    for campaign, keyword in keywords.items():
+        calls = []
+        monkeypatch.setitem(H.CAMPAIGNS, campaign, _recorder(campaign, calls))
+        code, _, _ = run_cli(capsys, "audit", campaign, "--samples", "4", "--seed", "0",
+                             "--max-n", "3", "--workers", "1")
+        assert code == 0
+        assert calls[0][0] == {keyword: 4, "seed": 0, "max_n": 3, "workers": 1}, campaign
+
+
+# `oidrd bounds --json`, recorded before the CLI and the bounds campaign
+# shared one sandwich function
+_BOUNDS_GOLDEN = {
+    "star:5": dict(n=6, m=5, gamma=1, alpha=5, beta=1, max_degree=5, two_alpha_over_delta=[2, 1],
+                   lower_bound=[3, 1], upper_bound=3, gamma_oidr=3),
+    "path:6": dict(n=6, m=5, gamma=2, alpha=3, beta=3, max_degree=2, two_alpha_over_delta=[3, 1],
+                   lower_bound=[6, 1], upper_bound=9, gamma_oidr=7),
+    "cycle:5": dict(n=5, m=5, gamma=2, alpha=2, beta=3, max_degree=2,
+                    two_alpha_over_delta=[2, 1], lower_bound=[5, 1], upper_bound=9, gamma_oidr=6),
+    "kbipartite:2,3": dict(n=5, m=6, gamma=2, alpha=3, beta=2, max_degree=3,
+                           two_alpha_over_delta=[2, 1], lower_bound=[4, 1], upper_bound=6,
+                           gamma_oidr=4),
+    "corona(path:2,empty:2)": dict(n=6, m=5, gamma=2, alpha=4, beta=2, max_degree=3,
+                                   two_alpha_over_delta=[8, 3], lower_bound=[14, 3],
+                                   upper_bound=6, gamma_oidr=6),
+}
+
+
+@pytest.mark.parametrize("spec", list(_BOUNDS_GOLDEN))
+def test_bounds_json_is_golden(capsys, spec):
+    code, out, _ = run_cli(capsys, "bounds", spec, "--json")
+    expected = dict(_BOUNDS_GOLDEN[spec], schema="oidrd/1", bounds_hold=True)
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def _verbs():
+    parser = cli._build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_every_verb_has_a_runner_and_help(capsys):
+    verbs = _verbs()
+    assert set(verbs) == {"solve", "bounds", "classify", "reduce", "corona", "formula",
+                          "generate", "audit"}
+    for verb, parser in verbs.items():
+        assert callable(parser.get_default("run")), verb
+        code, out, _ = run_cli(capsys, verb, "--help")
+        assert code == 0 and out.startswith(f"usage: oidrd {verb}"), verb
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: oidrd")

@@ -15,6 +15,7 @@ from oidrd import formulas as F
 from oidrd import graphs as G
 from oidrd import solver as S
 from oidrd.labeling import classes, is_drd, is_oidrd, is_oird, is_rd, weight
+from oidrd.labeling import LabelingError
 
 
 def test_known_values():
@@ -524,3 +525,20 @@ def test_engine_matches_oracle_with_isolated_and_pendant_vertices():
             assert (r.value, r.witness) == (b.value, b.witness), (key, G.to_edge_list_text(g))
     # most graphs have a vertex other than the last with no later neighbor
     assert shut_early > len(graphs) // 2
+
+
+def test_one_invariant_table_orders_both_routes():
+    assert list(S.SOLVERS) == list(S.INVARIANTS) == list(S.BRUTE_SOLVERS)
+
+
+@pytest.mark.parametrize("name", list(S.INVARIANTS))
+def test_feasibility_checks_length_and_range(name):
+    g = G.path(3)
+    with pytest.raises(LabelingError, match="2 values for a graph on 3 vertices"):
+        S.is_feasible(name, g, (1, 1))
+    with pytest.raises(LabelingError, match="out of range"):
+        S.is_feasible(name, g, (1, 4, 1))
+    # every invariant's own witness passes; a label above 1 fails the 0/1 rows
+    assert S.is_feasible(name, g, S.SOLVERS[name](g).witness)
+    if S.INVARIANTS[name][0].base == 2:
+        assert not S.is_feasible(name, g, (2, 2, 2))
