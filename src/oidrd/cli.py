@@ -29,7 +29,7 @@ from .formulas import (
 )
 from .graphs import GraphError
 from .labeling import Labeling, LabelingError, weight
-from .reduction import ReductionError, build_gadget, verify_identity
+from .reduction import IDENTITY_BASE_CAP, ReductionError, build_gadget, verify_identity
 from .solver import SOLVERS, bundle, is_feasible, solve_oidrd
 
 SCHEMA = "oidrd/1"
@@ -40,7 +40,8 @@ class UsageError(ValueError):
     """Command-line input the program cannot act on."""
 
 
-def _solver_cap() -> int:
+def _solver_cap(default: int | None = DEFAULT_MAX_N) -> int | None:
+    """OIDRD_MAX_N, or `default` when it is unset."""
     env = os.environ.get("OIDRD_MAX_N")
     if env is not None:
         try:
@@ -50,7 +51,7 @@ def _solver_cap() -> int:
         if cap < 0:
             raise UsageError(f"OIDRD_MAX_N must be non-negative, got {cap}")
         return cap
-    return DEFAULT_MAX_N
+    return default
 
 
 def parse_graph(source: str, cap: int | None = None) -> G.Graph:
@@ -196,8 +197,8 @@ def _run_classify(args: argparse.Namespace) -> int:
 
 
 def _run_reduce(args: argparse.Namespace) -> int:
-    env = os.environ.get("OIDRD_MAX_N")
-    cap = (_solver_cap() // 4) if env is not None else 5
+    override = _solver_cap(default=None)
+    cap = IDENTITY_BASE_CAP if override is None else override // 4
     g = _load_graph(args.graph, _solver_cap())
     if g.n > cap:
         raise UsageError(
@@ -317,10 +318,8 @@ def _run_audit(args: argparse.Namespace) -> int:
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
-_GRAPH_HELP = ("edge-list file, '-' for stdin, or DSL such as path:6, cycle:5, "
-               "complete:4, empty:3, star:5, dstar:2,3, kbipartite:3,7, kpartite:1,2,3, "
-               "g1:2,1, g2:1, g3:4, h1:a1,2, h3:1,1, sharph:2,2,2, "
-               "corona(path:2,empty:2), gadget(path:3)")
+_GRAPH_HELP = ("edge-list file, '-' for stdin, or DSL such as path:6, h1:a1,2 or "
+               "corona(path:2,empty:2); family tags: " + ", ".join(G.FAMILIES))
 
 
 def _build_parser() -> argparse.ArgumentParser:

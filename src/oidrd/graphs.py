@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -195,15 +195,6 @@ def g3(k: int) -> Graph:
     return build(2 + k, edges)
 
 
-_H_SUBCASES = {
-    "h1": ("a1", "b1", "c1"),
-    "h2": ("a2", "b2"),
-    "h4": ("a4", "b4"),
-    "h5": ("a5", "b5"),
-    "h6": ("a6", "b6"),
-}
-
-
 def _attach_sets(base_n: int, base_edges: list[tuple[int, int]],
                  blocks: list[tuple[tuple[int, ...], int]]) -> Graph:
     """Append vertex blocks, each wired to a fixed anchor set.
@@ -380,7 +371,7 @@ def gadget(g: Graph) -> Graph:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named graph family plus its parameters (nested for corona/gadget)."""
+    """A named graph family plus its parameters, or a wrapper plus its inner specs."""
 
     tag: str
     params: tuple[int, ...] = ()
@@ -388,52 +379,95 @@ class FamilySpec:
     inner: tuple["FamilySpec", ...] = ()
 
 
-def _inner_specs(spec: FamilySpec, count: int) -> tuple[FamilySpec, ...]:
-    if len(spec.inner) != count:
-        raise GraphError(f"{spec.tag} spec needs exactly {('one', 'two')[count - 1]} "
-                         f"inner spec{'s' if count > 1 else ''}")
-    return spec.inner
+@dataclass(frozen=True)
+class _Family:
+    """What the DSL knows of one tag.  A plain family takes least..most
+    parameters after its subcase, if it has subcases (most None: any
+    number); its order is `extra` plus each size parameter's value plus
+    `per_param` per parameter.  A wrapper takes `inner` specs instead, and
+    `order` gives its order from theirs."""
+
+    builder: Callable[..., Graph]
+    least: int = 0
+    most: int | None = None
+    extra: int = 0
+    per_param: int = 0
+    subcases: tuple[str, ...] = ()
+    inner: int = 0
+    order: Callable[..., int] | None = None
+
+
+# the one list of DSL tags, in the order `oidrd --help` shows them
+FAMILIES: dict[str, _Family] = {
+    "path": _Family(path, 1, 1),
+    "cycle": _Family(cycle, 1, 1),
+    "complete": _Family(complete, 1, 1),
+    "empty": _Family(empty, 1, 1),
+    "star": _Family(star, 1, 1, extra=1),
+    "dstar": _Family(double_star, 2, 2, extra=2),
+    "double_star": _Family(double_star, 2, 2, extra=2),
+    "kbipartite": _Family(complete_bipartite, 2, 2),
+    "kpartite": _Family(lambda *parts: complete_multipartite(parts)),
+    "g1": _Family(g1, 2, 2, extra=2),
+    "g2": _Family(g2, 1, 1, extra=2),
+    "g3": _Family(g3, 1, 1, extra=2),
+    "h1": _Family(h1, 1, 4, extra=3, subcases=("a1", "b1", "c1")),
+    "h2": _Family(h2, 1, 4, extra=3, subcases=("a2", "b2")),
+    "h3": _Family(h3, 2, 2, extra=2),
+    "h4": _Family(h4, 1, 2, extra=3, subcases=("a4", "b4")),
+    "h5": _Family(h5, 1, 2, extra=3, subcases=("a5", "b5")),
+    "h6": _Family(h6, 1, 2, extra=3, subcases=("a6", "b6")),
+    # each block adds x_i, y_i, z_i to its m_i large-part vertices
+    "sharph": _Family(lambda *m: sharpness_h(m), per_param=3),
+    "corona": _Family(corona, inner=2, order=lambda g, h: g * (1 + h)),
+    "gadget": _Family(gadget, inner=1, order=lambda g: 4 * g),
+}
+
+
+def _checked(spec: FamilySpec) -> _Family:
+    """The registry entry of spec.tag, once the spec's arity and subcase fit it."""
+    fam = FAMILIES.get(spec.tag)
+    if fam is None:
+        raise GraphError(f"unknown family tag: {spec.tag!r}")
+    if fam.inner:
+        if len(spec.inner) != fam.inner:
+            raise GraphError(f"{spec.tag} spec needs exactly {('one', 'two')[fam.inner - 1]} "
+                             f"inner spec{'s' if fam.inner > 1 else ''}")
+        return fam
+    count = len(spec.params)
+    if count < fam.least or (fam.most is not None and count > fam.most):
+        wanted = str(fam.least) if fam.least == fam.most else f"{fam.least} to {fam.most}"
+        raise GraphError(f"{spec.tag} takes {wanted} parameter{'s' if fam.most != 1 else ''}, "
+                         f"got {count}")
+    if fam.subcases and spec.subcase is None:
+        raise GraphError(f"{spec.tag} requires a subcase, one of {fam.subcases}")
+    return fam
 
 
 def family(spec: FamilySpec) -> Graph:
     """Instantiate a FamilySpec; raises GraphError on violated family constraints."""
-    t, p = spec.tag, spec.params
-    if t == "corona":
-        g, h = _inner_specs(spec, 2)
-        return corona(family(g), family(h))
-    if t == "gadget":
-        return gadget(family(_inner_specs(spec, 1)[0]))
-    if t not in _PLAIN_FAMILIES:
-        raise GraphError(f"unknown family tag: {t!r}")
-    _check_arity(spec)
-    if t in _H_SUBCASES:
-        if spec.subcase is None:
-            raise GraphError(f"{t} requires a subcase, one of {_H_SUBCASES[t]}")
-        fn = {"h1": h1, "h2": h2, "h4": h4, "h5": h5, "h6": h6}[t]
-        return fn(spec.subcase, *p)
-    table = {
-        "path": path,
-        "cycle": cycle,
-        "complete": complete,
-        "empty": empty,
-        "star": star,
-        "double_star": double_star,
-        "dstar": double_star,
-        "kbipartite": complete_bipartite,
-        "g1": g1,
-        "g2": g2,
-        "g3": g3,
-        "h3": h3,
-    }
-    if t in table:
-        return table[t](*p)
-    if t == "kpartite":
-        return complete_multipartite(p)
-    return sharpness_h(p)
+    fam = _checked(spec)
+    if fam.inner:
+        return fam.builder(*(family(inner) for inner in spec.inner))
+    if fam.subcases:
+        return fam.builder(spec.subcase, *spec.params)
+    return fam.builder(*spec.params)
+
+
+def spec_order(spec: FamilySpec) -> int:
+    """Vertex count of family(spec), computed without building anything.
+
+    A negative size counts as 0, as it does for an h-family block, so the
+    result bounds what family(spec) allocates; the other families reject it.
+    """
+    fam = _checked(spec)
+    if fam.inner:
+        return fam.order(*(spec_order(inner) for inner in spec.inner))
+    return fam.extra + sum(max(p, 0) + fam.per_param for p in spec.params)
 
 
 def _split_top(s: str) -> list[str]:
-    """Split a corona/gadget argument into its inner specs at top-level
+    """Split a wrapper's argument into its inner specs at top-level
     commas.  A nonempty piece with neither ':' nor '(' is one more parameter
     of the spec before it, so 'kbipartite:2,3,path:2' gives
     ['kbipartite:2,3', 'path:2']."""
@@ -462,75 +496,39 @@ def _split_top(s: str) -> list[str]:
     return specs
 
 
-# per plain family: vertices besides its size parameters, which add their
-# values (sharph also adds 3 per block: x_i, y_i, z_i), and the least and
-# most parameters it takes after any subcase (None: any number)
-_PLAIN_FAMILIES = {
-    "path": (0, 1, 1), "cycle": (0, 1, 1), "complete": (0, 1, 1), "empty": (0, 1, 1),
-    "star": (1, 1, 1), "double_star": (2, 2, 2), "dstar": (2, 2, 2),
-    "kbipartite": (0, 2, 2), "kpartite": (0, 0, None),
-    "g1": (2, 2, 2), "g2": (2, 1, 1), "g3": (2, 1, 1),
-    "h1": (3, 1, 4), "h2": (3, 1, 4), "h3": (2, 2, 2), "h4": (3, 1, 2), "h5": (3, 1, 2),
-    "h6": (3, 1, 2), "sharph": (0, 0, None),
-}
-_KNOWN_TAGS = frozenset(_PLAIN_FAMILIES)
-
-
-def _check_arity(spec: FamilySpec) -> None:
-    _, least, most = _PLAIN_FAMILIES[spec.tag]
-    count = len(spec.params)
-    if count < least or (most is not None and count > most):
-        wanted = str(least) if least == most else f"{least} to {most}"
-        raise GraphError(f"{spec.tag} takes {wanted} parameter{'s' if most != 1 else ''}, "
-                         f"got {count}")
-
-
-def spec_order(spec: FamilySpec) -> int:
-    """Vertex count of family(spec), computed without building anything.
-
-    A negative size counts as 0, as it does for an h-family block, so the
-    result bounds what family(spec) allocates; the other families reject it.
-    """
-    t = spec.tag
-    if t == "corona":
-        g, h = (spec_order(inner) for inner in _inner_specs(spec, 2))
-        return g * (1 + h)
-    if t == "gadget":
-        return 4 * spec_order(_inner_specs(spec, 1)[0])
-    if t not in _PLAIN_FAMILIES:
-        raise GraphError(f"unknown family tag: {t!r}")
-    sizes = [max(p, 0) for p in spec.params]
-    return _PLAIN_FAMILIES[t][0] + sum(sizes) + (3 * len(sizes) if t == "sharph" else 0)
-
-
 def parse_family_spec(text: str) -> FamilySpec:
-    """Parse a generator DSL string, e.g. 'path:6', 'h1:a1,2', 'corona(path:2,empty:2)'."""
+    """Parse a generator DSL string, e.g. 'path:6', 'h1:a1,2', 'corona(path:2,empty:2)'.
+    Tags are case-insensitive."""
     s = text.strip()
-    for wrapper in ("corona", "gadget"):
-        if s.startswith(wrapper + "(") and s.endswith(")"):
-            inner = [parse_family_spec(p) for p in _split_top(s[len(wrapper) + 1:-1])]
-            return FamilySpec(wrapper, inner=tuple(inner))
+    if s.endswith(")"):
+        name, _, argstr = s.partition("(")
+        name = name.strip().lower()
+        if name in FAMILIES and FAMILIES[name].inner:
+            spec = FamilySpec(name, inner=tuple(parse_family_spec(p)
+                                                for p in _split_top(argstr[:-1])))
+            _checked(spec)
+            return spec
     name, sep, argstr = s.partition(":")
     name = name.strip().lower()
     if not sep:
         raise GraphError(f"cannot parse graph spec {text!r}: expected family:params")
-    if name not in _KNOWN_TAGS:
+    fam = FAMILIES.get(name)
+    if fam is None or fam.inner:
         raise GraphError(f"unknown family tag: {name!r}")
     raw = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
     if "" in raw:
         raise GraphError(f"empty parameter in spec {text!r}")
     subcase = None
-    if name in _H_SUBCASES:
-        if not raw or raw[0] not in _H_SUBCASES[name]:
-            raise GraphError(f"{name} spec needs a subcase from {_H_SUBCASES[name]}, got {text!r}")
-        subcase = raw[0]
-        raw = raw[1:]
+    if fam.subcases:
+        if not raw or raw[0] not in fam.subcases:
+            raise GraphError(f"{name} spec needs a subcase from {fam.subcases}, got {text!r}")
+        subcase = raw.pop(0)
     try:
         params = tuple(int(a) for a in raw)
     except ValueError:
         raise GraphError(f"non-integer parameter in spec {text!r}") from None
     spec = FamilySpec(name, params=params, subcase=subcase)
-    _check_arity(spec)
+    _checked(spec)
     return spec
 
 

@@ -1,7 +1,8 @@
 """Vertex labelings with values in {0,1,2,3} and the Roman-family validity predicates.
 
 All predicates are total over well-formed inputs: semantic failures return
-False, only structural mismatches (wrong length, out-of-range value) raise.
+False (a 3 in a Roman labeling among them), only structural mismatches (wrong
+length, a value outside 0..3) raise.
 """
 
 from __future__ import annotations
@@ -125,11 +126,11 @@ def is_oidrd(g: Graph, f: Labeling | Sequence[int]) -> bool:
 
 
 def is_rd(g: Graph, f: Labeling | Sequence[int]) -> bool:
-    """Roman domination over {0,1,2}: every 0 sees a 2. Raises if a 3 is present."""
+    """Roman domination over {0,1,2}: every 0 sees a 2.  False if a 3 is present."""
     vals = _values(f)
     _check_size(g, vals)
-    if any(x == 3 for x in vals):
-        raise LabelingError("Roman labelings use values 0..2 only")
+    if 3 in vals:
+        return False
     for v, x in enumerate(vals):
         if x == 0 and not any(vals[w] == 2 for w in g.adj[v]):
             return False
@@ -138,8 +139,4 @@ def is_rd(g: Graph, f: Labeling | Sequence[int]) -> bool:
 
 def is_oird(g: Graph, f: Labeling | Sequence[int]) -> bool:
     """Outer independent Roman domination: is_rd plus an independent 0-class."""
-    vals = _values(f)
-    _check_size(g, vals)
-    if any(x == 3 for x in vals):
-        raise LabelingError("Roman labelings use values 0..2 only")
-    return zeros_independent(g, vals) and is_rd(g, vals)
+    return zeros_independent(g, f) and is_rd(g, f)

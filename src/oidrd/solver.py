@@ -150,8 +150,9 @@ INVARIANTS: dict[str, tuple[_Problem, str]] = {
 
 
 def is_feasible(name: str, g: Graph, f: Labeling | Sequence[int]) -> bool:
-    """Whether f is a feasible labeling of g for the invariant `name`.
-    Raises LabelingError on a wrong length or an out-of-range label."""
+    """Whether f is a feasible labeling of g for the invariant `name`; a
+    label above the invariant's range makes it infeasible.  Raises
+    LabelingError on a wrong length or a label outside 0..3."""
     return globals()[INVARIANTS[name][1]](g, f)
 
 

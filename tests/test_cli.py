@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -264,10 +265,11 @@ def test_corona_order_is_capped_before_build(capsys, monkeypatch):
     assert code == 0 and "c0=6" in out
 
 
-_ALL_THREES = {"gamma_oidr": ("3,3,3,3", True), "gamma_dr": ("3,3,3,3", True),
-               "gamma_oir": ("2,2,2,2", True), "gamma_r": ("2,2,2,2", True),
-               "gamma": ("1,2,0,1", False), "alpha": ("1,0,2,0", False),
-               "beta": ("3,3,3,3", False)}
+_ALL_THREES = {"gamma_oidr": [("3,3,3,3", True)], "gamma_dr": [("3,3,3,3", True)],
+               "gamma_oir": [("2,2,2,2", True), ("2,2,2,3", False)],
+               "gamma_r": [("2,2,2,2", True), ("3,2,2,2", False)],
+               "gamma": [("1,2,0,1", False)], "alpha": [("1,0,2,0", False)],
+               "beta": [("3,3,3,3", False)]}
 
 
 @pytest.mark.parametrize("inv", list(_ALL_THREES))
@@ -275,13 +277,14 @@ def test_verify_witness_checks_length_and_range(capsys, inv):
     code, out, err = run_cli(capsys, "solve", "path:4", "--invariant", inv,
                              "--verify-witness", "1,0,1")
     assert code == 2 and "3 values for a graph on 4 vertices" in err and not out
-    # a label above 1 makes a labeling invalid for gamma, alpha and beta
-    labeling, valid = _ALL_THREES[inv]
-    code, out, _ = run_cli(capsys, "solve", "path:4", "--invariant", inv,
-                           "--verify-witness", labeling, "--json")
-    assert code == 0
-    checked = json.loads(out)["checked_witness"]
-    assert checked["valid"] is valid and checked["optimal"] is False
+    # a label above the invariant's range makes a labeling invalid: above 1
+    # for gamma, alpha and beta, a 3 for gamma_r and gamma_oir
+    for labeling, valid in _ALL_THREES[inv]:
+        code, out, _ = run_cli(capsys, "solve", "path:4", "--invariant", inv,
+                               "--verify-witness", labeling, "--json")
+        assert code == 0, labeling
+        checked = json.loads(out)["checked_witness"]
+        assert checked["valid"] is valid and checked["optimal"] is False, labeling
 
 
 _IGNORED_OPTIONS = [
@@ -388,3 +391,8 @@ def test_every_verb_has_a_runner_and_help(capsys):
         assert code == 0 and out.startswith(f"usage: oidrd {verb}"), verb
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and out.startswith("usage: oidrd")
+
+
+def test_solve_help_lists_every_family_tag(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--help")
+    assert code == 0 and set(G.FAMILIES) <= set(re.findall(r"\w+", out))

@@ -236,6 +236,29 @@ def test_spec_order_is_the_built_order(spec):
     assert G.spec_order(parsed) == G.family(parsed).n
 
 
+def _tags(spec):
+    yield spec.tag
+    for inner in spec.inner:
+        yield from _tags(inner)
+
+
+def test_spec_cases_cover_every_registered_tag():
+    # a new tag needs a spec_order case above before this passes
+    parsed = {tag for spec in _SPECS for tag in _tags(G.parse_family_spec(spec))}
+    assert parsed == set(G.FAMILIES)
+
+
+@pytest.mark.parametrize("spec,lower", [("Corona(path:2,path:2)", "corona(path:2,path:2)"),
+                                        ("GADGET(path:3)", "gadget(path:3)"),
+                                        ("corona (path:2,path:2)", "corona(path:2,path:2)"),
+                                        ("gadget( CYCLE:3 )", "gadget(cycle:3)"),
+                                        ("PATH:3", "path:3")])
+def test_tags_and_wrappers_are_case_insensitive(spec, lower):
+    parsed = G.parse_family_spec(spec)
+    assert parsed == G.parse_family_spec(lower)
+    assert G.family(parsed) == G.family(G.parse_family_spec(lower))
+
+
 _NESTED = {
     "corona(kbipartite:2,3,path:2)": lambda: G.corona(G.complete_bipartite(2, 3), G.path(2)),
     "gadget(kpartite:1,2,3)": lambda: G.gadget(G.complete_multipartite((1, 2, 3))),

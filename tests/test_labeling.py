@@ -51,8 +51,14 @@ def test_is_oird_examples():
     assert is_oird(G.path(3), [0, 2, 0])
     assert is_oird(G.empty(3), [1, 1, 1])
     assert not is_oird(G.cycle(4), [0, 1, 0, 1])
-    with pytest.raises(LabelingError):
-        is_oird(G.path(2), [0, 3])
+    assert not is_oird(G.path(2), [0, 3])
+
+
+def test_roman_predicates_reject_a_three():
+    # each labeling would be a Roman labeling if its 3 counted as a 2
+    assert is_rd(G.path(3), [2, 2, 2]) and not is_rd(G.path(3), [2, 2, 3])
+    assert is_oird(G.path(2), [2, 2]) and not is_oird(G.path(2), [3, 2])
+    assert not is_rd(G.path(3), [0, 3, 0]) and not is_oird(G.path(3), [0, 3, 0])
 
 
 def test_size_mismatch_raises():
