@@ -1,14 +1,19 @@
 """Recognizers for the connected graphs with gamma_oidR in {3, 4, 5}.
 
-Recognition is brute force over anchor tuples with exact neighborhood
-matching; families may overlap, so classify reports the first accepting
-family in the fixed order star, G1, G2, G3, H1..H6.  Only the value class
-carries a correctness contract.
+Every G and H family fixes the neighborhood of each non-anchor vertex to a
+subset of its anchors, so an accepted anchor set always covers every edge.
+Recognition therefore tries, with exact neighborhood matching, only the
+ordered anchor tuples drawn from the graph's 2- and 3-vertex covers, in
+lexicographic order.  Families may overlap, so classify reports the first
+accepting family in the fixed order star, G1, G2, G3, H1..H6.  Only the
+value class carries a correctness contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
+from typing import Callable, NamedTuple
 
 from .graphs import Graph, is_connected
 
@@ -41,13 +46,14 @@ def _require_connected(g: Graph) -> None:
 
 
 # --- the three graphs of the gamma_oidR = 4 family ---
+# Matchers return the subcase ("none" for a family without subcases) or None.
 
 
-def _match_g1(g: Graph, v1: int, v2: int) -> bool:
+def _match_g1(g: Graph, v1: int, v2: int) -> str | None:
     # edge v1v2, k >= 1 common neighbors seeing exactly {v1, v2}, plus
     # at least one pendant leaf on v1, and nothing else
     if not g.has_edge(v1, v2):
-        return False
+        return None
     k = leaves = 0
     for u in range(g.n):
         if u == v1 or u == v2:
@@ -58,41 +64,24 @@ def _match_g1(g: Graph, v1: int, v2: int) -> bool:
         elif nb == {v1}:
             leaves += 1
         else:
-            return False
-    return k >= 1 and leaves >= 1
+            return None
+    return "none" if k >= 1 and leaves >= 1 else None
 
 
-def _match_g2(g: Graph, v1: int, v2: int) -> bool:
+def _match_g2(g: Graph, v1: int, v2: int) -> str | None:
     if not g.has_edge(v1, v2):
-        return False
+        return None
     others = [u for u in range(g.n) if u != v1 and u != v2]
-    return len(others) >= 1 and all(g.adj[u] == {v1, v2} for u in others)
+    ok = len(others) >= 1 and all(g.adj[u] == {v1, v2} for u in others)
+    return "none" if ok else None
 
 
-def _match_g3(g: Graph, v1: int, v2: int) -> bool:
+def _match_g3(g: Graph, v1: int, v2: int) -> str | None:
     if g.has_edge(v1, v2):
-        return False
+        return None
     others = [u for u in range(g.n) if u != v1 and u != v2]
-    return len(others) >= 2 and all(g.adj[u] == {v1, v2} for u in others)
-
-
-def recognize_G(g: Graph) -> tuple[str, tuple[int, int]] | None:
-    """First family among G1, G2, G3 matching g, with its anchor pair."""
-    _require_connected(g)
-    n = g.n
-    for v1 in range(n):
-        for v2 in range(n):
-            if v2 != v1 and _match_g1(g, v1, v2):
-                return "G1", (v1, v2)
-    for v1 in range(n):
-        for v2 in range(v1 + 1, n):
-            if _match_g2(g, v1, v2):
-                return "G2", (v1, v2)
-    for v1 in range(n):
-        for v2 in range(v1 + 1, n):
-            if _match_g3(g, v1, v2):
-                return "G3", (v1, v2)
-    return None
+    ok = len(others) >= 2 and all(g.adj[u] == {v1, v2} for u in others)
+    return "none" if ok else None
 
 
 # --- the six families of the gamma_oidR = 5 characterization ---
@@ -206,59 +195,77 @@ def _match_h6(g: Graph, a: int, b: int, c: int) -> str | None:
     return None
 
 
-def _path_triples(g: Graph):
-    # ordered (a, b, c) with edges ab, bc and non-edge ac, lexicographic
-    for a in range(g.n):
-        for b in sorted(g.adj[a]):
-            for c in sorted(g.adj[b]):
-                if c != a and c not in g.adj[a]:
-                    yield a, b, c
+def _path(A, a: int, b: int, c: int) -> bool:  # edges ab, bc; non-edge ac
+    return b in A[a] and c in A[b] and c not in A[a]
 
 
-def _triangle_triples(g: Graph):
-    for a in range(g.n):
-        for b in sorted(g.adj[a]):
-            for c in sorted(g.adj[a] & g.adj[b]):
-                yield a, b, c
+class _Family(NamedTuple):
+    name: str
+    value_class: str
+    match: Callable[..., str | None]
+    arity: int
+    shape: Callable[..., bool]
 
 
-def _h3_pairs(g: Graph):
-    for a in range(g.n):
-        for b in range(g.n):
-            if b != a and b not in g.adj[a]:
-                yield a, b
-
-
-def _h4_triples(g: Graph):
-    # a isolated from the edge bc
-    for a in range(g.n):
-        for b in range(g.n):
-            if b == a or b in g.adj[a]:
-                continue
-            for c in sorted(g.adj[b]):
-                if c != a and c not in g.adj[a]:
-                    yield a, b, c
-
-
-_H_MATCHERS = (
-    ("H1", _match_h1, _path_triples),
-    ("H2", _match_h2, _triangle_triples),
-    ("H3", _match_h3, _h3_pairs),
-    ("H4", _match_h4, _h4_triples),
-    ("H5", _match_h5, _path_triples),
-    ("H6", _match_h6, _path_triples),
+# shape: the adjacency an ordered anchor tuple must have, over the open
+# neighborhoods A; the candidates of a family are the lex-sorted ordered
+# tuples of that shape drawn from the graph's 2- or 3-vertex covers
+_FAMILIES = (
+    _Family("G1", FOUR, _match_g1, 2, lambda A, a, b: b in A[a]),
+    _Family("G2", FOUR, _match_g2, 2, lambda A, a, b: a < b and b in A[a]),
+    _Family("G3", FOUR, _match_g3, 2, lambda A, a, b: a < b and b not in A[a]),
+    _Family("H1", FIVE, _match_h1, 3, _path),
+    _Family("H2", FIVE, _match_h2, 3, lambda A, a, b, c: b in A[a] and c in A[a] and c in A[b]),
+    _Family("H3", FIVE, _match_h3, 2, lambda A, a, b: b not in A[a]),
+    # a adjacent to neither end of the edge bc
+    _Family("H4", FIVE, _match_h4, 3, lambda A, a, b, c: b not in A[a] and c in A[b] and c not in A[a]),
+    _Family("H5", FIVE, _match_h5, 3, _path),
+    _Family("H6", FIVE, _match_h6, 3, _path),
 )
+_FAMILY_BY_NAME = {fam.name: fam for fam in _FAMILIES}
+
+
+def _covers(g: Graph) -> dict[int, list[tuple[int, ...]]]:
+    """Lex-sorted ordered pairs (key 2) and triples (key 3) of distinct vertices
+    whose vertex set touches every edge: sum of degrees minus inner edges = m."""
+    n, m, nb = g.n, g.m, g.nbr_masks
+    deg = [len(s) for s in g.adj]
+    pairs, triples = [], []
+    for a in range(n):
+        for b in range(a + 1, n):
+            dab = deg[a] + deg[b] - (nb[a] >> b & 1)
+            if dab == m:
+                pairs.append((a, b))
+            for c in range(b + 1, n):
+                if dab + deg[c] - (nb[c] >> a & 1) - (nb[c] >> b & 1) == m:
+                    triples.append((a, b, c))
+    return {k: sorted(t for s in sets for t in permutations(s))
+            for k, sets in ((2, pairs), (3, triples))}
+
+
+def _first_hit(g: Graph, value_class: str, covers: dict[int, list[tuple[int, ...]]]
+               ) -> tuple[str, str, tuple[int, ...]] | None:
+    """First (family, subcase, anchors) of the value class accepting g."""
+    adj = g.adj
+    for name, cls, match, arity, shape in _FAMILIES:
+        if cls == value_class:
+            for anchors in covers[arity]:
+                if shape(adj, *anchors) and (sub := match(g, *anchors)) is not None:
+                    return name, sub, anchors
+    return None
+
+
+def recognize_G(g: Graph) -> tuple[str, tuple[int, int]] | None:
+    """First family among G1, G2, G3 matching g, with its anchor pair."""
+    _require_connected(g)
+    hit = _first_hit(g, FOUR, _covers(g))
+    return None if hit is None else (hit[0], hit[2])
 
 
 def recognize_H(g: Graph) -> tuple[str, str, tuple[int, ...]] | None:
     """First family among H1..H6 matching g, with its subcase and anchors."""
     _require_connected(g)
-    for name, matcher, candidates in _H_MATCHERS:
-        for anchors in candidates(g):
-            sub = matcher(g, *anchors)
-            if sub is not None:
-                return name, sub, tuple(anchors)
-    return None
+    return _first_hit(g, FIVE, _covers(g))
 
 
 def classify(g: Graph) -> ClassifyResult:
@@ -268,21 +275,19 @@ def classify(g: Graph) -> ClassifyResult:
     classes is surfaced as an error rather than masked by ordering.
     """
     _require_connected(g)
-    star_hit = is_star(g)
-    g_hit = recognize_G(g)
-    h_hit = recognize_H(g)
-    if int(star_hit) + int(g_hit is not None) + int(h_hit is not None) > 1:
+    covers = _covers(g)
+    hits = [(cls, hit) for cls in (FOUR, FIVE)
+            if (hit := _first_hit(g, cls, covers)) is not None]
+    if g.m == g.n - 1 and g.max_degree == g.n - 1:
+        center = next(v for v in range(g.n) if g.degree(v) == g.n - 1)
+        hits.insert(0, (THREE, ("star", "none", (center,))))
+    if len(hits) > 1:
         raise CharacterizeError("recognizers for distinct value classes both accepted; "
                                 "this contradicts their characterizations")
-    if star_hit:
-        center = next(v for v in range(g.n) if g.degree(v) == g.n - 1)
-        return ClassifyResult(THREE, "star", None, (center,))
-    if g_hit is not None:
-        return ClassifyResult(FOUR, g_hit[0], None, g_hit[1])
-    if h_hit is not None:
-        name, sub, anchors = h_hit
-        return ClassifyResult(FIVE, name, None if sub == "none" else sub, anchors)
-    return ClassifyResult(OTHER)
+    if not hits:
+        return ClassifyResult(OTHER)
+    value_class, (name, sub, anchors) = hits[0]
+    return ClassifyResult(value_class, name, None if sub == "none" else sub, anchors)
 
 
 def verify_classification(g: Graph, res: ClassifyResult) -> bool:
@@ -291,14 +296,8 @@ def verify_classification(g: Graph, res: ClassifyResult) -> bool:
         return res.family is None
     if res.family == "star":
         return is_star(g) and len(res.anchors) == 1 and g.degree(res.anchors[0]) == g.n - 1
-    if res.family == "G1":
-        return _match_g1(g, *res.anchors)
-    if res.family == "G2":
-        return _match_g2(g, *res.anchors)
-    if res.family == "G3":
-        return _match_g3(g, *res.anchors)
-    matcher = dict((name, fn) for name, fn, _ in _H_MATCHERS).get(res.family)
-    if matcher is None:
+    fam = _FAMILY_BY_NAME.get(res.family)
+    if fam is None:
         return False
-    sub = matcher(g, *res.anchors)
+    sub = fam.match(g, *res.anchors)
     return sub is not None and (res.subcase or "none") == sub

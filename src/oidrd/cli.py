@@ -40,8 +40,8 @@ class UsageError(ValueError):
     """Command-line input the program cannot act on."""
 
 
-def _solver_cap(default: int | None = DEFAULT_MAX_N) -> int | None:
-    """OIDRD_MAX_N, or `default` when it is unset."""
+def _solver_cap() -> int:
+    """OIDRD_MAX_N, or DEFAULT_MAX_N when it is unset."""
     env = os.environ.get("OIDRD_MAX_N")
     if env is not None:
         try:
@@ -51,7 +51,7 @@ def _solver_cap(default: int | None = DEFAULT_MAX_N) -> int | None:
         if cap < 0:
             raise UsageError(f"OIDRD_MAX_N must be non-negative, got {cap}")
         return cap
-    return default
+    return DEFAULT_MAX_N
 
 
 def parse_graph(source: str, cap: int | None = None) -> G.Graph:
@@ -197,13 +197,14 @@ def _run_classify(args: argparse.Namespace) -> int:
 
 
 def _run_reduce(args: argparse.Namespace) -> int:
-    override = _solver_cap(default=None)
-    cap = IDENTITY_BASE_CAP if override is None else override // 4
-    g = _load_graph(args.graph, _solver_cap())
+    # the base cap is IDENTITY_BASE_CAP at the default solver cap and scales with it
+    solver_cap = _solver_cap()
+    cap = IDENTITY_BASE_CAP * solver_cap // DEFAULT_MAX_N
+    g = _load_graph(args.graph, solver_cap)
     if g.n > cap:
         raise UsageError(
             f"reduce verifies the identity by solving the 4n-vertex gadget; "
-            f"capped at base n <= {cap} (override with OIDRD_MAX_N)")
+            f"capped at base n <= {cap} (raise with OIDRD_MAX_N)")
     gm = build_gadget(g)
     rep = verify_identity(g, max_n=cap)
     payload = {
@@ -396,6 +397,15 @@ def main(argv: list[str] | None = None) -> int:
             CharacterizeError, UsageError, ValueError) as exc:
         print(f"oidrd: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`oidrd ... | head`): point stdout at
+        # devnull so the final flush cannot raise again, and exit with the
+        # status of a process killed by SIGPIPE
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+        return 141
 
 
 if __name__ == "__main__":

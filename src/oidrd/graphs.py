@@ -500,20 +500,25 @@ def parse_family_spec(text: str) -> FamilySpec:
     """Parse a generator DSL string, e.g. 'path:6', 'h1:a1,2', 'corona(path:2,empty:2)'.
     Tags are case-insensitive."""
     s = text.strip()
-    if s.endswith(")"):
-        name, _, argstr = s.partition("(")
-        name = name.strip().lower()
-        if name in FAMILIES and FAMILIES[name].inner:
-            spec = FamilySpec(name, inner=tuple(parse_family_spec(p)
-                                                for p in _split_top(argstr[:-1])))
-            _checked(spec)
-            return spec
+    name, paren, argstr = s.partition("(")
+    name = name.strip().lower()
+    if paren and name in FAMILIES and FAMILIES[name].inner:
+        if not argstr.endswith(")"):
+            fault = "unbalanced parentheses" if s.count("(") != s.count(")") else "text after ')'"
+            raise GraphError(f"{fault} in spec: {text!r}")
+        spec = FamilySpec(name, inner=tuple(parse_family_spec(p)
+                                            for p in _split_top(argstr[:-1])))
+        _checked(spec)
+        return spec
     name, sep, argstr = s.partition(":")
     name = name.strip().lower()
+    fam = FAMILIES.get(name)
+    if fam is not None and fam.inner:
+        raise GraphError(f"{name} wraps its inner specs in parentheses, "
+                         f"{name}({','.join(['spec'] * fam.inner)}); got {text!r}")
     if not sep:
         raise GraphError(f"cannot parse graph spec {text!r}: expected family:params")
-    fam = FAMILIES.get(name)
-    if fam is None or fam.inner:
+    if fam is None:
         raise GraphError(f"unknown family tag: {name!r}")
     raw = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
     if "" in raw:

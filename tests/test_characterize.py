@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oidrd import characterize as C
@@ -106,3 +108,47 @@ def test_classify_agrees_with_solver_on_small_connected_graphs():
                 assert value >= 6
             else:
                 assert value == {"THREE": 3, "FOUR": 4, "FIVE": 5}[res.value_class]
+
+
+def _covers_every_edge(g, anchors):
+    return all(u in anchors or v in anchors for u, v in g.edges())
+
+
+# sha256 of repr((value_class, family, subcase, anchors)) per graph, in
+# enumeration order, as classify reported it when it still tried every
+# anchor tuple of each family's shape
+_CLASSIFY_DIGEST = "3439c06dca426cbdd1cfe560cd50b99da1697dcacf7b964118090eaebc34c211"
+
+
+def test_classify_output_is_pinned():
+    digest = hashlib.sha256()
+    graphs = [g for n in range(3, 7) for g in G.enumerate_connected_graphs(n)]
+    for g in graphs + list(G.sample_connected_graphs(7, 300, 0)):
+        res = C.classify(g)
+        digest.update(repr((res.value_class, res.family, res.subcase, res.anchors)).encode())
+    assert digest.hexdigest() == _CLASSIFY_DIGEST
+
+
+def test_matchers_only_see_vertex_covers(monkeypatch):
+    seen = []
+
+    def spy(match):
+        def recorded(g, *anchors):
+            seen.append((g, anchors))
+            return match(g, *anchors)
+        return recorded
+
+    monkeypatch.setattr(C, "_FAMILIES", tuple(fam._replace(match=spy(fam.match))
+                                              for fam in C._FAMILIES))
+    for n in range(3, 6):
+        for g in G.enumerate_connected_graphs(n):
+            C.classify(g)
+    assert len(seen) > 1000
+    for g, anchors in seen:
+        assert _covers_every_edge(g, anchors), (G.to_edge_list_text(g), anchors)
+
+
+def test_reported_anchors_cover_every_edge():
+    for expected_family, _, g in _family_sweep():
+        res = C.classify(g)
+        assert _covers_every_edge(g, res.anchors), (expected_family, res)

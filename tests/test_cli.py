@@ -147,6 +147,39 @@ def test_generate_nested_multi_parameter_families(capsys):
     assert code == 2 and "cannot parse graph spec '2'" in err
 
 
+def test_malformed_wrapper_names_the_fault(capsys):
+    cases = (("corona(path:2", "unbalanced parentheses in spec: 'corona(path:2'"),
+             ("gadget(path:3", "unbalanced parentheses in spec: 'gadget(path:3'"),
+             ("corona:1,2", "corona wraps its inner specs in parentheses"))
+    for spec, message in cases:
+        code, _, err = run_cli(capsys, "generate", spec)
+        assert code == 2 and message in err and "unknown family tag" not in err, spec
+
+
+def test_reduce_base_cap_follows_the_solver_cap(capsys, monkeypatch):
+    code, _, unset_err = run_cli(capsys, "reduce", "cycle:6")
+    assert code == 2 and "capped at base n <= 5" in unset_err
+    monkeypatch.setenv("OIDRD_MAX_N", "24")
+    code, _, err = run_cli(capsys, "reduce", "cycle:6")
+    assert code == 2 and err == unset_err
+    monkeypatch.setenv("OIDRD_MAX_N", "30")
+    code, out, _ = run_cli(capsys, "reduce", "cycle:6", "--json")
+    assert code == 0 and json.loads(out)["identity"]["equal"] is True
+
+
+def test_closed_stdout_exits_without_traceback(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["reduce", "cycle:5"]) == 141
+    assert capsys.readouterr().err == ""
+
+
 def test_edge_list_error_reports_line(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 2\n0 1\n")
