@@ -124,9 +124,11 @@ def _run_solve(args: argparse.Namespace) -> int:
         inv: res.value,
         "witness": res.witness.to_text(),
         "node_count": res.node_count,
+        "proof_node_count": res.proof_node_count,
     }
     lines = [f"{inv} = {res.value}", f"witness: {res.witness.to_text()}",
-             f"nodes: {res.node_count}"]
+             f"nodes: {res.node_count}",
+             f"nodes after last improvement: {res.proof_node_count}"]
     if res.optimal_count is not None:
         payload["optimal_count"] = res.optimal_count
         lines.append(f"optimal labelings: {res.optimal_count}")
@@ -378,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, dest="max_n", help="largest exhaustive order")
     p.add_argument("--samples", type=int, help="sample count at the sampled sizes")
     p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-    p.add_argument("--workers", type=int, help="process count (default: all cores)")
+    p.add_argument("--workers", type=int, help="process count, at least 1 (default: all cores)")
     p.add_argument("--output-dir", dest="output_dir", help="write one JSON report per campaign")
     p.add_argument("--csv", help="write a CSV summary table")
     add_json(p)

@@ -128,7 +128,10 @@ def _map_instances(worker, payloads, workers: int | None, *, chunksize: int = 64
     """Run worker over an iterable of payloads, preserving order, on at most
     os.cpu_count() processes and no more than there are payloads, chunksize
     payloads per pool task.  Only the first `workers` payloads are taken
-    ahead to count them; the rest stay a lazy iterator."""
+    ahead to count them; the rest stay a lazy iterator.  workers None means
+    every core; below 1 it raises ValueError."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cpus = os.cpu_count() or 1
     workers = cpus if workers is None else min(workers, cpus)
     if workers > 1:

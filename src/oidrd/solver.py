@@ -32,21 +32,29 @@ labels become final there; the sealed free vertices, with no free neighbor;
 and the opened ones, with their closed neighborhoods within the free set.
 The seven searches on one graph share the plan, and the initial incumbents'
 greedy independent set and isolated vertices, through a one-entry cache
-keyed by graph identity.  The search state is a few masks: the vertices
-labeled 0 and 1, and those with a 0-neighbor, a support neighbor, two
-2-neighbors or a 3-neighbor.  The feasibility checks of the settled vertices
-and the sealed vertices' share of the lower bound are a few bitwise ops
-each.  What is left, a packing (or for the cover a matching) over the opened
-vertices and the clique-cover independence bound, depends only on the depth
-and on one mask, and is memoized under it in one dict per depth.  The memo
-lives for one search and stops growing at _BOUND_MEMO_LIMIT entries; it
-returns exactly the bound it replaces, so the search tree, node counts,
-values and witnesses are unchanged.
+keyed by graph identity; alpha and beta also share the cover search kept
+there.  One search kernel per label set (0..3 for gamma_oidr and gamma_dr,
+0..2 for gamma_oir and gamma_r, 0/1 for gamma, 1/0 for the cover) writes
+each label as a straight-line block with the problem's constants folded in.
+The search state is a few masks: the vertices labeled 0 and 1, those with a
+0-neighbor and those with a support neighbor; the 0..3 kernel carries hi (a
+2- or 3-neighbor, which a 1 needs) and ok0 (a 3-neighbor or two
+2-neighbors, which a 0 needs) in place of the 2- and 3-neighbor masks.  The
+feasibility checks of the settled vertices and the sealed vertices' share
+of the lower bound are a few bitwise ops each.  What is left, a packing (or
+for the cover a matching) over the opened vertices and the clique-cover
+independence bound, depends only on the depth and on one mask, and is
+memoized under it in two dicts per depth.  Labels that leave the mask as it
+is share one lookup per call: labels 0 and 1 one packing, labels 2 and 3
+another, and every label but 0 one clique bound.  The memo lives for one
+search and stops growing at _BOUND_MEMO_LIMIT entries; it returns exactly
+the bound it replaces, so the search tree, node counts, values and
+witnesses are unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterator, Sequence
 
@@ -61,7 +69,7 @@ _CACHE_LIMIT = 1 << 18  # labelings per oracle chunk
 _MEMO_LIMIT = 1 << 12  # oracle columns are memoized while base^n <= this
 _NO_SCORE = np.iinfo(np.int16).max  # above every labeling weight
 _BOUND_MEMO_LIMIT = 1 << 16  # memoized bounds kept per search
-_last_plan: tuple | None = None  # _search_plan of the last graph, with the graph
+_last_plan: list | None = None  # _search_plan of the last graph
 
 
 class CertificationError(RuntimeError):
@@ -76,12 +84,15 @@ class SolveResult:
 
     node_count: feasible partial labelings the engine visited (alpha reports
     the cover search it complements); base^n for an oracle.
+    proof_node_count: those of the engine's nodes visited after the last
+    improvement, which only prove the value optimal; None for an oracle.
     """
 
     value: int
     witness: Labeling
     node_count: int
     optimal_count: int | None = None
+    proof_node_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -190,7 +201,7 @@ def _initial_ub(g: Graph, prob: _Problem) -> int:
     n = g.n
     if prob.zero_mode == 1:
         return _greedy_domination_size(g)
-    _, iso, k = _search_plan(g)
+    _, _, iso, k, _ = _search_plan(g)
     if prob.base == 4:
         return min(2 * n, 3 * (n - k) + 2 * iso)
     if prob.base == 3:
@@ -198,18 +209,19 @@ def _initial_ub(g: Graph, prob: _Problem) -> int:
     return n - k
 
 
-def _search_plan(g: Graph) -> tuple[list[tuple], int, int]:
-    """(plan, isolated vertices, greedy independent set size) of g, from a
-    one-entry cache keyed by graph identity, so the searches on one graph
-    share one plan and one set of incumbents.  The cache holds the graph
-    itself, so its identity cannot be reused; the entry is read once, so a
-    graph never gets a plan another caller just stored."""
+def _search_plan(g: Graph) -> list:
+    """[g, plan, isolated vertices, greedy independent set size, cover
+    search] of g, from a one-entry cache keyed by graph identity, so the
+    searches on one graph share one plan and one set of incumbents, and
+    alpha and beta one cover search (None until it has run).  The cache
+    holds the graph itself, so its identity cannot be reused; the entry is
+    read once, so a graph never gets a plan another caller just stored."""
     global _last_plan
     last = _last_plan
     if last is None or last[0] is not g:
-        last = _last_plan = (g, _build_plan(g), sum(1 for a in g.adj if not a),
-                             len(_greedy_max_independent(g)))
-    return last[1:]
+        last = _last_plan = [g, _build_plan(g), sum(1 for a in g.adj if not a),
+                             len(_greedy_max_independent(g)), None]
+    return last
 
 
 def _build_plan(g: Graph) -> list[tuple]:
@@ -250,7 +262,7 @@ def _build_plan(g: Graph) -> list[tuple]:
 
 
 def _branch_and_bound(g: Graph, prob: _Problem,
-                      ub: int) -> tuple[int, tuple[int, ...] | None, int]:
+                      ub: int) -> tuple[int, tuple[int, ...] | None, int, int]:
     """Min-weight labeling search along vertices 0..n-1.  Labels are tried
     in the problem's fixed order: ascending for the five label problems, so
     complete labelings are met in lex order, and descending (1 before 0) for
@@ -258,42 +270,43 @@ def _branch_and_bound(g: Graph, prob: _Problem,
 
     Starts from the incumbent ub and keeps the labeling at each strict
     improvement.  Returns (best weight, last labeling kept or None if none
-    beat ub, nodes), where nodes counts the feasible partial labelings
-    visited.  The state is a handful of masks: l0 and l1, the vertices
-    labeled 0 and 1; z, those with a 0-neighbor; s1, those with a support
-    neighbor (labeled 1 for gamma, 2 otherwise); s2, those with two
-    2-neighbors; s3, those with a 3-neighbor.  Labeling d ORs nbr[d] into
-    one or two of them, and "may this vertex be 0" is a bit test against
-    ok: s3 | s2, or s1, or every vertex for the cover, less z when the
-    0-class is independent.  Since vertex d is labeled at depth d, the
-    free set there is d+1..n-1 on every path, and all that depends on it
-    alone comes from the graph's plan (_build_plan): each settled vertex,
-    whose neighbors are all labeled now, is checked with one mask test, and
-    each sealed vertex adds the least label it can still take to the lower
-    bound, bitwise.
+    beat ub, nodes, proof nodes), where nodes counts the feasible partial
+    labelings visited and proof nodes those visited after the last
+    improvement, which only prove it optimal.
+
+    One kernel per label set runs the search (labels_0123, labels_012,
+    labels_01 and labels_10), each label a straight-line block.  The state:
+    l0 and l1, the vertices labeled 0 and 1; z, those with a 0-neighbor;
+    s1, those with a support neighbor (labeled 1 for gamma, 2 otherwise);
+    and in labels_0123 hi = s1 | s3 and ok0 = s2 | s3, where s2 and s3 are
+    the vertices with two 2-neighbors and with a 3-neighbor: a 1 needs hi, a
+    0 needs ok0.  Label 2 sets ok0 | s1 & m, s1 | m and hi | m, label 3
+    ok0 | m and hi | m.  The free set at depth d is d+1..n-1 on every path,
+    so each settled vertex of the plan (_build_plan) is checked with one
+    mask test, and each sealed vertex adds the least label it can still
+    take to the lower bound, bitwise.
 
     The rest of the lower bound loops over the opened vertices: a packing
-    of disjoint closed neighborhoods with no support, which depends only on
-    the opened vertices without support, or for the cover a greedy
-    matching, which depends only on the opened vertices without a
-    0-neighbor.  The clique-cover independence bound, for the problems
-    with an independent 0-class, depends only on z & free.  Both are
-    memoized under that key in one dict per depth, for this search only;
-    once _BOUND_MEMO_LIMIT entries are stored in all, misses are computed
-    but no longer kept.
+    of disjoint closed neighborhoods with no support, keyed by the opened
+    vertices without support (for the cover a greedy matching, keyed by
+    those without a 0-neighbor), and for an independent 0-class the
+    clique-cover independence bound, keyed by z & free.  Both are memoized
+    in two dicts per depth, kept in this search's copy of the plan row and
+    stored until _BOUND_MEMO_LIMIT entries are kept in all.  Labels that
+    share a key look it up at most once per call: labels 0 and 1 leave hi
+    (s1 below 3), labels 2 and 3 both set hi | m, and every label but 0
+    leaves z.  A leaf is an improvement and, in ascending order, ends the
+    call, since the next label weighs more.  A child is called only when
+    its weight plus both bounds beats best, so it does not test its weight
+    again on entry.
     """
-    n = g.n
-    plan = _search_plan(g)[0]
-    oi, zmode, one_ge2 = prob.oi, prob.zero_mode, prob.one_ge2
-    descending = prob.descending
-    labels = range(prob.base - 1, -1, -1) if descending else range(prob.base)
-    bonus = 2 if zmode == 3 else 1
-    nodes = 0
+    oi = prob.oi
+    rows = [(*row, {}, {}) for row in _search_plan(g)[1]]  # + packing and clique memos
+    bonus = 2 if prob.zero_mode == 3 else 1
+    nodes = last = 0
     best = ub
     found: tuple[int, ...] | None = None
-    path = [0] * n
-    pack_memo: list[dict[int, int]] = [{} for _ in range(n)]
-    clique_memo: list[dict[int, int]] = [{} for _ in range(n)] if oi else []
+    path = [0] * g.n
     room = _BOUND_MEMO_LIMIT
 
     def independence_lb(opened: list[tuple[int, int]], key: int) -> int:
@@ -315,7 +328,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                 cliques.append(low)
         return key.bit_count() + rest - len(cliques)
 
-    if zmode:
+    if prob.zero_mode:
         def pack(opened: list[tuple[int, int]], avail: int) -> int:
             # disjoint closed neighborhoods of the opened vertices in avail,
             # which have no support yet: each holds a label >= bonus
@@ -338,91 +351,275 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                         avail ^= cand & -cand
             return count
 
-    def dfs(depth: int, w: int, l0: int, l1: int, z: int, s1: int, s2: int, s3: int) -> None:
-        nonlocal best, found, nodes, room
-        bit, m, free, settled, sealed, opened, open_mask = plan[depth]
-        packs = pack_memo[depth]
-        for x in labels:
-            wx = w + x
-            if wx >= best:
-                if descending:
-                    continue  # a lower label may still beat best
-                break
-            n0, n1, nz, t1, t2, t3 = l0, l1, z, s1, s2, s3
-            if x == 0:
-                if oi and bit & z:
-                    continue
-                n0 |= bit
-                nz |= m
-            elif x == 1:
-                n1 |= bit
-                if zmode == 1:
-                    t1 |= m
-            elif x == 2:
-                t2 |= t1 & m
-                t1 |= m
-            else:
-                t3 |= m
-            high = t1 | t3  # a 2- or 3-neighbor (for gamma, a 1-neighbor)
-            ok = t3 | t2 if zmode == 3 else t1 if zmode else -1
-            if oi:
-                ok &= ~nz
-            # settled labels are final: a 0 needs ok, a 1 may need high
-            if settled & n0 & ~ok or one_ge2 and settled & n1 & ~high:
-                continue
+    def miss(memo: dict[int, int], bound, opened: list[tuple[int, int]], key: int) -> int:
+        # a bound the memo lacks: compute it, and keep it while there is room
+        nonlocal room
+        b = bound(opened, key)
+        if room:
+            memo[key] = b
+            room -= 1
+        return b
+
+    def improve(wx: int) -> None:
+        # a complete labeling: the search reaches one only below best
+        nonlocal best, found, last
+        best = wx
+        found = tuple(path)
+        last = nodes
+
+    def labels_0123(depth: int, w: int, l0: int, l1: int, z: int, s1: int, hi: int,
+                    ok0: int) -> None:
+        # gamma_oidr (oi) and gamma_dr: a 0 needs ok0, a 1 needs hi
+        nonlocal nodes
+        bit, m, free, settled, sealed, opened, open_mask, packs, cliques = rows[depth]
+        low = high = None  # the packings of labels 0-1 and of labels 2-3
+        keep = None if oi else 0  # the clique bound of labels 1-3
+        zeros = settled & l0
+        ones = settled & l1
+        # label 0
+        if not (oi and bit & z):
+            nz = z | m
+            ok = ok0 & ~nz if oi else ok0
+            if not ((zeros | settled & bit) & ~ok or ones & ~hi):
+                nodes += 1
+                path[depth] = 0
+                if not free:
+                    return improve(w)
+                if (low := packs.get(key := open_mask & ~hi)) is None:
+                    low = miss(packs, pack, opened, key)
+                lb = w + low
+                if bad := sealed & ~ok:
+                    lb += bad.bit_count() + (bad & ~hi).bit_count()
+                if lb < best:
+                    c = 0
+                    if oi and (c := cliques.get(key := nz & free)) is None:
+                        c = miss(cliques, independence_lb, opened, key)
+                    if w + c < best:
+                        labels_0123(depth + 1, w, l0 | bit, l1, nz, s1, hi, ok0)
+        # label 1: the masks stay
+        w1 = w + 1
+        if w1 >= best:
+            return
+        ok = ok0 & ~z if oi else ok0
+        if not (zeros & ~ok or (ones | settled & bit) & ~hi):
             nodes += 1
-            path[depth] = x
+            path[depth] = 1
             if not free:
-                best = wx
-                found = tuple(path)
-                continue
-            # a sealed vertex that may not be 0 takes 1, or 2 if a 1 needs high
-            lb = wx
-            bad = sealed & ~ok
-            if bad:
-                lb += bad.bit_count()
-                if one_ge2:
-                    lb += (bad & ~high).bit_count()
-            avail = open_mask & ~(high if zmode else nz)
-            p = packs.get(avail)
-            if p is None:
-                p = pack(opened, avail)
-                if room:
-                    packs[avail] = p
-                    room -= 1
-            if lb + p >= best:
-                continue
-            if oi:
-                key = nz & free
-                cliques = clique_memo[depth]
-                c = cliques.get(key)
-                if c is None:
-                    c = independence_lb(opened, key)
-                    if room:
-                        cliques[key] = c
-                        room -= 1
-                if wx + c >= best:
-                    continue
-            dfs(depth + 1, wx, n0, n1, nz, t1, t2, t3)
+                return improve(w1)
+            if low is None and (low := packs.get(key := open_mask & ~hi)) is None:
+                low = miss(packs, pack, opened, key)
+            lb = w1 + low
+            if bad := sealed & ~ok:
+                lb += bad.bit_count() + (bad & ~hi).bit_count()
+            if lb < best:
+                if keep is None and (keep := cliques.get(key := z & free)) is None:
+                    keep = miss(cliques, independence_lb, opened, key)
+                if w1 + keep < best:
+                    labels_0123(depth + 1, w1, l0, l1 | bit, z, s1, hi, ok0)
+        # label 2: a second 2-neighbor completes ok0 where s1 already is
+        w2 = w + 2
+        if w2 >= best:
+            return
+        hi2 = hi | m
+        ok2 = ok0 | s1 & m
+        ok = ok2 & ~z if oi else ok2
+        if not (zeros & ~ok or ones & ~hi2):
+            nodes += 1
+            path[depth] = 2
+            if not free:
+                return improve(w2)
+            if (high := packs.get(key := open_mask & ~hi2)) is None:
+                high = miss(packs, pack, opened, key)
+            lb = w2 + high
+            if bad := sealed & ~ok:
+                lb += bad.bit_count() + (bad & ~hi2).bit_count()
+            if lb < best:
+                if keep is None and (keep := cliques.get(key := z & free)) is None:
+                    keep = miss(cliques, independence_lb, opened, key)
+                if w2 + keep < best:
+                    labels_0123(depth + 1, w2, l0, l1, z, s1 | m, hi2, ok2)
+        # label 3
+        w3 = w + 3
+        if w3 >= best:
+            return
+        ok3 = ok0 | m
+        ok = ok3 & ~z if oi else ok3
+        if not (zeros & ~ok or ones & ~hi2):
+            nodes += 1
+            path[depth] = 3
+            if not free:
+                return improve(w3)
+            if high is None and (high := packs.get(key := open_mask & ~hi2)) is None:
+                high = miss(packs, pack, opened, key)
+            lb = w3 + high
+            if bad := sealed & ~ok:
+                lb += bad.bit_count() + (bad & ~hi2).bit_count()
+            if lb < best:
+                if keep is None and (keep := cliques.get(key := z & free)) is None:
+                    keep = miss(cliques, independence_lb, opened, key)
+                if w3 + keep < best:
+                    labels_0123(depth + 1, w3, l0, l1, z, s1, hi2, ok3)
 
-    dfs(0, 0, 0, 0, 0, 0, 0, 0)
-    return best, found, nodes
+    def labels_012(depth: int, w: int, l0: int, z: int, s1: int) -> None:
+        # gamma_oir (oi) and gamma_r: a 0 needs s1, a 1 nothing
+        nonlocal nodes
+        bit, m, free, settled, sealed, opened, open_mask, packs, cliques = rows[depth]
+        low = None  # the packing of labels 0-1
+        keep = None if oi else 0  # the clique bound of labels 1-2
+        zeros = settled & l0
+        # label 0
+        if not (oi and bit & z):
+            nz = z | m
+            ok = s1 & ~nz if oi else s1
+            if not (zeros | settled & bit) & ~ok:
+                nodes += 1
+                path[depth] = 0
+                if not free:
+                    return improve(w)
+                if (low := packs.get(key := open_mask & ~s1)) is None:
+                    low = miss(packs, pack, opened, key)
+                if w + (sealed & ~ok).bit_count() + low < best:
+                    c = 0
+                    if oi and (c := cliques.get(key := nz & free)) is None:
+                        c = miss(cliques, independence_lb, opened, key)
+                    if w + c < best:
+                        labels_012(depth + 1, w, l0 | bit, nz, s1)
+        # label 1: the masks stay
+        w1 = w + 1
+        if w1 >= best:
+            return
+        ok = s1 & ~z if oi else s1
+        if not zeros & ~ok:
+            nodes += 1
+            path[depth] = 1
+            if not free:
+                return improve(w1)
+            if low is None and (low := packs.get(key := open_mask & ~s1)) is None:
+                low = miss(packs, pack, opened, key)
+            if w1 + (sealed & ~ok).bit_count() + low < best:
+                if keep is None and (keep := cliques.get(key := z & free)) is None:
+                    keep = miss(cliques, independence_lb, opened, key)
+                if w1 + keep < best:
+                    labels_012(depth + 1, w1, l0, z, s1)
+        # label 2
+        w2 = w + 2
+        if w2 >= best:
+            return
+        s1 |= m
+        ok = s1 & ~z if oi else s1
+        if not zeros & ~ok:
+            nodes += 1
+            path[depth] = 2
+            if not free:
+                return improve(w2)
+            if (p := packs.get(key := open_mask & ~s1)) is None:
+                p = miss(packs, pack, opened, key)
+            if w2 + (sealed & ~ok).bit_count() + p < best:
+                if keep is None and (keep := cliques.get(key := z & free)) is None:
+                    keep = miss(cliques, independence_lb, opened, key)
+                if w2 + keep < best:
+                    labels_012(depth + 1, w2, l0, z, s1)
+
+    def labels_01(depth: int, w: int, l0: int, s1: int) -> None:
+        # gamma: a 0 needs s1, a 1-neighbor
+        nonlocal nodes
+        bit, m, free, settled, sealed, opened, open_mask, packs, _ = rows[depth]
+        zeros = settled & l0
+        # label 0
+        if not (zeros | settled & bit) & ~s1:
+            nodes += 1
+            path[depth] = 0
+            if not free:
+                return improve(w)
+            if (p := packs.get(key := open_mask & ~s1)) is None:
+                p = miss(packs, pack, opened, key)
+            if w + (sealed & ~s1).bit_count() + p < best:
+                labels_01(depth + 1, w, l0 | bit, s1)
+        # label 1
+        w1 = w + 1
+        if w1 >= best:
+            return
+        s1 |= m
+        if not zeros & ~s1:
+            nodes += 1
+            path[depth] = 1
+            if not free:
+                return improve(w1)
+            if (p := packs.get(key := open_mask & ~s1)) is None:
+                p = miss(packs, pack, opened, key)
+            if w1 + (sealed & ~s1).bit_count() + p < best:
+                labels_01(depth + 1, w1, l0, s1)
+
+    def labels_10(depth: int, w: int, l0: int, z: int) -> None:
+        # the vertex cover, 1 before 0: a 0 needs no 0-neighbor
+        nonlocal nodes
+        bit, m, free, settled, sealed, opened, open_mask, packs, cliques = rows[depth]
+        zeros = settled & l0
+        # label 1: the masks stay
+        w1 = w + 1
+        if w1 < best and not zeros & z:
+            nodes += 1
+            path[depth] = 1
+            if not free:
+                improve(w1)  # a 0 here weighs less and may improve again
+            else:
+                if (p := packs.get(key := open_mask & ~z)) is None:
+                    p = miss(packs, pack, opened, key)
+                if w1 + (sealed & z).bit_count() + p < best:
+                    if (c := cliques.get(key := z & free)) is None:
+                        c = miss(cliques, independence_lb, opened, key)
+                    if w1 + c < best:
+                        labels_10(depth + 1, w1, l0, z)
+        # label 0
+        if w >= best or bit & z:
+            return
+        nz = z | m
+        if not (zeros | settled & bit) & nz:
+            nodes += 1
+            path[depth] = 0
+            if not free:
+                return improve(w)
+            if (p := packs.get(key := open_mask & ~nz)) is None:
+                p = miss(packs, pack, opened, key)
+            if w + (sealed & nz).bit_count() + p < best:
+                if (c := cliques.get(key := nz & free)) is None:
+                    c = miss(cliques, independence_lb, opened, key)
+                if w + c < best:
+                    labels_10(depth + 1, w, l0 | bit, nz)
+
+    if prob.base == 4:
+        labels_0123(0, 0, 0, 0, 0, 0, 0, 0)
+    elif prob.base == 3:
+        labels_012(0, 0, 0, 0, 0)
+    elif prob.descending:
+        labels_10(0, 0, 0, 0)
+    else:
+        labels_01(0, 0, 0, 0)
+    return best, found, nodes, nodes - last
 
 
-def _certified(g: Graph, name: str, lab: Labeling, value: int, nodes: int) -> SolveResult:
+def _certified(g: Graph, name: str, lab: Labeling, value: int, nodes: int,
+               proof: int) -> SolveResult:
     if weight(lab) != value or not is_feasible(name, g, lab):
         raise CertificationError(f"{name} witness {lab.to_text()} is not a valid labeling "
                                  f"of weight {value}")
-    return SolveResult(value, lab, nodes)
+    return SolveResult(value, lab, nodes, proof_node_count=proof)
 
 
 def _solve_min(g: Graph, name: str) -> SolveResult:
-    # one pass along 0..n-1; ub + 1 so that an optimal ub is still met
+    # one pass along 0..n-1; ub + 1 so that an optimal ub is still met.  The
+    # cover search is kept beside the plan, so alpha and beta run it once
     prob = INVARIANTS[name][0]
-    value, wit, nodes = _branch_and_bound(g, prob, _initial_ub(g, prob) + 1)
+    entry = _search_plan(g)
+    run = entry[4] if prob is _COVER else None
+    if run is None:
+        run = _branch_and_bound(g, prob, _initial_ub(g, prob) + 1)
+        if prob is _COVER:
+            entry[4] = run
+    value, wit, nodes, proof = run
     if wit is None:
         raise CertificationError(f"search found no labeling below its incumbent {value}")
-    return _certified(g, name, Labeling(wit), value, nodes)
+    return _certified(g, name, Labeling(wit), value, nodes, proof)
 
 
 def solve_oidrd(g: Graph, *, count_optimal: bool = False) -> SolveResult:
@@ -431,7 +628,7 @@ def solve_oidrd(g: Graph, *, count_optimal: bool = False) -> SolveResult:
     if count_optimal:
         _check_brute_cap(g)
         n_opt = sum(1 for _ in _iter_optimal_indices(g, _OIDR, res.value))
-        return SolveResult(res.value, res.witness, res.node_count, n_opt)
+        return replace(res, optimal_count=n_opt)
     return res
 
 
@@ -465,7 +662,7 @@ def solve_alpha(g: Graph) -> SolveResult:
     beta witness, i.e. the lex-smallest maximum independent set."""
     b = solve_beta(g)
     return _certified(g, "alpha", Labeling(tuple(1 - x for x in b.witness.values)),
-                      g.n - b.value, b.node_count)
+                      g.n - b.value, b.node_count, b.proof_node_count)
 
 
 @dataclass(frozen=True)

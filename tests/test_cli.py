@@ -240,6 +240,21 @@ def test_audit_negative_samples_exit_2(capsys, campaign):
     assert code == 2 and "at least 0" in err and not out
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_audit_workers_below_one_exit_2(capsys, workers):
+    code, out, err = run_cli(capsys, "audit", "trees", "--workers", workers)
+    assert code == 2 and f"workers must be at least 1, got {workers}" in err and not out
+
+
+def test_solve_reports_the_nodes_after_the_last_improvement(capsys):
+    code, out, _ = run_cli(capsys, "solve", "cycle:9", "--json")
+    payload = json.loads(out)
+    assert code == 0 and 0 <= payload["proof_node_count"] <= payload["node_count"]
+    code, out, _ = run_cli(capsys, "solve", "cycle:9")
+    assert code == 0
+    assert f"nodes after last improvement: {payload['proof_node_count']}" in out.splitlines()
+
+
 def test_python_m_oidrd_runs_the_cli():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

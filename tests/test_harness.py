@@ -140,6 +140,14 @@ def test_map_instances_starts_no_idle_processes(monkeypatch):
     assert started == [2, 2]
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_map_instances_rejects_workers_below_one(monkeypatch, workers):
+    started = _record_pool_starts(monkeypatch, 2)
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        H._map_instances(abs, [-1, -2, 3], workers)
+    assert started == []
+
+
 def test_forced_ones_campaign_default():
     r = H.audit_forced_ones()
     assert r.status == "pass"

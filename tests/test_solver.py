@@ -457,6 +457,48 @@ def test_small_graph_results_are_pinned():
     assert cover_nodes == {"alpha": 6184, "beta": 6184}
 
 
+def test_sampled_graph_results_are_pinned():
+    # sha256 over (invariant, value, witness, node count) of every SOLVERS
+    # entry on seeded samples deep enough for the labels of one search node
+    # to share their bound lookups, recorded on the engine before its label
+    # loop was unrolled into one kernel per label set
+    graphs = [g for n in range(8, 12) for g in G.sample_connected_graphs(n, 25, seed=n)]
+    graphs += [G.family(G.parse_family_spec(spec)) for spec in
+               ("gadget(path:3)", "corona(path:2,empty:4)", "sharph:2,2,2")]
+    h = hashlib.sha256()
+    for g in graphs:
+        for key, solve in S.SOLVERS.items():
+            r = solve(g)
+            h.update(repr((key, r.value, r.witness.values, r.node_count)).encode())
+    assert h.hexdigest() == "fc26bc0a6f9987e3465609a27429de7df354f632d58a5fcffd9353b56a50bf08"
+
+
+def test_proof_node_count_is_within_the_search():
+    for spec in {spec for cases in _PINNED_TREES.values() for spec, _ in cases}:
+        g = G.family(G.parse_family_spec(spec))
+        for key, solve in S.SOLVERS.items():
+            r = solve(g)
+            assert 0 <= r.proof_node_count <= r.node_count, (key, spec)
+        assert S.solve_alpha(g).proof_node_count == S.solve_beta(g).proof_node_count
+    res = S.solve_oidrd(G.path(2), count_optimal=True)
+    assert res.proof_node_count == S.solve_oidrd(G.path(2)).proof_node_count
+    assert S.brute_force_oidrd(G.path(2)).proof_node_count is None
+
+
+def test_alpha_and_beta_share_one_cover_search(monkeypatch):
+    runs = []
+    search = S._branch_and_bound
+    monkeypatch.setattr(S, "_branch_and_bound",
+                        lambda g, prob, ub: runs.append(prob) or search(g, prob, ub))
+    g = G.corona(G.cycle(4), G.path(2))
+    alpha, beta = S.solve_alpha(g), S.solve_beta(g)
+    assert runs == [S.INVARIANTS["beta"][0]]
+    assert (alpha.value, alpha.node_count) == (g.n - beta.value, beta.node_count)
+    # another graph gets a cover search of its own
+    S.solve_beta(G.cycle(4))
+    assert len(runs) == 2
+
+
 @pytest.mark.parametrize("limit", [0, 1])
 def test_full_bound_memo_changes_nothing(monkeypatch, limit):
     graphs = [G.family(G.parse_family_spec(spec)) for spec in
