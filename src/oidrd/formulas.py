@@ -79,11 +79,7 @@ class CoronaCoefficients:
 def _min_over_independent_zero_sets(g: Graph, co: CoronaCoefficients) -> int:
     # vertices outside V0 always take the cheapest of c1, c2, c3
     cmin = min(co.c1, co.c2, co.c3)
-    n = g.n
-    adj_mask = [0] * n
-    for u in range(n):
-        for w in g.adj[u]:
-            adj_mask[u] |= 1 << w
+    n, adj_mask = g.n, g.nbr_masks
     indep = bytearray(1 << n)
     indep[0] = 1
     best = n * cmin
@@ -92,7 +88,7 @@ def _min_over_independent_zero_sets(g: Graph, co: CoronaCoefficients) -> int:
         rest = s ^ low
         if indep[rest] and not adj_mask[low.bit_length() - 1] & rest:
             indep[s] = 1
-            k = bin(s).count("1")
+            k = s.bit_count()
             cost = k * co.c0 + (n - k) * cmin
             if cost < best:
                 best = cost

@@ -2,15 +2,18 @@
 
 Vertices are always dense integer indices 0..n-1.  Every named family
 documents its vertex numbering so that witness labelings are reproducible.
+The value-4 and value-5 families G1..G3 and H1..H6 are the rows of one
+table, ANCHORED, which the builders here and the recognizers in
+characterize both read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -31,10 +34,6 @@ class Graph:
     @property
     def max_degree(self) -> int:
         return max(len(a) for a in self.adj)
-
-    @property
-    def min_degree(self) -> int:
-        return min(len(a) for a in self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
@@ -160,152 +159,84 @@ def complete_multipartite(parts: Iterable[int]) -> Graph:
     return build(n, edges)
 
 
-def g1(k: int, leaves: int) -> Graph:
-    """Family G1: v1=0 and v2=1 adjacent, w_1..w_k = 2..k+1 adjacent to both
-    (pairwise nonadjacent), plus at least one pendant leaf on v1
-    (leaves occupy k+2..k+1+leaves)."""
-    if k < 1:
-        raise GraphError("g1 requires k >= 1 common neighbors")
-    if leaves < 1:
-        raise GraphError("g1 requires at least 1 pendant leaf on v1")
-    edges = [(0, 1)]
-    for i in range(k):
-        edges += [(0, 2 + i), (1, 2 + i)]
-    edges += [(0, 2 + k + i) for i in range(leaves)]
-    return build(2 + k + leaves, edges)
+class Anchored(NamedTuple):
+    """One family of the value-4 and value-5 characterization.  Anchors
+    0..k-1 are joined by `edges`; then come the blocks, in parameter order,
+    numbered consecutively from k, and every vertex of a block is adjacent to
+    exactly that block's anchor subset.  `rules` maps each subcase ("none"
+    for a family without subcases) to the condition its block sizes must
+    meet, in the order recognition tries them."""
+
+    name: str
+    value: int
+    k: int
+    edges: tuple[tuple[int, int], ...]
+    blocks: tuple[tuple[int, ...], ...]
+    rules: dict[str, Callable[..., bool]]
+
+    @property
+    def subcases(self) -> tuple[str, ...]:
+        return tuple(sub for sub in self.rules if sub != "none")
 
 
-def g2(k: int) -> Graph:
-    """Family G2: v1=0 and v2=1 adjacent, w_1..w_k = 2..k+1 adjacent to both."""
-    if k < 1:
-        raise GraphError("g2 requires k >= 1 common neighbors")
-    edges = [(0, 1)]
-    for i in range(k):
-        edges += [(0, 2 + i), (1, 2 + i)]
-    return build(2 + k, edges)
+_PATH = ((0, 1), (1, 2))  # a-b-c
+
+# the one definition of G1..G3 and H1..H6, for the builders and the
+# recognizers alike; anchors are a, b, c and a block is named by its subset
+ANCHORED: dict[str, Anchored] = {
+    # G1: k >= 1 common neighbors of the edge ab, and at least one leaf on a
+    "g1": Anchored("G1", 4, 2, ((0, 1),), ((0, 1), (0,)),
+                   {"none": lambda ab, a: ab >= 1 and a >= 1}),
+    "g2": Anchored("G2", 4, 2, ((0, 1),), ((0, 1),), {"none": lambda ab: ab >= 1}),
+    "g3": Anchored("G3", 4, 2, (), ((0, 1),), {"none": lambda ab: ab >= 2}),
+    "h1": Anchored("H1", 5, 3, _PATH, ((0, 1, 2), (0, 1), (1, 2), (1,)), {
+        "a1": lambda abc, ab, bc, b: ab == 0 and bc == 0 and abc >= 2,
+        "b1": lambda abc, ab, bc, b: (ab == 0) != (bc == 0) and abc >= 1,
+        "c1": lambda abc, ab, bc, b: ab >= 1 and bc >= 1}),
+    "h2": Anchored("H2", 5, 3, ((0, 1), (0, 2), (1, 2)), ((0, 1, 2), (0, 1), (1, 2), (1,)), {
+        "a2": lambda abc, ab, bc, b: abc >= 1,
+        "b2": lambda abc, ab, bc, b: ab >= 1 and bc >= 1}),
+    "h3": Anchored("H3", 5, 2, (), ((0,), (0, 1)), {"none": lambda a, ab: a >= 1 and ab >= 1}),
+    # H4: a adjacent to neither end of the edge bc
+    "h4": Anchored("H4", 5, 3, ((1, 2),), ((0, 1, 2), (0, 1)), {
+        "a4": lambda abc, ab: ab == 0 and abc >= 2,
+        "b4": lambda abc, ab: ab >= 1}),
+    "h5": Anchored("H5", 5, 3, _PATH, ((0, 1, 2), (0, 1)), {
+        "a5": lambda abc, ab: ab >= 1 and abc >= 1,
+        "b5": lambda abc, ab: ab == 0 and abc >= 2}),
+    "h6": Anchored("H6", 5, 3, _PATH, ((0, 1, 2), (0, 2)), {
+        "a6": lambda abc, ac: ac >= 1 and abc >= 1,
+        "b6": lambda abc, ac: ac == 0 and abc >= 2}),
+}
 
 
-def g3(k: int) -> Graph:
-    """Family G3: v1=0 and v2=1 nonadjacent, w_1..w_k = 2..k+1 adjacent to both."""
-    if k < 2:
-        raise GraphError("g3 requires k >= 2 common neighbors")
-    edges = []
-    for i in range(k):
-        edges += [(0, 2 + i), (1, 2 + i)]
-    return build(2 + k, edges)
+def anchored(tag: str, *args) -> Graph:
+    """Build the ANCHORED family `tag` from its subcase, if it has subcases,
+    then its block sizes; trailing blocks left out are empty, and a negative
+    size counts as 0 vertices."""
+    fam = ANCHORED[tag]
+    sub, sizes = (args[0], args[1:]) if fam.subcases else (None, args)
+    _checked(FamilySpec(tag, sizes, sub))
+    rule = fam.rules.get(sub or "none")
+    if rule is None:
+        raise GraphError(f"unknown {tag} subcase: {sub!r}")
+    sizes += (0,) * (len(fam.blocks) - len(sizes))
+    if not rule(*sizes):
+        named = ", ".join(f"V_{''.join('abc'[i] for i in block)}={size}"
+                          for block, size in zip(fam.blocks, sizes))
+        where = f" subcase {sub}" if sub else ""
+        raise GraphError(f"{tag}{where} rejects the block sizes {named}")
+    edges, n = list(fam.edges), fam.k
+    for block, size in zip(fam.blocks, sizes):
+        for u in range(n, n + size):
+            edges += [(a, u) for a in block]
+        n += max(size, 0)
+    return build(n, edges)
 
 
-def _attach_sets(base_n: int, base_edges: list[tuple[int, int]],
-                 blocks: list[tuple[tuple[int, ...], int]]) -> Graph:
-    """Append vertex blocks, each wired to a fixed anchor set.
-
-    blocks is a list of (anchor tuple, size); block vertices are numbered
-    consecutively after the base in the given block order.
-    """
-    edges = list(base_edges)
-    nxt = base_n
-    for anchors, size in blocks:
-        for _ in range(size):
-            for a in anchors:
-                edges.append((a, nxt))
-            nxt += 1
-    return build(nxt, edges)
-
-
-def h1(subcase: str, n_abc: int, n_ab: int = 0, n_bc: int = 0, n_b: int = 0) -> Graph:
-    """Family H1: path a-b-c on 0,1,2; then blocks V_abc, V_ab, V_bc, V_b
-    in that order, starting at vertex 3.
-
-    Subcases: a1 requires V_ab = V_bc = empty and |V_abc| >= 2;
-    b1 requires exactly one of V_ab, V_bc empty and V_abc nonempty;
-    c1 requires V_ab and V_bc both nonempty.  V_b is unconstrained.
-    """
-    if subcase == "a1":
-        if n_ab or n_bc or n_abc < 2:
-            raise GraphError("h1 subcase a1 needs V_ab = V_bc = empty and |V_abc| >= 2")
-    elif subcase == "b1":
-        if (n_ab == 0) == (n_bc == 0) or n_abc < 1:
-            raise GraphError("h1 subcase b1 needs exactly one of V_ab, V_bc empty and V_abc nonempty")
-    elif subcase == "c1":
-        if n_ab < 1 or n_bc < 1:
-            raise GraphError("h1 subcase c1 needs V_ab and V_bc nonempty")
-    else:
-        raise GraphError(f"unknown h1 subcase: {subcase!r}")
-    return _attach_sets(3, [(0, 1), (1, 2)],
-                        [((0, 1, 2), n_abc), ((0, 1), n_ab), ((1, 2), n_bc), ((1,), n_b)])
-
-
-def h2(subcase: str, n_abc: int, n_ab: int = 0, n_bc: int = 0, n_b: int = 0) -> Graph:
-    """Family H2: triangle on 0,1,2 (a,b,c); blocks V_abc, V_ab, V_bc, V_b from vertex 3.
-
-    Subcases: a2 requires V_abc nonempty; b2 requires V_ab and V_bc nonempty.
-    """
-    if subcase == "a2":
-        if n_abc < 1:
-            raise GraphError("h2 subcase a2 needs V_abc nonempty")
-    elif subcase == "b2":
-        if n_ab < 1 or n_bc < 1:
-            raise GraphError("h2 subcase b2 needs V_ab and V_bc nonempty")
-    else:
-        raise GraphError(f"unknown h2 subcase: {subcase!r}")
-    return _attach_sets(3, [(0, 1), (1, 2), (0, 2)],
-                        [((0, 1, 2), n_abc), ((0, 1), n_ab), ((1, 2), n_bc), ((1,), n_b)])
-
-
-def h3(n_a: int, n_ab: int) -> Graph:
-    """Family H3: nonadjacent a=0, b=1; nonempty blocks V_a then V_ab from vertex 2."""
-    if n_a < 1 or n_ab < 1:
-        raise GraphError("h3 needs V_a and V_ab nonempty")
-    return _attach_sets(2, [], [((0,), n_a), ((0, 1), n_ab)])
-
-
-def h4(subcase: str, n_abc: int, n_ab: int = 0) -> Graph:
-    """Family H4: vertex a=0 and edge bc on 1,2 (a adjacent to neither);
-    blocks V_abc then V_ab from vertex 3.
-
-    Subcases: a4 requires V_ab empty and |V_abc| >= 2; b4 requires V_ab nonempty.
-    """
-    if subcase == "a4":
-        if n_ab or n_abc < 2:
-            raise GraphError("h4 subcase a4 needs V_ab empty and |V_abc| >= 2")
-    elif subcase == "b4":
-        if n_ab < 1:
-            raise GraphError("h4 subcase b4 needs V_ab nonempty")
-    else:
-        raise GraphError(f"unknown h4 subcase: {subcase!r}")
-    return _attach_sets(3, [(1, 2)], [((0, 1, 2), n_abc), ((0, 1), n_ab)])
-
-
-def h5(subcase: str, n_abc: int, n_ab: int = 0) -> Graph:
-    """Family H5: path a-b-c on 0,1,2; blocks V_abc then V_ab from vertex 3.
-
-    Subcases: a5 requires both blocks nonempty; b5 requires V_ab empty and |V_abc| >= 2.
-    """
-    if subcase == "a5":
-        if n_ab < 1 or n_abc < 1:
-            raise GraphError("h5 subcase a5 needs V_ab and V_abc nonempty")
-    elif subcase == "b5":
-        if n_ab or n_abc < 2:
-            raise GraphError("h5 subcase b5 needs V_ab empty and |V_abc| >= 2")
-    else:
-        raise GraphError(f"unknown h5 subcase: {subcase!r}")
-    return _attach_sets(3, [(0, 1), (1, 2)], [((0, 1, 2), n_abc), ((0, 1), n_ab)])
-
-
-def h6(subcase: str, n_abc: int, n_ac: int = 0) -> Graph:
-    """Family H6: path a-b-c on 0,1,2; blocks V_abc then V_ac from vertex 3.
-
-    Subcases: a6 requires both blocks nonempty; b6 requires V_ac empty and |V_abc| >= 2.
-    """
-    if subcase == "a6":
-        if n_ac < 1 or n_abc < 1:
-            raise GraphError("h6 subcase a6 needs V_ac and V_abc nonempty")
-    elif subcase == "b6":
-        if n_ac or n_abc < 2:
-            raise GraphError("h6 subcase b6 needs V_ac empty and |V_abc| >= 2")
-    else:
-        raise GraphError(f"unknown h6 subcase: {subcase!r}")
-    return _attach_sets(3, [(0, 1), (1, 2)], [((0, 1, 2), n_abc), ((0, 2), n_ac)])
+# e.g. g1(k, leaves), h1("a1", n_abc, n_ab, n_bc, n_b), h3(n_a, n_ab)
+g1, g2, g3, h1, h2, h3, h4, h5, h6 = (partial(anchored, tag) for tag in
+                                      ("g1", "g2", "g3", "h1", "h2", "h3", "h4", "h5", "h6"))
 
 
 def sharpness_h(m: Iterable[int]) -> Graph:
@@ -408,15 +339,10 @@ FAMILIES: dict[str, _Family] = {
     "double_star": _Family(double_star, 2, 2, extra=2),
     "kbipartite": _Family(complete_bipartite, 2, 2),
     "kpartite": _Family(lambda *parts: complete_multipartite(parts)),
-    "g1": _Family(g1, 2, 2, extra=2),
-    "g2": _Family(g2, 1, 1, extra=2),
-    "g3": _Family(g3, 1, 1, extra=2),
-    "h1": _Family(h1, 1, 4, extra=3, subcases=("a1", "b1", "c1")),
-    "h2": _Family(h2, 1, 4, extra=3, subcases=("a2", "b2")),
-    "h3": _Family(h3, 2, 2, extra=2),
-    "h4": _Family(h4, 1, 2, extra=3, subcases=("a4", "b4")),
-    "h5": _Family(h5, 1, 2, extra=3, subcases=("a5", "b5")),
-    "h6": _Family(h6, 1, 2, extra=3, subcases=("a6", "b6")),
+    # a family with subcases may leave out trailing blocks; one without takes them all
+    **{tag: _Family(partial(anchored, tag), 1 if fam.subcases else len(fam.blocks),
+                    len(fam.blocks), extra=fam.k, subcases=fam.subcases)
+       for tag, fam in ANCHORED.items()},
     # each block adds x_i, y_i, z_i to its m_i large-part vertices
     "sharph": _Family(lambda *m: sharpness_h(m), per_param=3),
     "corona": _Family(corona, inner=2, order=lambda g, h: g * (1 + h)),

@@ -25,7 +25,7 @@ from math import ceil
 from multiprocessing import Pool
 
 from . import graphs as G
-from .characterize import OTHER, classify, verify_classification
+from .characterize import CLASS_VALUE, OTHER, classify, verify_classification
 from .reduction import verify_identity
 from .solver import (
     _forest_routes,
@@ -209,15 +209,13 @@ def audit_bounds(max_n: int = 5, *, workers: int | None = None) -> AuditReport:
 # characterization: value class from recognizers vs the solver
 # ---------------------------------------------------------------------------
 
-_CLASS_VALUE = {"THREE": 3, "FOUR": 4, "FIVE": 5}
-
 
 def _characterization_check(payload: tuple) -> tuple:
     g = _graph(payload)
     res = classify(g)
     value = solve_oidrd(g).value
     items = []
-    expected = _CLASS_VALUE.get(res.value_class)
+    expected = CLASS_VALUE.get(res.value_class)
     if expected is None:
         if value <= 5:
             items.append(("small_value_class", res.value_class, value))

@@ -1,8 +1,10 @@
 import hashlib
+from itertools import product
 
 import pytest
 
 from oidrd import characterize as C
+from oidrd import cli
 from oidrd import graphs as G
 from oidrd import solver as S
 
@@ -131,15 +133,13 @@ def test_classify_output_is_pinned():
 
 def test_matchers_only_see_vertex_covers(monkeypatch):
     seen = []
+    match = C._match
 
-    def spy(match):
-        def recorded(g, *anchors):
-            seen.append((g, anchors))
-            return match(g, *anchors)
-        return recorded
+    def recorded(g, fam, anchors):
+        seen.append((g, anchors))
+        return match(g, fam, anchors)
 
-    monkeypatch.setattr(C, "_FAMILIES", tuple(fam._replace(match=spy(fam.match))
-                                              for fam in C._FAMILIES))
+    monkeypatch.setattr(C, "_match", recorded)
     for n in range(3, 6):
         for g in G.enumerate_connected_graphs(n):
             C.classify(g)
@@ -152,3 +152,49 @@ def test_reported_anchors_cover_every_edge():
     for expected_family, _, g in _family_sweep():
         res = C.classify(g)
         assert _covers_every_edge(g, res.anchors), (expected_family, res)
+
+
+def test_verify_classification_rejects_false_certificates():
+    h1 = G.h1("a1", 2)
+    assert C.verify_classification(h1, C.ClassifyResult(C.FIVE, "H1", "a1", (0, 1, 2)))
+    for res in (C.ClassifyResult(C.FIVE, "H1", "a1", (0, 1)),  # wrong anchor count
+                C.ClassifyResult(C.FIVE, "H1", "a1", (0, 1, 2, 3)),
+                C.ClassifyResult(C.FOUR, "H1", "a1", (0, 1, 2))):  # value class of another family
+        assert not C.verify_classification(h1, res), res
+    # C4 has value 4; with a repeated or an out-of-range third anchor every
+    # other vertex would still see exactly {0, 1}
+    c4 = G.g3(2)
+    for res in (C.ClassifyResult(C.FIVE, "H4", "a4", (0, 1, 1)),
+                C.ClassifyResult(C.FIVE, "H4", "b4", (0, 1, 9)),
+                C.ClassifyResult(C.FIVE, "H4", "b4", (0, 1, -1))):
+        assert not C.verify_classification(c4, res), res
+    star = G.star(3)
+    assert C.verify_classification(star, C.ClassifyResult(C.THREE, "star", None, (0,)))
+    assert not C.verify_classification(star, C.ClassifyResult(C.FIVE, "star", None, (0,)))
+    assert not C.verify_classification(star, C.ClassifyResult(C.THREE, "star", None, (7,)))
+    # the anchors see each other as a triangle and as an edge plus a vertex,
+    # not as the path a-b-c that H1 and H5 require
+    for g, res in ((G.h2("a2", 2), C.ClassifyResult(C.FIVE, "H1", "a1", (0, 1, 2))),
+                   (G.h4("a4", 2), C.ClassifyResult(C.FIVE, "H5", "b5", (0, 1, 2)))):
+        assert not C.verify_classification(g, res), res
+
+
+def test_table_rows_agree_with_the_engine(capsys):
+    # the engine is an exact route that does not read the table
+    for tag, fam in G.ANCHORED.items():
+        for sub, rule in fam.rules.items():
+            lead = () if sub == "none" else (sub,)
+            for sizes in product(range(3), repeat=len(fam.blocks)):
+                text = f"{tag}:" + ",".join(map(str, lead + sizes))
+                if rule(*sizes):
+                    g = G.anchored(tag, *lead, *sizes)
+                    assert S.solve_oidrd(g).value == fam.value, text
+                    res = C.classify(g)
+                    assert C.CLASS_VALUE.get(res.value_class) == fam.value, (text, res)
+                    assert C.verify_classification(g, res), (text, res)
+                    continue
+                where = "" if sub == "none" else f" subcase {sub}"
+                with pytest.raises(G.GraphError, match=f"^{tag}{where} rejects the block sizes V_"):
+                    G.anchored(tag, *lead, *sizes)
+                assert cli.main(["generate", text]) == 2, text
+                assert f"{tag}{where} rejects" in capsys.readouterr().err, text

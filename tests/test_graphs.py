@@ -1,5 +1,6 @@
 import hashlib
 import time
+from itertools import product
 
 import pytest
 
@@ -109,6 +110,28 @@ def test_h_family_generators_validate_subcases():
         G.h5("a5", 1, 0)
     with pytest.raises(GraphError):
         G.h6("zz", 1, 1)
+
+
+# sha256 of repr((tag, subcase, params, (n, edges()) or None if rejected)) for
+# every g/h spec with each block size in -1..2, as the nine hand-written
+# builders produced them
+_FAMILY_DIGEST = "6eb2953fc17d12f197d7994c64da3b63564521a4f4058c6a09853a55ec00a326"
+
+
+def test_g_and_h_builders_are_pinned():
+    digest = hashlib.sha256()
+    for tag in ("g1", "g2", "g3", "h1", "h2", "h3", "h4", "h5", "h6"):
+        fam = G.FAMILIES[tag]
+        for sub in fam.subcases or (None,):
+            for count in range(fam.least, fam.most + 1):
+                for params in product(range(-1, 3), repeat=count):
+                    try:
+                        g = G.family(G.FamilySpec(tag, params, sub))
+                        built = (g.n, g.edges())
+                    except GraphError:
+                        built = None
+                    digest.update(repr((tag, sub, params, built)).encode())
+    assert digest.hexdigest() == _FAMILY_DIGEST
 
 
 def test_family_dispatch_and_dsl():
