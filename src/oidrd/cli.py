@@ -54,25 +54,24 @@ def _solver_cap() -> int:
     return DEFAULT_MAX_N
 
 
-def parse_graph(source: str, cap: int | None = None) -> G.Graph:
-    """Edge-list text ('n m' header then m 'u v' lines) or a generator DSL string.
-    With a cap, the order (an edge-list header's n, or the DSL family's
-    order) is checked before the graph is built."""
+def parse_graph(source: str, cap: int) -> G.Graph:
+    """Edge-list text ('n m' header then m 'u v' lines) or a generator DSL
+    string, told apart by the first line that is neither blank nor a '#'
+    comment.  The order (an edge-list header's n, or the DSL family's order)
+    is checked against cap before the graph is built."""
     s = source.strip()
     if not s:
         raise GraphError("empty graph input")
-    head = s.splitlines()[0].split()
+    head = (G.edge_list_lines(s) or [""])[0].split()
     if len(head) == 2 and all(tok.isdigit() for tok in head):
-        if cap is not None:
-            _check_cap(int(head[0]), cap)
+        _check_cap(int(head[0]), cap)
         return G.from_edge_list_text(s)
     spec = G.parse_family_spec(s)
-    if cap is not None:
-        _check_cap(G.spec_order(spec), cap)
+    _check_cap(G.spec_order(spec), cap)
     return G.family(spec)
 
 
-def _load_graph(arg: str, cap: int | None = None) -> G.Graph:
+def _load_graph(arg: str, cap: int) -> G.Graph:
     if arg == "-":
         return parse_graph(sys.stdin.read(), cap)
     p = Path(arg)
@@ -86,13 +85,6 @@ def _check_cap(n: int, cap: int) -> None:
         raise UsageError(
             f"graph has {n} vertices, above the solver cap {cap} "
             f"(override at your own risk with OIDRD_MAX_N)")
-
-
-def _solver_graph(arg: str) -> G.Graph:
-    cap = _solver_cap()
-    g = _load_graph(arg, cap)
-    _check_cap(g.n, cap)
-    return g
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -109,7 +101,7 @@ def _run_solve(args: argparse.Namespace) -> int:
         raise UsageError("--count-optimal counts gamma_oidr labelings only")
     if inv == "bundle" and args.verify_witness is not None:
         raise UsageError("--verify-witness checks one invariant, not bundle")
-    g = _solver_graph(args.graph)
+    g = _load_graph(args.graph, _solver_cap())
     if inv == "bundle":
         b = bundle(g)
         payload = {"schema": SCHEMA, "n": g.n, "m": g.m}
@@ -147,7 +139,7 @@ def _run_solve(args: argparse.Namespace) -> int:
 
 
 def _run_bounds(args: argparse.Namespace) -> int:
-    g = _solver_graph(args.graph)
+    g = _load_graph(args.graph, _solver_cap())
     if g.n < 2 or not G.is_connected(g):
         raise UsageError("bounds requires a connected graph on at least 2 vertices")
     s = H.sandwich(g)
@@ -179,7 +171,7 @@ def _run_bounds(args: argparse.Namespace) -> int:
 
 
 def _run_classify(args: argparse.Namespace) -> int:
-    g = _solver_graph(args.graph)
+    g = _load_graph(args.graph, _solver_cap())
     res = classify(g)
     payload = {
         "schema": SCHEMA,
@@ -223,9 +215,10 @@ def _run_reduce(args: argparse.Namespace) -> int:
 
 
 def _run_corona(args: argparse.Namespace) -> int:
+    # the formula solves H itself, so H is held to the solver cap
     cap = 4 * _solver_cap()
     g = _load_graph(args.graph_g, cap)
-    h = _load_graph(args.graph_h, cap)
+    h = _load_graph(args.graph_h, _solver_cap())
     _check_cap(g.n * (h.n + 1), cap)  # the corona's order, before building it
     value, co = corona_value(g, h)
     payload = {

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -74,15 +74,23 @@ def max_degree(g: Graph) -> int:
     return g.max_degree
 
 
+def _connected(nbr: Sequence[int]) -> bool:
+    """Whether the graph with neighbour masks nbr is connected, by a
+    breadth-first search from vertex 0 over the masks."""
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << len(nbr)) - 1
+
+
 def is_connected(g: Graph) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in g.adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return _connected(g.nbr_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +221,7 @@ ANCHORED: dict[str, Anchored] = {
 def anchored(tag: str, *args) -> Graph:
     """Build the ANCHORED family `tag` from its subcase, if it has subcases,
     then its block sizes; trailing blocks left out are empty, and a negative
-    size counts as 0 vertices."""
+    size is rejected."""
     fam = ANCHORED[tag]
     sub, sizes = (args[0], args[1:]) if fam.subcases else (None, args)
     _checked(FamilySpec(tag, sizes, sub))
@@ -221,16 +229,19 @@ def anchored(tag: str, *args) -> Graph:
     if rule is None:
         raise GraphError(f"unknown {tag} subcase: {sub!r}")
     sizes += (0,) * (len(fam.blocks) - len(sizes))
+    names = [f"V_{''.join('abc'[i] for i in block)}" for block in fam.blocks]
+    for name, size in zip(names, sizes):
+        if size < 0:
+            raise GraphError(f"{tag} block {name} has negative size {size}")
     if not rule(*sizes):
-        named = ", ".join(f"V_{''.join('abc'[i] for i in block)}={size}"
-                          for block, size in zip(fam.blocks, sizes))
+        named = ", ".join(f"{name}={size}" for name, size in zip(names, sizes))
         where = f" subcase {sub}" if sub else ""
         raise GraphError(f"{tag}{where} rejects the block sizes {named}")
     edges, n = list(fam.edges), fam.k
     for block, size in zip(fam.blocks, sizes):
         for u in range(n, n + size):
             edges += [(a, u) for a in block]
-        n += max(size, 0)
+        n += size
     return build(n, edges)
 
 
@@ -383,8 +394,9 @@ def family(spec: FamilySpec) -> Graph:
 def spec_order(spec: FamilySpec) -> int:
     """Vertex count of family(spec), computed without building anything.
 
-    A negative size counts as 0, as it does for an h-family block, so the
-    result bounds what family(spec) allocates; the other families reject it.
+    Every family rejects a negative size; it counts as 0 here, so it cannot
+    offset a large size in the sum and the result bounds what family(spec)
+    allocates.
     """
     fam = _checked(spec)
     if fam.inner:
@@ -494,21 +506,11 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         nbr = [0] * n
-        for i in range(len(pairs)):
+        for i, (u, v) in enumerate(pairs):
             if mask >> i & 1:
-                u, v = pairs[i]
                 nbr[u] |= 1 << v
                 nbr[v] |= 1 << u
-        seen = 1
-        stack = [0]
-        while stack:
-            w = nbr[stack.pop()] & ~seen
-            while w:
-                b = w & -w
-                seen |= b
-                stack.append(b.bit_length() - 1)
-                w ^= b
-        if seen == (1 << n) - 1:
+        if _connected(nbr):
             yield _graph_from_mask(n, pairs, mask)
 
 
@@ -623,9 +625,13 @@ def sample_trees(n: int, count: int, seed: int) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 
 
+def edge_list_lines(text: str) -> list[str]:
+    """The stripped lines of edge-list text that are neither blank nor '#' comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
 def from_edge_list_text(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = edge_list_lines(text)
     if not lines:
         raise GraphError("empty graph text: expected 'n m' header")
     head = lines[0].split()

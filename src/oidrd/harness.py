@@ -8,7 +8,8 @@ canonically before emission).  Pool workers send a graph's text back only
 with a violation.  The trees campaign sends its workers chunks of Prufer
 sequences, which they decode straight into the forest routes' input, so no
 tree is built as a graph unless it violates the bound; the other campaigns
-send each graph as (n, edges) and the worker rebuilds it.
+send each Graph their enumerator or sampler built, and the worker checks it
+as it is.
 """
 
 from __future__ import annotations
@@ -107,14 +108,6 @@ def csv_summary(reports: list[AuditReport]) -> str:
     return buf.getvalue()
 
 
-def _payload(g: G.Graph) -> tuple:
-    return g.n, tuple(g.edges())
-
-
-def _graph(payload: tuple) -> G.Graph:
-    return G.build(payload[0], payload[1])
-
-
 def _violations(g: G.Graph, items: list[tuple]) -> list[tuple]:
     """(graph text, claim, lhs, rhs) per failed claim.  Workers render the
     graph text only here, so an instance with no violation sends none back."""
@@ -181,8 +174,7 @@ def sandwich(g: G.Graph) -> Sandwich:
                     solve_oidrd(g).value)
 
 
-def _bounds_check(payload: tuple) -> tuple:
-    g = _graph(payload)
+def _bounds_check(g: G.Graph) -> tuple:
     s = sandwich(g)
     items = []
     if s.gamma_oidr > s.upper:
@@ -198,9 +190,8 @@ def audit_bounds(max_n: int = 5, *, workers: int | None = None) -> AuditReport:
     if not 2 <= max_n <= 6:
         raise ValueError("audit_bounds supports 2 <= max_n <= 6")
     t0 = time.monotonic()
-    payloads = (_payload(g) for n in range(2, max_n + 1)
-                for g in G.enumerate_connected_graphs(n))
-    results = _map_instances(_bounds_check, payloads, workers)
+    graphs = (g for n in range(2, max_n + 1) for g in G.enumerate_connected_graphs(n))
+    results = _map_instances(_bounds_check, graphs, workers)
     violations = [Violation(*v) for vs in results for v in vs]
     return _report("bounds", {"max_n": max_n}, len(results), violations, t0)
 
@@ -210,8 +201,7 @@ def audit_bounds(max_n: int = 5, *, workers: int | None = None) -> AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def _characterization_check(payload: tuple) -> tuple:
-    g = _graph(payload)
+def _characterization_check(g: G.Graph) -> tuple:
     res = classify(g)
     value = solve_oidrd(g).value
     items = []
@@ -235,16 +225,9 @@ def audit_characterization(max_n: int = 6, *, n7_samples: int = 300, seed: int =
     if n7_samples < 0:
         raise ValueError(f"n7_samples must be at least 0, got {n7_samples}")
     t0 = time.monotonic()
-
-    def payloads():
-        for n in range(3, max_n + 1):
-            for g in G.enumerate_connected_graphs(n):
-                yield _payload(g)
-        if n7_samples:
-            for g in G.sample_connected_graphs(7, n7_samples, seed):
-                yield _payload(g)
-
-    results = _map_instances(_characterization_check, payloads(), workers)
+    graphs = chain((g for n in range(3, max_n + 1) for g in G.enumerate_connected_graphs(n)),
+                   G.sample_connected_graphs(7, n7_samples, seed))
+    results = _map_instances(_characterization_check, graphs, workers)
     violations = [Violation(*v) for _, vs in results for v in vs]
     counts: dict[str, int] = {}
     for value_class, _ in results:
@@ -261,8 +244,7 @@ def audit_characterization(max_n: int = 6, *, n7_samples: int = 300, seed: int =
 # ---------------------------------------------------------------------------
 
 
-def _reduction_check(payload: tuple) -> tuple:
-    g = _graph(payload)
+def _reduction_check(g: G.Graph) -> tuple:
     rep = verify_identity(g)
     items = []
     notes = []
@@ -286,16 +268,10 @@ def audit_reduction(max_n: int = 5, *, samples_n5: int = 50, seed: int = 0,
     if samples_n5 < 0:
         raise ValueError(f"samples_n5 must be at least 0, got {samples_n5}")
     t0 = time.monotonic()
-
-    def payloads():
-        for n in range(1, min(max_n, 4) + 1):
-            for g in G.enumerate_graphs(n):
-                yield _payload(g)
-        if max_n >= 5 and samples_n5:
-            for g in G.sample_connected_graphs(5, samples_n5, seed, max_deg=3):
-                yield _payload(g)
-
-    results = _map_instances(_reduction_check, payloads(), workers)
+    sampled = G.sample_connected_graphs(5, samples_n5, seed, max_deg=3) if max_n >= 5 else ()
+    graphs = chain((g for n in range(1, min(max_n, 4) + 1) for g in G.enumerate_graphs(n)),
+                   sampled)
+    results = _map_instances(_reduction_check, graphs, workers)
     violations = [Violation(*v) for vs, _ in results for v in vs]
     notes = [n for _, ns in results for n in ns]
     return _report("reduction", {"max_n": max_n, "samples_n5": samples_n5, "seed": seed},

@@ -97,22 +97,20 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class _Problem:
-    # zero_mode: 0 = none, 1 = needs a 1-neighbor, 2 = needs a 2-neighbor,
-    # 3 = needs a 3-neighbor or two 2-neighbors; descending: the search
-    # tries labels high to low
+    # zero_mode: 0 = none (the cover, searched 1 before 0), 1 = needs a
+    # 1-neighbor, 2 = needs a 2-neighbor, 3 = needs a 3-neighbor or two
+    # 2-neighbors, and a 1 then needs a neighbor labeled 2 or 3
     base: int
     oi: bool
     zero_mode: int
-    one_ge2: bool
-    descending: bool = False
 
 
-_OIDR = _Problem(4, True, 3, True)
-_DR = _Problem(4, False, 3, True)
-_OIR = _Problem(3, True, 2, False)
-_R = _Problem(3, False, 2, False)
-_DOM = _Problem(2, False, 1, False)
-_COVER = _Problem(2, True, 0, False, descending=True)
+_OIDR = _Problem(4, True, 3)
+_DR = _Problem(4, False, 3)
+_OIR = _Problem(3, True, 2)
+_R = _Problem(3, False, 2)
+_DOM = _Problem(2, False, 1)
+_COVER = _Problem(2, True, 0)
 
 
 def _indicator(g: Graph, f: Labeling | Sequence[int]) -> tuple[int, ...] | None:
@@ -591,7 +589,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
         labels_0123(0, 0, 0, 0, 0, 0, 0, 0)
     elif prob.base == 3:
         labels_012(0, 0, 0, 0, 0)
-    elif prob.descending:
+    elif prob.zero_mode == 0:
         labels_10(0, 0, 0, 0)
     else:
         labels_01(0, 0, 0, 0)
@@ -897,8 +895,8 @@ def _column(prob: _Problem, planes: list, v: int, nbrs) -> np.ndarray:
     if prob.oi:
         ok0 = ok0 & ~zeros
     col = ~planes[v][0] | ok0
-    if prob.one_ge2:
-        # a 1 needs a neighbour labeled 2 or 3 (one_ge2 implies zero_mode 3)
+    if zmode == 3:
+        # a 1 needs a neighbour labeled 2 or 3
         col &= ~planes[v][1] | one | three
     return col
 

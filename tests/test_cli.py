@@ -313,6 +313,26 @@ def test_corona_order_is_capped_before_build(capsys, monkeypatch):
     assert code == 0 and "c0=6" in out
 
 
+def test_corona_copy_graph_is_held_to_the_solver_cap(capsys, monkeypatch):
+    # the formula solves H on its own, so an H above the solver cap would hang
+    monkeypatch.setattr(cli, "corona_value", _unreachable)
+    code, _, err = run_cli(capsys, "corona", "path:1", "cycle:40")
+    assert code == 2 and "above the solver cap" in err and "40 vertices" in err
+
+
+def test_edge_list_may_start_with_a_comment(capsys, tmp_path):
+    f = tmp_path / "p3.txt"
+    f.write_text("# a path\n3 2\n0 1\n1 2\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "solve", str(f), "--json")
+    assert code == 0 and json.loads(out)["gamma_oidr"] == 3
+
+
+def test_commented_edge_list_header_is_capped_before_build(capsys, monkeypatch):
+    monkeypatch.setattr(G, "build", _unreachable)
+    code, _, err = run_cli(capsys, "solve", "# c\n100 0")
+    assert code == 2 and "100 vertices" in err
+
+
 _ALL_THREES = {"gamma_oidr": [("3,3,3,3", True)], "gamma_dr": [("3,3,3,3", True)],
                "gamma_oir": [("2,2,2,2", True), ("2,2,2,3", False)],
                "gamma_r": [("2,2,2,2", True), ("3,2,2,2", False)],

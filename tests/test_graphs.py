@@ -41,6 +41,22 @@ def test_connectivity_queries():
     assert G.max_degree(G.star(5)) == 5
 
 
+def _dfs_connected(g):
+    seen, stack = {0}, [0]
+    while stack:
+        for w in g.adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == g.n
+
+
+def test_is_connected_agrees_with_a_plain_dfs():
+    # every labeled graph with n <= 5, the disconnected ones and n = 1 included
+    for n in range(1, 6):
+        for g in G.enumerate_graphs(n):
+            assert G.is_connected(g) == _dfs_connected(g), (n, g.edges())
+
+
 def test_g3_with_two_common_neighbors_is_a_four_cycle():
     assert isomorphic(G.g3(2), G.cycle(4))
 
@@ -113,9 +129,9 @@ def test_h_family_generators_validate_subcases():
 
 
 # sha256 of repr((tag, subcase, params, (n, edges()) or None if rejected)) for
-# every g/h spec with each block size in -1..2, as the nine hand-written
-# builders produced them
-_FAMILY_DIGEST = "6eb2953fc17d12f197d7994c64da3b63564521a4f4058c6a09853a55ec00a326"
+# every g/h spec with each block size in 0..2, as the nine hand-written
+# builders produced them; a spec with a size of -1 must raise instead
+_FAMILY_DIGEST = "f4b30524cd4bc41845678f2534b28245372c73283b6f7367a31098523c2d1bbf"
 
 
 def test_g_and_h_builders_are_pinned():
@@ -125,13 +141,29 @@ def test_g_and_h_builders_are_pinned():
         for sub in fam.subcases or (None,):
             for count in range(fam.least, fam.most + 1):
                 for params in product(range(-1, 3), repeat=count):
+                    spec = G.FamilySpec(tag, params, sub)
+                    if min(params, default=0) < 0:
+                        with pytest.raises(GraphError, match="negative size"):
+                            G.family(spec)
+                        continue
                     try:
-                        g = G.family(G.FamilySpec(tag, params, sub))
+                        g = G.family(spec)
                         built = (g.n, g.edges())
                     except GraphError:
                         built = None
                     digest.update(repr((tag, sub, params, built)).encode())
     assert digest.hexdigest() == _FAMILY_DIGEST
+
+
+def test_negative_block_size_is_named():
+    # the H1 b1 rule alone would read V_ab = -1 as nonempty and build G2
+    with pytest.raises(GraphError, match="h1 block V_ab has negative size -1"):
+        G.h1("b1", 1, -1)
+    # the size cap still counts a negative size as 0
+    spec = G.parse_family_spec("h1:a1,2,0,0,-3")
+    assert G.spec_order(spec) == 5
+    with pytest.raises(GraphError, match="V_b has negative size -3"):
+        G.family(spec)
 
 
 def test_family_dispatch_and_dsl():
@@ -247,7 +279,7 @@ def test_edge_list_parse_errors():
 
 _SPECS = ["path:1", "path:6", "cycle:5", "complete:4", "empty:3", "star:5", "dstar:2,3",
           "double_star:1,1", "kbipartite:3,7", "kpartite:1,2,3", "g1:2,1", "g2:1", "g3:4",
-          "h1:a1,2", "h1:c1,1,2,3,4", "h1:a1,2,0,0,-3", "h2:b2,0,1,1,2", "h3:1,1", "h4:b4,2,1",
+          "h1:a1,2", "h1:c1,1,2,3,4", "h1:a1,2,0,0,3", "h2:b2,0,1,1,2", "h3:1,1", "h4:b4,2,1",
           "h5:a5,1,1", "h6:b6,3", "sharph:2,2,2", "sharph:3,2,4,2",
           "corona(path:2,empty:2)", "corona(cycle:3,star:2)", "gadget(path:3)",
           "gadget(corona(path:2,star:1))", "corona(gadget(path:1),path:2)"]

@@ -75,6 +75,26 @@ def test_trees_campaign_builds_only_the_even_path_anchors(monkeypatch):
     assert built == [2, 4, 6]
 
 
+@pytest.mark.parametrize("campaign,builds_per_instance", [
+    pytest.param(lambda: H.audit_bounds(4, workers=1), 1, id="bounds"),
+    pytest.param(lambda: H.audit_characterization(4, n7_samples=0, workers=1), 1,
+                 id="characterization"),
+    # the worker builds each instance's gadget as well
+    pytest.param(lambda: H.audit_reduction(4, workers=1), 2, id="reduction"),
+])
+def test_graph_campaigns_build_each_instance_once(monkeypatch, campaign, builds_per_instance):
+    built = []
+    build = G.build
+
+    def counting_build(n, edges):
+        built.append(n)
+        return build(n, edges)
+
+    monkeypatch.setattr(G, "build", counting_build)
+    r = campaign()
+    assert r.status == "pass" and len(built) == builds_per_instance * r.instances_checked
+
+
 def test_trees_campaign_scores_every_tree_of_a_partial_last_chunk(monkeypatch):
     scored = Counter()
     check = H._tree_check
