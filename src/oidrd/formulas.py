@@ -107,15 +107,19 @@ def _direct_four_way_minimum(g: Graph, co: CoronaCoefficients) -> int:
     return best
 
 
-def corona_formula(g: Graph, hb: InvariantBundle, h_n: int, h_max_degree: int) -> int:
-    """Exact gamma_oidR of the corona of g with an h_n-vertex graph H whose
-    invariants are hb, valid when H has maximum degree at most h_n - 2."""
+def _check_corona_domain(g: Graph, h_n: int, h_max_degree: int) -> None:
     if h_max_degree > h_n - 2:
         raise FormulaError(
             f"corona formula requires max degree of H at most its order minus two "
             f"(got degree {h_max_degree} with order {h_n})")
     if g.n > CORONA_BASE_CAP:
         raise FormulaError(f"corona formula capped at base graphs with n <= {CORONA_BASE_CAP}")
+
+
+def corona_formula(g: Graph, hb: InvariantBundle, h_n: int, h_max_degree: int) -> int:
+    """Exact gamma_oidR of the corona of g with an h_n-vertex graph H whose
+    invariants are hb, valid when H has maximum degree at most h_n - 2."""
+    _check_corona_domain(g, h_n, h_max_degree)
     co = CoronaCoefficients.from_bundle(hb, h_n)
     value = _min_over_independent_zero_sets(g, co)
     if g.n <= 8:
@@ -128,7 +132,9 @@ def corona_formula(g: Graph, hb: InvariantBundle, h_n: int, h_max_degree: int) -
 
 
 def corona_value(g: Graph, h: Graph) -> tuple[int, CoronaCoefficients]:
-    """Convenience wrapper: compute H's invariants and apply the corona formula."""
+    """Convenience wrapper: compute H's invariants and apply the corona
+    formula; the formula's domain is checked before H is solved."""
+    _check_corona_domain(g, h.n, h.max_degree)
     hb = bundle(h)
     value = corona_formula(g, hb, h.n, h.max_degree)
     return value, CoronaCoefficients.from_bundle(hb, h.n)

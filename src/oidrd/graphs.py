@@ -70,10 +70,6 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(frozenset(s) for s in nbrs), m)
 
 
-def max_degree(g: Graph) -> int:
-    return g.max_degree
-
-
 def _connected(nbr: Sequence[int]) -> bool:
     """Whether the graph with neighbour masks nbr is connected, by a
     breadth-first search from vertex 0 over the masks."""

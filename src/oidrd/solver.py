@@ -1,14 +1,17 @@
 """Exact solvers for the domination invariants.
 
 Every parameter has two independent routes: a branch-and-bound engine
-(pure Python, usable at desk scale) and a vectorized full-enumeration
-oracle capped at n <= 12, used to cross-validate values and witnesses.
-The oracle keeps one bit-packed plane per vertex and label over all base^n
-labelings.  One bitwise kernel turns the planes of a vertex and its
-neighbours into that vertex's packed validity column, and a graph's valid set
-is the AND of its n columns.  Columns are memoized per neighbourhood while
-base^n <= _MEMO_LIMIT; above _CACHE_LIMIT labelings the scan runs in chunks
-under fixed label prefixes, whose vertices get constant planes.
+(pure Python, usable at desk scale) and a full-enumeration oracle capped at
+n <= 12, used to cross-validate values and witnesses.  The oracle holds a
+set of labelings as a Python int, bit i for the i-th of the base^n
+labelings in lex order: one plane per vertex and label, and one set per
+weight.  One bitwise kernel turns the planes of a vertex and its neighbours
+into that vertex's validity column, and a graph's valid set is the AND of
+its n columns.  The least weight whose set meets it is the value, and its
+lowest bit the lex-first optimum (for beta the highest bit, the lex-largest
+minimum cover).  Columns are memoized per neighbourhood while base^n <=
+_MEMO_LIMIT; above _CACHE_LIMIT labelings the scan runs in chunks under
+fixed label prefixes, whose vertices get constant planes.
 On forests, gamma_oidr and beta have a third, value-only route in linear
 time: a bottom-up dynamic program over the labels (`tree_oidrd`) and greedy
 leaf matching (`tree_beta`).
@@ -58,8 +61,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .graphs import Graph, GraphError
 from .labeling import (Labeling, _check_size, _values, is_drd, is_oidrd, is_oird, is_rd,
                        weight, zeros_independent)
@@ -67,7 +68,6 @@ from .labeling import (Labeling, _check_size, _values, is_drd, is_oidrd, is_oird
 BRUTE_FORCE_CAP = 12
 _CACHE_LIMIT = 1 << 18  # labelings per oracle chunk
 _MEMO_LIMIT = 1 << 12  # oracle columns are memoized while base^n <= this
-_NO_SCORE = np.iinfo(np.int16).max  # above every labeling weight
 _BOUND_MEMO_LIMIT = 1 << 16  # memoized bounds kept per search
 _last_plan: list | None = None  # _search_plan of the last graph
 
@@ -144,9 +144,8 @@ def is_independent_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
 # The seven invariants, in report order: name -> (the problem both exact
 # routes solve, the name of the predicate that certifies a labeling).  The
 # predicate is looked up when a labeling is checked, so rebinding it here
-# reaches every route.  Two rows are read off another search: the engine's
-# alpha is the complement of its cover search, and the oracle's beta the
-# complement of its independent-set scan.
+# reaches every route.  One row is read off another search: on both routes
+# alpha is the complement of beta's witness, the lex-largest minimum cover.
 INVARIANTS: dict[str, tuple[_Problem, str]] = {
     "gamma_oidr": (_OIDR, "is_oidrd"),
     "gamma_dr": (_DR, "is_drd"),
@@ -622,9 +621,10 @@ def _solve_min(g: Graph, name: str) -> SolveResult:
 
 def solve_oidrd(g: Graph, *, count_optimal: bool = False) -> SolveResult:
     """Exact outer independent double Roman domination number with witness."""
+    if count_optimal:
+        _check_brute_cap(g)  # before the search, which can take long above the cap
     res = _solve_min(g, "gamma_oidr")
     if count_optimal:
-        _check_brute_cap(g)
         n_opt = sum(1 for _ in _iter_optimal_indices(g, _OIDR, res.value))
         return replace(res, optimal_count=n_opt)
     return res
@@ -823,100 +823,102 @@ def _leaf_matching(order: list[int], parent: list[int]) -> int:
 # ---------------------------------------------------------------------------
 # Full-enumeration oracles (independent of the engine above)
 #
-# The base^n labelings are indexed in lex order, vertex 0 most significant.
-# planes[v][x] is the bit-packed column (np.packbits, 8 labelings per byte) of
-# "v is labeled x".  Each vertex's constraint is one packed column built with
+# The base^n labelings are indexed in lex order, vertex 0 most significant,
+# and a set of labelings is a Python int whose bit i is labeling i.
+# planes[v][x] is the set where v is labeled x, and weights[w] the set of
+# labelings of weight w.  Each vertex's constraint is one column built with
 # bitwise ops from the planes of v and its neighbours (_column); a graph's
-# valid set is the AND of its n columns, unpacked once.  While base^n <=
-# _MEMO_LIMIT, columns are memoized per (problem, n, v, neighbourhood mask).
-# Above _CACHE_LIMIT labelings the scan runs in chunks: the cached planes of
-# the last k vertices under each fixed prefix of the first n - k labels,
-# whose vertices get constant planes, so the same kernel runs in every chunk.
+# valid set is the AND of its n columns.  While base^n <= _MEMO_LIMIT,
+# columns are memoized per (problem, n, v, neighbourhood mask).  Above
+# _CACHE_LIMIT labelings the scan runs in chunks: the cached tables of the
+# last k vertices under each fixed prefix of the first n - k labels, whose
+# vertices get constant planes, so the same kernel runs in every chunk.
 # ---------------------------------------------------------------------------
 
-_NONE = np.uint8(0)
-_ALL = np.uint8(0xFF)
-# the planes of a vertex with a fixed label d, indexed by label
-_CONSTANT_PLANES = [tuple(_ALL if x == d else _NONE for x in range(4)) for d in range(4)]
-_plane_cache: dict[tuple[int, int], dict] = {}
-_column_memo: dict[tuple[_Problem, int], dict[tuple[int, int], np.ndarray]] = {}
+# seeded with the tables of no vertices: one labeling, of weight 0
+_table_cache: dict[tuple[int, int], tuple[list, list[int]]] = {(b, 0): ([], [1]) for b in (2, 3, 4)}
+_column_memo: dict[tuple[_Problem, int], dict[tuple[int, int], int]] = {}
 
 
-def _cached_tables(base: int, n: int) -> dict:
-    key = (base, n)
-    t = _plane_cache.get(key)
+def _tables(base: int, n: int) -> tuple[list, list[int]]:
+    """(planes, weights) of the base^n labelings, built from the tables of
+    the last n - 1 vertices: the labelings with vertex 0 labeled x are block
+    x, those tables shifted up by x base^(n-1)."""
+    t = _table_cache.get((base, n))
     if t is None:
-        weight = np.zeros(base ** n, dtype=np.int16)
-        planes = []
-        for v in range(n):
-            # v's label along the lex order: each label base^(n-1-v) times in
-            # a row, that block repeated base^v times
-            digit = np.tile(np.arange(base, dtype=np.int8).repeat(base ** (n - 1 - v)), base ** v)
-            planes.append(tuple(np.packbits(digit == x) for x in range(base)))
-            weight += digit
-        t = _plane_cache[key] = {"planes": planes, "weight": weight}
+        planes, weights = _tables(base, n - 1)
+        size = base ** (n - 1)
+        shifts = [x * size for x in range(base)]
+        # the blocks are disjoint, so each sum is their union; a labeling of
+        # weight w in block x has weight w - x in the smaller table
+        t = _table_cache[(base, n)] = (
+            [tuple(((1 << size) - 1) << sh for sh in shifts)]
+            + [tuple(sum(p << sh for sh in shifts) for p in pv) for pv in planes],
+            [sum(weights[w - x] << shifts[x] for x in range(base) if 0 <= w - x < len(weights))
+             for w in range(len(weights) + base - 1)])
     return t
 
 
-def _chunks(base: int, n: int) -> Iterator[tuple[int, list, np.ndarray, int]]:
+def _chunks(base: int, n: int) -> Iterator[tuple[int, list, list[int], int, int]]:
     """All base^n labelings in lex order, as (index of the first, planes,
-    weights, weight offset) chunks: the cached planes and weights of the last
+    weights, weight offset, full set) chunks: the cached tables of the last
     k vertices under each fixed prefix of the first n - k labels.  A prefix
-    vertex labeled d gets the constant planes _ALL for d and _NONE for every
-    other label; the offset is the prefix's weight."""
+    vertex labeled d gets the constant planes, the full set for d and the
+    empty set for every other label; the offset is the prefix's weight."""
     k = n
     while base ** k > _CACHE_LIMIT:
         k -= 1
-    t = _cached_tables(base, k)
+    planes, weights = _tables(base, k)
+    full = (1 << base ** k) - 1
+    constant = [tuple(full if x == d else 0 for x in range(base)) for d in range(base)]
     for p in range(base ** (n - k)):
         prefix = _decode(p, base, n - k)
-        yield (p * base ** k, [_CONSTANT_PLANES[d] for d in prefix] + t["planes"],
-               t["weight"], sum(prefix))
+        yield p * base ** k, [constant[d] for d in prefix] + planes, weights, sum(prefix), full
 
 
-def _column(prob: _Problem, planes: list, v: int, nbrs) -> np.ndarray:
-    """Packed column of the labelings that meet v's constraint, from the
-    planes of v and of its neighbours nbrs."""
+def _column(prob: _Problem, planes: list, full: int, v: int, nbrs) -> int:
+    """The labelings that meet v's constraint, from the planes of v and of
+    its neighbours nbrs; full is the set of all labelings."""
     zmode = prob.zero_mode
-    one = two = three = zeros = _NONE
+    one = two = three = zeros = 0
     for w in nbrs:
         pw = planes[w]
         if prob.oi:
-            zeros = zeros | pw[0]
+            zeros |= pw[0]
         if zmode == 3:
             # running accumulators: some / at least two neighbours labeled 2
-            two = two | (one & pw[2])
-            one = one | pw[2]
-            three = three | pw[3]
+            two |= one & pw[2]
+            one |= pw[2]
+            three |= pw[3]
         elif zmode:
-            one = one | pw[zmode]  # the label a 0 needs next to it
+            one |= pw[zmode]  # the label a 0 needs next to it
     # a 0 needs its zero_mode support and, with oi, no neighbour labeled 0
-    ok0 = (three | two) if zmode == 3 else one if zmode else _ALL
+    ok0 = (three | two) if zmode == 3 else one if zmode else full
     if prob.oi:
-        ok0 = ok0 & ~zeros
-    col = ~planes[v][0] | ok0
+        ok0 &= full ^ zeros
+    col = (full ^ planes[v][0]) | ok0
     if zmode == 3:
         # a 1 needs a neighbour labeled 2 or 3
-        col &= ~planes[v][1] | one | three
+        col &= (full ^ planes[v][1]) | one | three
     return col
 
 
-def _scan(g: Graph, prob: _Problem) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
-    """(index of the first labeling, valid mask, weights, weight offset) for
+def _scan(g: Graph, prob: _Problem) -> Iterator[tuple[int, int, list[int], int]]:
+    """(index of the first labeling, valid set, weights, weight offset) for
     each chunk of the base^n labelings of g, in lex order."""
     n = g.n
     memo = _column_memo.setdefault((prob, n), {}) if prob.base ** n <= _MEMO_LIMIT else None
-    for start, planes, wt, offset in _chunks(prob.base, n):
-        valid = _ALL
+    for start, planes, weights, offset, full in _chunks(prob.base, n):
+        valid = full
         for v, mask in enumerate(g.nbr_masks):
             if memo is None:
-                col = _column(prob, planes, v, g.adj[v])
+                col = _column(prob, planes, full, v, g.adj[v])
             else:
                 col = memo.get((v, mask))
                 if col is None:
-                    col = memo[(v, mask)] = _column(prob, planes, v, g.adj[v])
-            valid &= col  # the first AND rebinds the scalar to a new array
-        yield start, np.unpackbits(valid, count=wt.size).view(bool), wt, offset
+                    col = memo[(v, mask)] = _column(prob, planes, full, v, g.adj[v])
+            valid &= col
+        yield start, valid, weights, offset
 
 
 def _decode(idx: int, base: int, n: int) -> tuple[int, ...]:
@@ -928,21 +930,24 @@ def _brute_min(g: Graph, prob: _Problem) -> tuple[int, tuple[int, ...]]:
     weight and the first labeling attaining it."""
     best: int | None = None
     best_idx = -1
-    for start, valid, wt, offset in _scan(g, prob):
-        scores = np.where(valid, wt, _NO_SCORE)
-        i = int(scores.argmin())  # the first minimum
-        m = int(scores[i]) + offset
-        if valid[i] and (best is None or m < best):
-            best, best_idx = m, start + i
+    for start, valid, weights, offset in _scan(g, prob):
+        # the chunk's least weight, and its lowest labeling of that weight
+        w = next((w for w, s in enumerate(weights) if s & valid), None)
+        if w is not None and (best is None or w + offset < best):
+            hit = weights[w] & valid
+            best, best_idx = w + offset, start + (hit & -hit).bit_length() - 1
     if best is None:
         raise CertificationError("full enumeration found no valid labeling")
     return best, _decode(best_idx, prob.base, g.n)
 
 
 def _iter_optimal_indices(g: Graph, prob: _Problem, value: int) -> Iterator[int]:
-    for start, valid, wt, offset in _scan(g, prob):
-        for i in np.flatnonzero(valid & (wt == value - offset)):
-            yield start + int(i)
+    for start, valid, weights, offset in _scan(g, prob):
+        hit = valid & weights[value - offset] if 0 <= value - offset < len(weights) else 0
+        while hit:  # the set bits, ascending
+            low = hit & -hit
+            yield start + low.bit_length() - 1
+            hit ^= low
 
 
 def _check_brute_cap(g: Graph) -> None:
@@ -962,35 +967,29 @@ def brute_force_oidrd(g: Graph) -> SolveResult:
     return _brute_result(g, "gamma_oidr")
 
 
-def _independent_sets(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(valid mask, weights) of the 2^n 0/1 indicators in lex order, valid
-    where the 1-set is independent.  An indicator is independent iff its
-    complement is a vertex cover, and complementing maps lex index i to
-    2^n - 1 - i, so this is the cover scan read backwards (one chunk, since
-    2^n <= _CACHE_LIMIT for n <= BRUTE_FORCE_CAP)."""
-    _, cover, wt, _ = next(_scan(g, _COVER))
-    return cover[::-1], wt
+def brute_force_beta(g: Graph) -> SolveResult:
+    """Oracle twin of solve_beta: scan of 2^n indicators (one chunk, since
+    2^n <= _CACHE_LIMIT for n <= BRUTE_FORCE_CAP); the witness is the
+    highest set bit of the minimum-weight cover set, the lex-largest
+    minimum cover."""
+    _check_brute_cap(g)
+    (_, cover, weights, _), = _scan(g, _COVER)
+    value = next(w for w, s in enumerate(weights) if s & cover)
+    idx = (weights[value] & cover).bit_length() - 1
+    return SolveResult(value, Labeling(_decode(idx, 2, g.n)), node_count=2 ** g.n)
 
 
 def brute_force_alpha(g: Graph) -> SolveResult:
-    """Oracle twin of solve_alpha: scan of 2^n indicators, first maximum wins."""
-    _check_brute_cap(g)
-    valid, wt = _independent_sets(g)
-    scores = np.where(valid, wt, -1)
-    idx = int(scores.argmax())  # the first maximum
-    return SolveResult(int(scores[idx]), Labeling(_decode(idx, 2, g.n)), node_count=wt.size)
+    """Oracle twin of solve_alpha: n - beta, witness = complement of the
+    beta oracle witness, the lex-smallest maximum independent set."""
+    b = brute_force_beta(g)
+    comp = tuple(1 - x for x in b.witness.values)
+    return SolveResult(g.n - b.value, Labeling(comp), node_count=b.node_count)
 
 
-def brute_force_beta(g: Graph) -> SolveResult:
-    """Oracle twin of solve_beta: n - alpha, witness = complement of the
-    alpha oracle witness."""
-    a = brute_force_alpha(g)
-    comp = tuple(1 - x for x in a.witness.values)
-    return SolveResult(g.n - a.value, Labeling(comp), node_count=a.node_count)
-
-
-# the full scan of each row's problem, but alpha and beta read the
-# independent-set scan; callers look entries up when they call, so one can be swapped
+# the full scan of each row's problem, but beta keeps the last minimum cover
+# and alpha complements it; callers look entries up when they call, so one
+# can be swapped
 BRUTE_SOLVERS = {name: partial(_brute_result, name=name) for name in INVARIANTS}
 BRUTE_SOLVERS.update(alpha=brute_force_alpha, beta=brute_force_beta)
 

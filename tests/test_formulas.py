@@ -92,3 +92,13 @@ def test_corona_formula_matches_direct_solve():
             expected = S.solve_oidrd(G.corona(g, h)).value
             got, _ = F.corona_value(g, h)
             assert got == expected, (G.to_edge_list_text(g), G.to_edge_list_text(h))
+
+
+def test_corona_domain_is_checked_before_h_is_solved(monkeypatch):
+    def no_bundle(h):
+        raise AssertionError("H solved before the formula's domain was checked")
+    monkeypatch.setattr(F, "bundle", no_bundle)
+    with pytest.raises(F.FormulaError, match="order minus two"):
+        F.corona_value(G.path(1), G.corona(G.path(1), G.cycle(22)))
+    with pytest.raises(F.FormulaError, match="base graphs with n <= 20"):
+        F.corona_value(G.path(F.CORONA_BASE_CAP + 1), G.empty(2))

@@ -7,7 +7,6 @@ import textwrap
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -237,8 +236,8 @@ def _labeling_sample(rng, valid, base, n):
     for _ in range(300):
         w = [rng.random() ** 2 for _ in range(base)]
         picks.append(sum(rng.choices(range(base), w)[0] * base ** (n - 1 - v) for v in range(n)))
-    accepted = np.flatnonzero(valid)
-    return picks + [int(i) for i in rng.sample(list(accepted), min(100, len(accepted)))]
+    accepted = [i for i, bit in enumerate(bin(valid)[:1:-1]) if bit == "1"]
+    return picks + rng.sample(accepted, min(100, len(accepted)))
 
 
 def test_packed_columns_match_the_predicates():
@@ -248,20 +247,21 @@ def test_packed_columns_match_the_predicates():
         isolated += any(not a for a in g.adj)
         for key, predicate in _LABEL_PREDICATES.items():
             prob = _LABEL_PROBLEMS[key]
-            (_, valid, wt, offset), = S._scan(g, prob)
-            assert offset == 0 and valid.size == prob.base ** g.n
+            (_, valid, weights, offset), = S._scan(g, prob)
+            assert offset == 0 and valid >> prob.base ** g.n == 0
             for idx in _labeling_sample(rng, valid, prob.base, g.n):
                 f = S._decode(idx, prob.base, g.n)
-                assert bool(valid[idx]) == predicate(g, f), (key, G.to_edge_list_text(g), f)
-                assert wt[idx] == sum(f)
-        # 0/1 indicators: the cover scan, and the independent sets alpha reads
-        (_, cover, _, _), = S._scan(g, S._COVER)
-        independent, wt = S._independent_sets(g)
-        for idx in _labeling_sample(rng, independent, 2, g.n):
+                assert bool(valid >> idx & 1) == predicate(g, f), (key, G.to_edge_list_text(g), f)
+                assert weights[sum(f)] >> idx & 1
+        # 0/1 indicators: the cover scan, whose complement index is the
+        # independent set alpha reads
+        (_, cover, weights, _), = S._scan(g, S._COVER)
+        for idx in _labeling_sample(rng, cover, 2, g.n):
             f = S._decode(idx, 2, g.n)
-            assert bool(cover[idx]) == S.is_cover_labeling(g, f), G.to_edge_list_text(g)
-            assert bool(independent[idx]) == S.is_independent_labeling(g, f), G.to_edge_list_text(g)
-            assert wt[idx] == sum(f)
+            assert bool(cover >> idx & 1) == S.is_cover_labeling(g, f), G.to_edge_list_text(g)
+            assert bool(cover >> (2 ** g.n - 1 - idx) & 1) == S.is_independent_labeling(g, f), \
+                G.to_edge_list_text(g)
+            assert weights[sum(f)] >> idx & 1
     assert isolated > 8
 
 
@@ -278,6 +278,40 @@ def test_oracle_without_column_memo_is_unchanged(monkeypatch):
     monkeypatch.setattr(S, "_MEMO_LIMIT", 0)
     assert (results(), optima()) == memoized
     assert not S._column_memo
+
+
+def test_count_optimal_checks_the_cap_before_the_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before the full-enumeration cap was checked")
+    monkeypatch.setattr(S, "_branch_and_bound", no_search)
+    with pytest.raises(ValueError, match="full enumeration capped"):
+        S.solve_oidrd(G.cycle(13), count_optimal=True)
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import oidrd
+from oidrd import cli, graphs as G, solver as S
+
+assert cli.main(["solve", "path:5"]) == 0
+assert S.brute_force_oidrd(G.path(6)).value == 7
+assert [f.values for f in S.enumerate_optimal_oir(G.cycle(5))]
+"""
+
+
+def test_package_runs_without_numpy():
+    src = str(Path(S.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+
+
+def test_optimal_count_skips_chunks_heavier_than_the_value():
+    # n = 11 is scanned in 16 chunks, and most prefixes weigh more than the value 3
+    assert S.solve_oidrd(G.star(10), count_optimal=True).optimal_count == 1
 
 
 def test_balanced_bipartite_optimal_count_is_pinned():
