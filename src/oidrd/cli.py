@@ -66,17 +66,28 @@ def parse_graph(source: str, cap: int) -> G.Graph:
     if len(head) == 2 and all(tok.isdigit() for tok in head):
         _check_cap(int(head[0]), cap)
         return G.from_edge_list_text(s)
-    spec = G.parse_family_spec(s)
-    _check_cap(G.spec_order(spec), cap)
+    spec, order = _parse_spec(s)
+    _check_cap(order, cap)
     return G.family(spec)
+
+
+def _parse_spec(text: str) -> tuple[G.FamilySpec, int]:
+    """The DSL spec in text and its order.  A spec nested too deeply to
+    parse or size is a GraphError, not a RecursionError."""
+    try:
+        spec = G.parse_family_spec(text)
+        return spec, G.spec_order(spec)
+    except RecursionError:
+        raise GraphError("graph spec nested too deeply") from None
 
 
 def _load_graph(arg: str, cap: int) -> G.Graph:
     if arg == "-":
         return parse_graph(sys.stdin.read(), cap)
-    p = Path(arg)
-    if p.exists() and p.is_file():
-        return parse_graph(p.read_text(encoding="utf-8"), cap)
+    # os.path.isfile is False, not an OSError, for an argument too long to
+    # be a file name, such as a long DSL string
+    if os.path.isfile(arg):
+        return parse_graph(Path(arg).read_text(encoding="utf-8"), cap)
     return parse_graph(arg, cap)
 
 
@@ -238,7 +249,7 @@ def _run_corona(args: argparse.Namespace) -> int:
 
 
 def _run_formula(args: argparse.Namespace) -> int:
-    spec = G.parse_family_spec(args.family)
+    spec, _ = _parse_spec(args.family)
     table = {
         "path": lambda p: formula_path(*p),
         "cycle": lambda p: formula_cycle(*p),

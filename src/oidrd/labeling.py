@@ -1,8 +1,10 @@
-"""Vertex labelings with values in {0,1,2,3} and the Roman-family validity predicates.
+"""Vertex labelings with values in {0,1,2,3} and the validity predicates of
+the seven invariants: the four Roman-type conditions, and the 0/1
+dominating, cover and independent sets.
 
 All predicates are total over well-formed inputs: semantic failures return
-False (a 3 in a Roman labeling among them), only structural mismatches (wrong
-length, a value outside 0..3) raise.
+False (a 3 in a Roman labeling or a 2 in a 0/1 labeling among them), only
+structural mismatches (wrong length, a value outside 0..3) raise.
 """
 
 from __future__ import annotations
@@ -140,3 +142,31 @@ def is_rd(g: Graph, f: Labeling | Sequence[int]) -> bool:
 def is_oird(g: Graph, f: Labeling | Sequence[int]) -> bool:
     """Outer independent Roman domination: is_rd plus an independent 0-class."""
     return zeros_independent(g, f) and is_rd(g, f)
+
+
+def _indicator(g: Graph, f: Labeling | Sequence[int]) -> tuple[int, ...] | None:
+    """The values of f if they are all 0 or 1, else None.  Raises
+    LabelingError unless f has one label in 0..3 per vertex of g."""
+    vals = _values(f)
+    _check_size(g, vals)
+    return vals if max(vals, default=0) <= 1 else None
+
+
+def is_dominating_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
+    """0/1 labeling whose 1-set dominates g."""
+    vals = _indicator(g, f)
+    return vals is not None and all(x == 1 or any(vals[w] == 1 for w in g.adj[v])
+                                    for v, x in enumerate(vals))
+
+
+def is_cover_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
+    """0/1 labeling whose 1-set covers every edge."""
+    vals = _indicator(g, f)
+    return vals is not None and zeros_independent(g, vals)
+
+
+def is_independent_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
+    """0/1 labeling whose 1-set is independent."""
+    vals = _indicator(g, f)
+    return vals is not None and not any(vals[u] == 1 and any(vals[w] == 1 for w in g.adj[u])
+                                        for u in range(g.n))

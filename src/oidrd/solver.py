@@ -36,9 +36,12 @@ and the opened ones, with their closed neighborhoods within the free set.
 The seven searches on one graph share the plan, and the initial incumbents'
 greedy independent set and isolated vertices, through a one-entry cache
 keyed by graph identity; alpha and beta also share the cover search kept
-there.  One search kernel per label set (0..3 for gamma_oidr and gamma_dr,
-0..2 for gamma_oir and gamma_r, 0/1 for gamma, 1/0 for the cover) writes
-each label as a straight-line block with the problem's constants folded in.
+there.  Three search kernels, one per constraint shape, write each label
+as a straight-line block with the problem's constants folded in: 0..3 for
+gamma_oidr and gamma_dr; one for the problems where a 0 needs a neighbor
+with the support label zero_mode, 0..2 for gamma_oir and gamma_r (support
+2) and 0/1 for gamma (support 1, so no plain label 1); and 1/0 for the
+cover.
 The search state is a few masks: the vertices labeled 0 and 1, those with a
 0-neighbor and those with a support neighbor; the 0..3 kernel carries hi (a
 2- or 3-neighbor, which a 1 needs) and ok0 (a 3-neighbor or two
@@ -62,8 +65,8 @@ from functools import partial
 from typing import Iterator, Sequence
 
 from .graphs import Graph, GraphError
-from .labeling import (Labeling, _check_size, _values, is_drd, is_oidrd, is_oird, is_rd,
-                       weight, zeros_independent)
+from .labeling import (Labeling, is_cover_labeling, is_dominating_labeling, is_drd,
+                       is_independent_labeling, is_oidrd, is_oird, is_rd, weight)
 
 BRUTE_FORCE_CAP = 12
 _CACHE_LIMIT = 1 << 18  # labelings per oracle chunk
@@ -111,34 +114,6 @@ _OIR = _Problem(3, True, 2)
 _R = _Problem(3, False, 2)
 _DOM = _Problem(2, False, 1)
 _COVER = _Problem(2, True, 0)
-
-
-def _indicator(g: Graph, f: Labeling | Sequence[int]) -> tuple[int, ...] | None:
-    """The values of f if they are all 0 or 1, else None.  Raises
-    LabelingError unless f has one label in 0..3 per vertex of g."""
-    vals = _values(f)
-    _check_size(g, vals)
-    return vals if max(vals, default=0) <= 1 else None
-
-
-def is_dominating_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
-    """0/1 labeling whose 1-set dominates g."""
-    vals = _indicator(g, f)
-    return vals is not None and all(x == 1 or any(vals[w] == 1 for w in g.adj[v])
-                                    for v, x in enumerate(vals))
-
-
-def is_cover_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
-    """0/1 labeling whose 1-set covers every edge."""
-    vals = _indicator(g, f)
-    return vals is not None and zeros_independent(g, vals)
-
-
-def is_independent_labeling(g: Graph, f: Labeling | Sequence[int]) -> bool:
-    """0/1 labeling whose 1-set is independent."""
-    vals = _indicator(g, f)
-    return vals is not None and not any(vals[u] == 1 and any(vals[w] == 1 for w in g.adj[u])
-                                        for u in range(g.n))
 
 
 # The seven invariants, in report order: name -> (the problem both exact
@@ -271,17 +246,19 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     labelings visited and proof nodes those visited after the last
     improvement, which only prove it optimal.
 
-    One kernel per label set runs the search (labels_0123, labels_012,
-    labels_01 and labels_10), each label a straight-line block.  The state:
-    l0 and l1, the vertices labeled 0 and 1; z, those with a 0-neighbor;
-    s1, those with a support neighbor (labeled 1 for gamma, 2 otherwise);
-    and in labels_0123 hi = s1 | s3 and ok0 = s2 | s3, where s2 and s3 are
-    the vertices with two 2-neighbors and with a 3-neighbor: a 1 needs hi, a
-    0 needs ok0.  Label 2 sets ok0 | s1 & m, s1 | m and hi | m, label 3
-    ok0 | m and hi | m.  The free set at depth d is d+1..n-1 on every path,
-    so each settled vertex of the plan (_build_plan) is checked with one
-    mask test, and each sealed vertex adds the least label it can still
-    take to the lower bound, bitwise.
+    One of three kernels runs the search, each label a straight-line block:
+    labels_0123 for base 4, labels_012 for the problems whose 0 needs a
+    neighbor labeled sup = zero_mode (2 for gamma_r and gamma_oir, 1 for
+    gamma, which skips the plain label 1), and labels_10 for the cover.
+    The state: l0 and l1, the vertices labeled 0 and 1; z, those with a
+    0-neighbor; s1, those with a support neighbor (labeled sup, or 2 in
+    labels_0123); and in labels_0123 hi = s1 | s3 and ok0 = s2 | s3, where
+    s2 and s3 are the vertices with two 2-neighbors and with a 3-neighbor:
+    a 1 needs hi, a 0 needs ok0.  Label 2 sets ok0 | s1 & m, s1 | m and
+    hi | m, label 3 ok0 | m and hi | m.  The free set at depth d is
+    d+1..n-1 on every path, so each settled vertex of the plan
+    (_build_plan) is checked with one mask test, and each sealed vertex
+    adds the least label it can still take to the lower bound, bitwise.
 
     The rest of the lower bound loops over the opened vertices: a packing
     of disjoint closed neighborhoods with no support, keyed by the opened
@@ -298,6 +275,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     again on entry.
     """
     oi = prob.oi
+    sup = prob.zero_mode  # the support label of labels_012
     rows = [(*row, {}, {}) for row in _search_plan(g)[1]]  # + packing and clique memos
     bonus = 2 if prob.zero_mode == 3 else 1
     nodes = last = 0
@@ -458,7 +436,8 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                     labels_0123(depth + 1, w3, l0, l1, z, s1, hi2, ok3)
 
     def labels_012(depth: int, w: int, l0: int, z: int, s1: int) -> None:
-        # gamma_oir (oi) and gamma_r: a 0 needs s1, a 1 nothing
+        # gamma_oir (oi), gamma_r and gamma: a 0 needs s1, a neighbor
+        # labeled sup; gamma has no plain label 1
         nonlocal nodes
         bit, m, free, settled, sealed, opened, open_mask, packs, cliques = rows[depth]
         low = None  # the packing of labels 0-1
@@ -481,71 +460,42 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                         c = miss(cliques, independence_lb, opened, key)
                     if w + c < best:
                         labels_012(depth + 1, w, l0 | bit, nz, s1)
-        # label 1: the masks stay
+        # label 1, the masks stay (for gamma the support, which weighs 1)
         w1 = w + 1
         if w1 >= best:
             return
-        ok = s1 & ~z if oi else s1
-        if not zeros & ~ok:
-            nodes += 1
-            path[depth] = 1
-            if not free:
-                return improve(w1)
-            if low is None and (low := packs.get(key := open_mask & ~s1)) is None:
-                low = miss(packs, pack, opened, key)
-            if w1 + (sealed & ~ok).bit_count() + low < best:
-                if keep is None and (keep := cliques.get(key := z & free)) is None:
-                    keep = miss(cliques, independence_lb, opened, key)
-                if w1 + keep < best:
-                    labels_012(depth + 1, w1, l0, z, s1)
-        # label 2
-        w2 = w + 2
-        if w2 >= best:
+        if sup == 2:
+            ok = s1 & ~z if oi else s1
+            if not zeros & ~ok:
+                nodes += 1
+                path[depth] = 1
+                if not free:
+                    return improve(w1)
+                if low is None and (low := packs.get(key := open_mask & ~s1)) is None:
+                    low = miss(packs, pack, opened, key)
+                if w1 + (sealed & ~ok).bit_count() + low < best:
+                    if keep is None and (keep := cliques.get(key := z & free)) is None:
+                        keep = miss(cliques, independence_lb, opened, key)
+                    if w1 + keep < best:
+                        labels_012(depth + 1, w1, l0, z, s1)
+        # label sup, the support
+        ws = w + sup
+        if ws >= best:
             return
         s1 |= m
         ok = s1 & ~z if oi else s1
         if not zeros & ~ok:
             nodes += 1
-            path[depth] = 2
+            path[depth] = sup
             if not free:
-                return improve(w2)
+                return improve(ws)
             if (p := packs.get(key := open_mask & ~s1)) is None:
                 p = miss(packs, pack, opened, key)
-            if w2 + (sealed & ~ok).bit_count() + p < best:
+            if ws + (sealed & ~ok).bit_count() + p < best:
                 if keep is None and (keep := cliques.get(key := z & free)) is None:
                     keep = miss(cliques, independence_lb, opened, key)
-                if w2 + keep < best:
-                    labels_012(depth + 1, w2, l0, z, s1)
-
-    def labels_01(depth: int, w: int, l0: int, s1: int) -> None:
-        # gamma: a 0 needs s1, a 1-neighbor
-        nonlocal nodes
-        bit, m, free, settled, sealed, opened, open_mask, packs, _ = rows[depth]
-        zeros = settled & l0
-        # label 0
-        if not (zeros | settled & bit) & ~s1:
-            nodes += 1
-            path[depth] = 0
-            if not free:
-                return improve(w)
-            if (p := packs.get(key := open_mask & ~s1)) is None:
-                p = miss(packs, pack, opened, key)
-            if w + (sealed & ~s1).bit_count() + p < best:
-                labels_01(depth + 1, w, l0 | bit, s1)
-        # label 1
-        w1 = w + 1
-        if w1 >= best:
-            return
-        s1 |= m
-        if not zeros & ~s1:
-            nodes += 1
-            path[depth] = 1
-            if not free:
-                return improve(w1)
-            if (p := packs.get(key := open_mask & ~s1)) is None:
-                p = miss(packs, pack, opened, key)
-            if w1 + (sealed & ~s1).bit_count() + p < best:
-                labels_01(depth + 1, w1, l0, s1)
+                if ws + keep < best:
+                    labels_012(depth + 1, ws, l0, z, s1)
 
     def labels_10(depth: int, w: int, l0: int, z: int) -> None:
         # the vertex cover, 1 before 0: a 0 needs no 0-neighbor
@@ -586,12 +536,10 @@ def _branch_and_bound(g: Graph, prob: _Problem,
 
     if prob.base == 4:
         labels_0123(0, 0, 0, 0, 0, 0, 0, 0)
-    elif prob.base == 3:
+    elif sup:
         labels_012(0, 0, 0, 0, 0)
-    elif prob.zero_mode == 0:
-        labels_10(0, 0, 0, 0)
     else:
-        labels_01(0, 0, 0, 0)
+        labels_10(0, 0, 0, 0)
     return best, found, nodes, nodes - last
 
 

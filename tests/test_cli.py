@@ -273,6 +273,26 @@ def test_stdin_input(capsys, monkeypatch):
     assert json.loads(out)["gamma_oidr"] == 3
 
 
+def test_dsl_argument_too_long_for_a_file_name(capsys):
+    # 336 characters: the file probe must not raise "File name too long"
+    spec = "corona(path:1," * 22 + "path:2" + ")" * 22
+    code, out, _ = run_cli(capsys, "generate", spec)
+    assert code == 0 and out.startswith("24 ")
+    code, _, err = run_cli(capsys, "generate", "kpartite:" + ",".join(["1"] * 130))
+    assert code == 2 and "above the solver cap 24" in err
+
+
+def test_deeply_nested_spec_exits_2(capsys, monkeypatch):
+    import io
+    spec = "gadget(" * 5000 + "path:1" + ")" * 5000
+    monkeypatch.setattr("sys.stdin", io.StringIO(spec))
+    code, _, err = run_cli(capsys, "solve", "-")
+    assert code == 2 and "graph spec nested too deeply" in err
+    for argv in (["solve", spec], ["formula", "gadget(" * 1200 + "path:1" + ")" * 1200]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "graph spec nested too deeply" in err
+
+
 def test_unknown_flag_rejected(capsys):
     code = cli.main(["solve", "path:3", "--frobnicate"])
     assert code == 2
