@@ -400,51 +400,72 @@ def spec_order(spec: FamilySpec) -> int:
     return fam.extra + sum(max(p, 0) + fam.per_param for p in spec.params)
 
 
-def _split_top(s: str) -> list[str]:
-    """Split a wrapper's argument into its inner specs at top-level
-    commas.  A nonempty piece with neither ':' nor '(' is one more parameter
-    of the spec before it, so 'kbipartite:2,3,path:2' gives
-    ['kbipartite:2,3', 'path:2']."""
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise GraphError(f"unbalanced parentheses in spec: {s!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
+def _split_top(text: str, lo: int, hi: int, match: dict[int, int]) -> list[tuple[int, int]]:
+    """Split text[lo:hi], a wrapper's argument, into the ranges of its inner
+    specs at top-level commas.  A nonempty piece with neither ':' nor '(' is
+    one more parameter of the spec before it, so 'kbipartite:2,3,path:2'
+    gives the ranges of 'kbipartite:2,3' and 'path:2'.  Only top-level
+    characters are read: match jumps over each parenthesized group."""
+    specs: list[tuple[int, int]] = []
+    start = i = lo
+    bare = blank = True  # the piece so far: no ':' or '(' / whitespace only
+    while True:
+        ch = text[i] if i < hi else ","
+        if ch == ",":
+            if specs and bare and not blank:
+                specs[-1] = (specs[-1][0], i)
+            else:
+                specs.append((start, i))
+            if i >= hi:
+                return specs
+            start = i + 1
+            bare = blank = True
+        elif ch == "(" and match.get(i, hi) < hi:
+            i = match[i]
+            bare = blank = False
+        elif ch in "()":
+            raise GraphError(f"unbalanced parentheses in spec: {text[lo:hi]!r}")
         else:
-            cur.append(ch)
-    if depth != 0:
-        raise GraphError(f"unbalanced parentheses in spec: {s!r}")
-    parts.append("".join(cur))
-    specs: list[str] = []
-    for part in parts:
-        if specs and part.strip() and ":" not in part and "(" not in part:
-            specs[-1] += "," + part
-        else:
-            specs.append(part)
-    return specs
+            bare = bare and ch != ":"
+            blank = blank and ch.isspace()
+        i += 1
 
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse a generator DSL string, e.g. 'path:6', 'h1:a1,2', 'corona(path:2,empty:2)'.
-    Tags are case-insensitive."""
-    s = text.strip()
-    name, paren, argstr = s.partition("(")
-    name = name.strip().lower()
-    if paren and name in FAMILIES and FAMILIES[name].inner:
-        if not argstr.endswith(")"):
+    Tags are case-insensitive.  One scan pairs each '(' with its ')', so each
+    wrapper reads only its own top-level characters and the parse takes
+    linear time at any nesting depth."""
+    match: dict[int, int] = {}
+    opened: list[int] = []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")" and opened:
+            match[opened.pop()] = i
+    return _parse_range(text, 0, len(text), match)
+
+
+def _parse_range(text: str, lo: int, hi: int, match: dict[int, int]) -> FamilySpec:
+    """The spec text[lo:hi]; a wrapper parses its inner specs in place."""
+    a, b = lo, hi
+    while a < b and text[a].isspace():
+        a += 1
+    while b > a and text[b - 1].isspace():
+        b -= 1
+    paren = text.find("(", a, b)
+    name = text[a:paren].strip().lower() if paren >= 0 else ""
+    if name in FAMILIES and FAMILIES[name].inner:
+        if text[b - 1] != ")":
+            s = text[a:b]
             fault = "unbalanced parentheses" if s.count("(") != s.count(")") else "text after ')'"
-            raise GraphError(f"{fault} in spec: {text!r}")
-        spec = FamilySpec(name, inner=tuple(parse_family_spec(p)
-                                            for p in _split_top(argstr[:-1])))
+            raise GraphError(f"{fault} in spec: {text[lo:hi]!r}")
+        spec = FamilySpec(name, inner=tuple(_parse_range(text, *piece, match)
+                                            for piece in _split_top(text, paren + 1, b - 1, match)))
         _checked(spec)
         return spec
-    name, sep, argstr = s.partition(":")
+    text = text[lo:hi]  # not a wrapper: the rest reads only this piece
+    name, sep, argstr = text.strip().partition(":")
     name = name.strip().lower()
     fam = FAMILIES.get(name)
     if fam is not None and fam.inner:

@@ -13,8 +13,8 @@ minimum cover).  Columns are memoized per neighbourhood while base^n <=
 _MEMO_LIMIT; above _CACHE_LIMIT labelings the scan runs in chunks under
 fixed label prefixes, whose vertices get constant planes.
 On forests, gamma_oidr and beta have a third, value-only route in linear
-time: a bottom-up dynamic program over the labels (`tree_oidrd`) and greedy
-leaf matching (`tree_beta`).
+time: one children-first pass (`_forest_routes`) runs a dynamic program over
+the labels (`tree_oidrd`) and greedy leaf matching (`tree_beta`) together.
 
 Canonical witness contract: the lexicographically smallest optimal
 labeling, values read in vertex order 0..n-1.  The engine makes one
@@ -60,6 +60,7 @@ witnesses are unchanged.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterator, Sequence
@@ -72,6 +73,7 @@ BRUTE_FORCE_CAP = 12
 _CACHE_LIMIT = 1 << 18  # labelings per oracle chunk
 _MEMO_LIMIT = 1 << 12  # oracle columns are memoized while base^n <= this
 _BOUND_MEMO_LIMIT = 1 << 16  # memoized bounds kept per search
+_STACK_HEADROOM = 200  # frames below the recursion limit kept for a search's callers
 _last_plan: list | None = None  # _search_plan of the last graph
 
 
@@ -553,7 +555,11 @@ def _certified(g: Graph, name: str, lab: Labeling, value: int, nodes: int,
 
 def _solve_min(g: Graph, name: str) -> SolveResult:
     # one pass along 0..n-1; ub + 1 so that an optimal ub is still met.  The
-    # cover search is kept beside the plan, so alpha and beta run it once
+    # cover search is kept beside the plan, so alpha and beta run it once.
+    # The search recurses once per vertex: refuse what would hit the limit
+    if g.n > sys.getrecursionlimit() - _STACK_HEADROOM:
+        raise GraphError(f"graph has {g.n} vertices; the search recurses once per vertex "
+                         f"and supports n <= {sys.getrecursionlimit() - _STACK_HEADROOM}")
     prob = INVARIANTS[name][0]
     entry = _search_plan(g)
     run = entry[4] if prob is _COVER else None
@@ -699,25 +705,14 @@ def _forest_order(g: Graph) -> tuple[list[int], list[int]]:
 def _forest_routes(order: list[int], parent: list[int]) -> tuple[int, int]:
     """(beta, gamma_oidr) of the forest given by an order that lists every
     parent before its children and each vertex's parent (-1 at roots), such
-    as _forest_order or graphs.prufer_parents returns."""
-    return _leaf_matching(order, parent), _label_dp(order, parent)
+    as _forest_order or graphs.prufer_parents returns, in one children-first pass.
 
+    beta: by Konig's theorem the vertex cover number equals the maximum
+    matching, which greedy matching of leaves to their parents attains when
+    every vertex is taken after its children.
 
-def tree_oidrd(g: Graph) -> int:
-    """gamma_oidr of a forest by a bottom-up dynamic program, O(n)."""
-    return _label_dp(*_forest_order(g))
-
-
-def tree_beta(g: Graph) -> int:
-    """Vertex cover number of a forest by leaf matching, O(n)."""
-    return _leaf_matching(*_forest_order(g))
-
-
-def _label_dp(order: list[int], parent: list[int]) -> int:
-    """gamma_oidr of the forest given by a parent-before-child order and parents.
-
-    Each vertex v carries the minimum weight of its subtree for seven states
-    of v, given the labels of its children only:
+    gamma_oidr: each vertex v carries the minimum weight of its subtree for
+    seven states of v, given the labels of its children only:
       Z0, Z1, Z2  label 0 with no 2- or 3-child, with exactly one 2-child
                   and no 3-child, or already satisfied (a 3-child or two
                   2-children)
@@ -725,47 +720,58 @@ def _label_dp(order: list[int], parent: list[int]) -> int:
       T, H        label 2, label 3
     The parent's label closes each child's state: Z0 needs a parent labeled 3,
     Z1 and O0 a parent labeled 2 or 3, and no 0 may have a parent labeled 0.
-    A root has no parent, so only Z2, O1, T and H are final there.
+    A root has no parent, so only Z2, O1, T and H are final there.  Each state
+    is one list, seeded for a leaf, and each minimum a chain of comparisons.
     """
     n = len(order)
     inf = 3 * n + 1  # above every feasible weight; sums of it stay above too
-    # per-vertex accumulators [Z0, Z1, Z2, O0, O1, T, H], seeded for a leaf
-    acc = [[0, inf, inf, 1, inf, 2, 3] for _ in range(n)]
-    total = 0
+    Z0, Z1, Z2, O0, O1, T, H = [0] * n, [inf] * n, [inf] * n, [1] * n, [inf] * n, [2] * n, [3] * n
+    matched = bytearray(n)
+    beta = gamma = 0
     for v in reversed(order):
-        z0, z1, z2, o0, o1, t, h = acc[v]
+        z2, o1 = Z2[v], O1[v]
+        t, h = T[v], H[v]
+        low = z2 if z2 < o1 else o1
+        high = t if t < h else h
         p = parent[v]
         if p < 0:
-            total += min(z2, o1, t, h)
+            gamma += low if low < high else high
             continue
-        pa = acc[p]
-        low, high = min(z2, o1), min(t, h)
-        # parent labeled 0: the child is O1, T or H
-        pa[0], pa[1], pa[2] = (pa[0] + o1,
-                               min(pa[1] + o1, pa[0] + t),
-                               min(pa[2] + min(o1, high), pa[1] + high, pa[0] + h))
-        # parent labeled 1: the child is Z2 or O1, or supports it with T or H
-        pa[3], pa[4] = pa[3] + low, min(pa[4] + min(low, high), pa[3] + high)
-        # parent labeled 2 closes everything but Z0; labeled 3, everything
-        closed = min(z1, o0, low, high)
-        pa[5] += closed
-        pa[6] += min(z0, closed)
-    return total
-
-
-def _leaf_matching(order: list[int], parent: list[int]) -> int:
-    """Vertex cover number of the forest given by a parent-before-child order
-    and parents: by Konig's theorem it equals the maximum matching, which
-    greedy matching of leaves to their parents attains when every vertex is
-    taken after its children."""
-    matched = bytearray(len(order))
-    size = 0
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0 and not matched[v] and not matched[p]:
+        if not matched[v] and not matched[p]:
             matched[v] = matched[p] = 1
-            size += 1
-    return size
+            beta += 1
+        # parent labeled 0: the child is O1, T or H
+        a, b, c = Z0[p], Z1[p], Z2[p]
+        Z0[p] = a + o1
+        x, y = b + o1, a + t
+        Z1[p] = x if x < y else y
+        x, y = c + (o1 if o1 < high else high), b + high
+        x = x if x < y else y
+        y = a + h
+        Z2[p] = x if x < y else y
+        # parent labeled 1: the child is Z2 or O1, or supports it with T or H
+        a = O0[p]
+        O0[p] = a + low
+        x, y = O1[p] + (low if low < high else high), a + high
+        O1[p] = x if x < y else y
+        # parent labeled 2 closes everything but Z0; labeled 3, everything
+        z0, z1, o0 = Z0[v], Z1[v], O0[v]
+        c = z1 if z1 < o0 else o0
+        c = c if c < low else low
+        c = c if c < high else high
+        T[p] += c
+        H[p] += z0 if z0 < c else c
+    return beta, gamma
+
+
+def tree_oidrd(g: Graph) -> int:
+    """gamma_oidr of a forest by a bottom-up dynamic program, O(n)."""
+    return _forest_routes(*_forest_order(g))[1]
+
+
+def tree_beta(g: Graph) -> int:
+    """Vertex cover number of a forest by leaf matching, O(n)."""
+    return _forest_routes(*_forest_order(g))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,28 @@ def test_deeply_nested_spec_exits_2(capsys, monkeypatch):
         assert code == 2 and "graph spec nested too deeply" in err
 
 
+def test_deep_nesting_is_rejected_in_linear_time(capsys):
+    # one scan pairs the parentheses; no level rescans the rest of the spec
+    import time
+    spec = "gadget(" * 5000 + "path:1" + ")" * 5000
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "generate", spec)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and "graph spec nested too deeply" in err
+
+
+def test_search_deeper_than_the_recursion_limit_exits_2():
+    # the search recurses once per vertex: such a graph is refused up front
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OIDRD_MAX_N="1500", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-m", "oidrd", "solve", "path:1100",
+                          "--invariant", "gamma"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2 and "Traceback" not in out.stderr, out.stderr
+    assert "graph has 1100 vertices; the search recurses once per vertex" in out.stderr
+
+
 def test_unknown_flag_rejected(capsys):
     code = cli.main(["solve", "path:3", "--frobnicate"])
     assert code == 2

@@ -366,6 +366,23 @@ def test_prufer_route_matches_the_graph_route():
     assert len(sequences) == 18249 + 2000
 
 
+def test_forest_routes_match_engine_on_sampled_deeper_trees():
+    for n in range(7, 15):
+        for t in G.sample_trees(n, 25, seed=n):
+            routes = S._forest_routes(*S._forest_order(t))
+            assert routes == (S.solve_beta(t).value, S.solve_oidrd(t).value), G.to_edge_list_text(t)
+
+
+def test_forest_routes_are_pinned_on_every_small_tree():
+    # (beta, gamma_oidr) of every labeled tree with n <= 7, one byte each, in
+    # Prufer order; digest recorded before the routes became one loop
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for seq in G.prufer_sequences(n):
+            h.update(bytes(S._forest_routes(*G.prufer_parents(seq, n))))
+    assert h.hexdigest() == "9cea6a65d17c36a7ebb37b729041f5df28c11017e2537f13c6dc40be57284202"
+
+
 def test_prufer_route_on_one_and_two_vertices():
     assert G.prufer_parents((), 1) == ([0], [-1])
     assert G.prufer_parents((), 2) == ([1, 0], [1, -1])
