@@ -19,6 +19,7 @@ import io
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
@@ -145,6 +146,34 @@ def _report(campaign: str, params: dict, instances: int, violations: list[Violat
                        params, notes or [], extra or {})
 
 
+# the max_n range of each pool campaign; run_all clamps into it
+MAX_N = {"bounds": (2, 6), "characterization": (3, 6), "reduction": (1, 5), "trees": (1, 10)}
+
+
+def _pool_campaign(name, params, payloads, check, workers, *, extra=None, chunksize=64,
+                   anchors=()) -> AuditReport:
+    """Check max_n against MAX_N and each *samples* count against 0, map check over
+    payloads, and fold each (instances, violations, notes, Counter.update input) in
+    order, anchors last, run here after the pool; extra(instances, tally) gives extra."""
+    lo, hi = MAX_N[name]
+    if not lo <= params["max_n"] <= hi:
+        scope = " exhaustive" if name == "characterization" else ""  # n = 7 is sampled
+        raise ValueError(f"audit_{name} supports {lo} <= max_n <= {hi}{scope}")
+    for key, value in params.items():
+        if "samples" in key and value < 0:
+            raise ValueError(f"{key} must be at least 0, got {value}")
+    t0 = time.monotonic()
+    instances, violations, notes, tally = 0, [], [], Counter()
+    results = chain(_map_instances(check, payloads, workers, chunksize=chunksize), anchors)
+    for count, vs, ns, t in results:
+        instances += count
+        violations += (Violation(*v) for v in vs)
+        notes += ns
+        tally.update(t)
+    return _report(name, params, instances, violations, t0, notes,
+                   extra and extra(instances, tally))
+
+
 # ---------------------------------------------------------------------------
 # bounds: max{gamma, 2 alpha / Delta} + beta <= gamma_oidR <= 3 beta
 # ---------------------------------------------------------------------------
@@ -182,18 +211,13 @@ def _bounds_check(g: G.Graph) -> tuple:
     if s.lower > s.gamma_oidr:
         items.append(("lower_max_gamma_2alpha_over_delta_plus_beta",
                       [s.lower.numerator, s.lower.denominator], s.gamma_oidr))
-    return _violations(g, items)
+    return 1, _violations(g, items), (), ()
 
 
 def audit_bounds(max_n: int = 5, *, workers: int | None = None) -> AuditReport:
     """Both sandwich bounds on every connected graph of order 2..max_n."""
-    if not 2 <= max_n <= 6:
-        raise ValueError("audit_bounds supports 2 <= max_n <= 6")
-    t0 = time.monotonic()
     graphs = (g for n in range(2, max_n + 1) for g in G.enumerate_connected_graphs(n))
-    results = _map_instances(_bounds_check, graphs, workers)
-    violations = [Violation(*v) for vs in results for v in vs]
-    return _report("bounds", {"max_n": max_n}, len(results), violations, t0)
+    return _pool_campaign("bounds", {"max_n": max_n}, graphs, _bounds_check, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -213,30 +237,20 @@ def _characterization_check(g: G.Graph) -> tuple:
         items.append(("small_value_class", res.value_class, value))
     if res.value_class != OTHER and not verify_classification(g, res):
         items.append(("anchor_witness", res.family, "re-verification failed"))
-    return res.value_class, _violations(g, items)
+    return 1, _violations(g, items), (), (res.value_class,)
 
 
 def audit_characterization(max_n: int = 6, *, n7_samples: int = 300, seed: int = 0,
                            workers: int | None = None) -> AuditReport:
     """Biconditional check of the small-value characterization: exhaustive on
     connected graphs with 3..max_n vertices, plus seeded samples at n = 7."""
-    if not 3 <= max_n <= 6:
-        raise ValueError("audit_characterization supports 3 <= max_n <= 6 exhaustive")
-    if n7_samples < 0:
-        raise ValueError(f"n7_samples must be at least 0, got {n7_samples}")
-    t0 = time.monotonic()
     graphs = chain((g for n in range(3, max_n + 1) for g in G.enumerate_connected_graphs(n)),
                    G.sample_connected_graphs(7, n7_samples, seed))
-    results = _map_instances(_characterization_check, graphs, workers)
-    violations = [Violation(*v) for _, vs in results for v in vs]
-    counts: dict[str, int] = {}
-    for value_class, _ in results:
-        counts[value_class] = counts.get(value_class, 0) + 1
-    return _report("characterization",
-                   {"max_n": max_n, "n7_samples": n7_samples, "seed": seed},
-                   len(results), violations, t0,
-                   extra={"class_counts": counts,
-                          "exhaustive_instances": len(results) - n7_samples})
+    return _pool_campaign(
+        "characterization", {"max_n": max_n, "n7_samples": n7_samples, "seed": seed},
+        graphs, _characterization_check, workers,
+        extra=lambda instances, tally: {"class_counts": dict(tally),
+                                        "exhaustive_instances": instances - n7_samples})
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +270,18 @@ def _reduction_check(g: G.Graph) -> tuple:
             # informational only
             notes.append(f"identity failed at max degree {g.max_degree}: "
                          f"{rep.lhs} != {rep.rhs} for\n{G.to_edge_list_text(g)}")
-    return _violations(g, items), notes
+    return 1, _violations(g, items), notes, ()
 
 
 def audit_reduction(max_n: int = 5, *, samples_n5: int = 50, seed: int = 0,
                     workers: int | None = None) -> AuditReport:
     """Gadget identity on every labeled graph with up to min(max_n, 4)
     vertices, plus seeded connected samples at n = 5 with max degree 3."""
-    if not 1 <= max_n <= 5:
-        raise ValueError("audit_reduction supports 1 <= max_n <= 5")
-    if samples_n5 < 0:
-        raise ValueError(f"samples_n5 must be at least 0, got {samples_n5}")
-    t0 = time.monotonic()
     sampled = G.sample_connected_graphs(5, samples_n5, seed, max_deg=3) if max_n >= 5 else ()
     graphs = chain((g for n in range(1, min(max_n, 4) + 1) for g in G.enumerate_graphs(n)),
                    sampled)
-    results = _map_instances(_reduction_check, graphs, workers)
-    violations = [Violation(*v) for vs, _ in results for v in vs]
-    notes = [n for _, ns in results for n in ns]
-    return _report("reduction", {"max_n": max_n, "samples_n5": samples_n5, "seed": seed},
-                   len(results), violations, t0, notes=notes)
+    return _pool_campaign("reduction", {"max_n": max_n, "samples_n5": samples_n5, "seed": seed},
+                          graphs, _reduction_check, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +293,9 @@ TREE_CHUNK = 1024  # Prufer sequences per pool payload
 
 
 def _tree_check(payload: tuple) -> tuple:
-    """(trees scored, equality cases, violations) for one chunk of Prufer
-    sequences.  Each decodes straight into the order and parents the linear
-    forest routes take; tests cross-check them against the engine.  Only a
-    violation builds its tree, for the text."""
+    """The result for one chunk of Prufer sequences, tallying equality cases.  Each
+    decodes straight into the order and parents the linear forest routes take; tests
+    cross-check them against the engine.  Only a violation builds its tree, for the text."""
     n, seqs = payload
     equality = 0
     violations = []
@@ -301,7 +306,15 @@ def _tree_check(payload: tuple) -> tuple:
         elif goidr < 2 * beta + 1:
             violations += _violations(G.prufer_decode(seq, n),
                                       [("tree_lower_bound", 2 * beta + 1, goidr)])
-    return len(seqs), equality, violations
+    return len(seqs), violations, (), {"equality_cases": equality}
+
+
+def _even_path_check(n: int) -> tuple:
+    """Tightness of the even path P_n on the branch-and-bound engine: an anchor
+    for the forest routes inside the campaign itself, counted as no tree."""
+    p = G.path(n)
+    lhs, rhs = solve_oidrd(p).value, 2 * solve_beta(p).value + 1
+    return 0, _violations(p, [("even_path_tightness", lhs, rhs)] if lhs != rhs else []), (), ()
 
 
 def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
@@ -311,11 +324,6 @@ def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
 
     The pool receives the trees as (n, chunk of Prufer sequences) payloads
     and builds no graph unless a tree violates the bound."""
-    if not 1 <= max_n <= 10:
-        raise ValueError("audit_trees supports 1 <= max_n <= 10")
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
-    t0 = time.monotonic()
     exhaustive = sum(1 if n <= 2 else n ** (n - 2)
                      for n in range(1, min(max_n, TREE_EXHAUSTIVE_CAP) + 1))
 
@@ -327,22 +335,11 @@ def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
                 yield n, chunk
 
     # one chunk per task: a campaign has only tens to hundreds of chunks
-    results = _map_instances(_tree_check, payloads(), workers, chunksize=1)
-    instances = sum(count for count, _, _ in results)
-    equality_cases = sum(eq for _, eq, _ in results)
-    violations = [Violation(*v) for _, _, vs in results for v in vs]
-    # even paths stay on the branch-and-bound engine: an anchor for the forest
-    # routes inside the campaign itself
-    for n in range(2, max_n + 1, 2):
-        p = G.path(n)
-        goidr = solve_oidrd(p).value
-        beta = solve_beta(p).value
-        if goidr != 2 * beta + 1:
-            violations.append(Violation(G.to_edge_list_text(p), "even_path_tightness",
-                                        goidr, 2 * beta + 1))
-    return _report("trees", {"max_n": max_n, "samples": samples, "seed": seed},
-                   instances, violations, t0,
-                   extra={"equality_cases": equality_cases, "exhaustive_instances": exhaustive})
+    return _pool_campaign(
+        "trees", {"max_n": max_n, "samples": samples, "seed": seed}, payloads(), _tree_check,
+        workers, chunksize=1, anchors=map(_even_path_check, range(2, max_n + 1, 2)),
+        extra=lambda _, tally: {"equality_cases": tally["equality_cases"],
+                                "exhaustive_instances": exhaustive})
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +376,9 @@ def audit_forced_ones(g: G.Graph | None = None, *, expected_value: int | None = 
 def audit_sharpness_h(t: int = 3, m: tuple[int, ...] | None = None) -> AuditReport:
     """Solve the sharpness graph H and compare gamma_oidR, beta and gamma with
     their predicted closed forms; equality gamma + beta = gamma_oidR must hold."""
-    if m is None:
-        m = (2,) * t
-    m = tuple(m)
+    if m is None and 5 * t > 18:  # blocks of 3 + 2 vertices: refuse before building m
+        raise ValueError(f"sharpness audit capped at 18 vertices, got {5 * t}")
+    m = (2,) * t if m is None else tuple(m)
     if len(m) != t:
         raise ValueError("sharpness audit needs one m_i per block")
     n_total = sum(3 + mi for mi in m)
@@ -407,18 +404,20 @@ def audit_sharpness_h(t: int = 3, m: tuple[int, ...] | None = None) -> AuditRepo
 
 
 def run_all(max_n: int = 5, *, seed: int = 0, workers: int | None = None) -> list[AuditReport]:
-    """Composite audit; every campaign is capped consistently with max_n."""
-    reports = [
-        audit_bounds(min(max(max_n, 2), 6), workers=workers),
-        audit_characterization(min(max(max_n, 3), 6),
-                               n7_samples=300 if max_n >= 7 else 0,
+    """Every campaign, at max_n clamped into its MAX_N range (n = 7 samples past it)."""
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    cap = {name: min(max(max_n, lo), hi) for name, (lo, hi) in MAX_N.items()}
+    return [
+        audit_bounds(cap["bounds"], workers=workers),
+        audit_characterization(cap["characterization"],
+                               n7_samples=300 if max_n > cap["characterization"] else 0,
                                seed=seed, workers=workers),
-        audit_reduction(min(max_n, 5), seed=seed, workers=workers),
-        audit_trees(min(max_n, 10), seed=seed, workers=workers),
+        audit_reduction(cap["reduction"], seed=seed, workers=workers),
+        audit_trees(cap["trees"], seed=seed, workers=workers),
         audit_forced_ones(),
         audit_sharpness_h(),
     ]
-    return reports
 
 
 CAMPAIGNS = {

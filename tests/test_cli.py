@@ -423,6 +423,16 @@ def test_ignored_options_exit_2(capsys, monkeypatch, argv, message):
     assert code == 2 and message in err and not out
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_audit_all_rejects_max_n_below_one_before_any_campaign(capsys, monkeypatch, max_n):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a campaign ran before max_n was checked")
+
+    monkeypatch.setattr(H, "audit_bounds", unreachable)
+    code, out, err = run_cli(capsys, "audit", "--all", "--max-n", max_n)
+    assert code == 2 and "max_n" in err and not out
+
+
 def _recorder(name, calls):
     # stands in for the campaign, with its signature, and runs nothing
     signature = inspect.signature(H.CAMPAIGNS[name])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -186,6 +188,12 @@ def test_sharpness_campaign():
     assert r.extra == {"gamma_oidr": 14, "beta": 8, "gamma": 6}
 
 
+def test_sharpness_refuses_a_large_t_before_building_m():
+    # every block has at least 5 vertices, so t = 10**15 is refused by count
+    with pytest.raises(ValueError, match="capped at 18 vertices, got 5000000000000000"):
+        H.audit_sharpness_h(10**15)
+
+
 def test_reports_identical_across_worker_counts():
     serial = H.audit_bounds(4, workers=1)
     parallel = H.audit_bounds(4, workers=2)
@@ -227,3 +235,23 @@ def test_csv_summary():
     assert lines[0] == "campaign,instances_checked,violations,runtime_ms,status"
     assert len(lines) == 3
     assert lines[1].startswith("bounds,") and lines[1].endswith(",pass")
+
+
+def _pinned_reports():
+    for workers in (1, 2):
+        yield from (H.audit_bounds(n, workers=workers) for n in range(2, 6))
+        yield from (H.audit_characterization(n, n7_samples=s, workers=workers)
+                    for n in range(3, 6) for s in (0, 7))
+        yield from (H.audit_reduction(n, samples_n5=9, workers=workers) for n in range(1, 6))
+        yield from (H.audit_trees(n, workers=workers) for n in range(1, 8))
+    yield H.audit_forced_ones(G.path(3), expected_value=99, expect_all_v1_nonempty=None)
+    yield H.audit_sharpness_h()
+
+
+def test_campaign_reports_are_pinned():
+    # sha256 of the reports' JSON with runtime_ms zeroed, recorded before the
+    # campaigns shared one runner; any change to a report's content moves it
+    text = json.dumps([dict(r.to_dict(), runtime_ms=0) for r in _pinned_reports()],
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b66f5f477816df130a5ad7e956261eaf6c56565a350858b30b8d4adfda56a21f")
