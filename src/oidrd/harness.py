@@ -408,11 +408,11 @@ def run_all(max_n: int = 5, *, seed: int = 0, workers: int | None = None) -> lis
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     cap = {name: min(max(max_n, lo), hi) for name, (lo, hi) in MAX_N.items()}
+    # past the exhaustive range, audit_characterization's own n7_samples default
+    sampled = {} if max_n > cap["characterization"] else {"n7_samples": 0}
     return [
         audit_bounds(cap["bounds"], workers=workers),
-        audit_characterization(cap["characterization"],
-                               n7_samples=300 if max_n > cap["characterization"] else 0,
-                               seed=seed, workers=workers),
+        audit_characterization(cap["characterization"], seed=seed, workers=workers, **sampled),
         audit_reduction(cap["reduction"], seed=seed, workers=workers),
         audit_trees(cap["trees"], seed=seed, workers=workers),
         audit_forced_ones(),

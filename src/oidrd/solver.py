@@ -50,12 +50,15 @@ feasibility checks of the settled vertices and the sealed vertices' share
 of the lower bound are a few bitwise ops each.  What is left, a packing (or
 for the cover a matching) over the opened vertices and the clique-cover
 independence bound, depends only on the depth and on one mask, and is
-memoized under it in two dicts per depth.  Labels that leave the mask as it
-is share one lookup per call: labels 0 and 1 one packing, labels 2 and 3
-another, and every label but 0 one clique bound.  The memo lives for one
-search and stops growing at _BOUND_MEMO_LIMIT entries; it returns exactly
-the bound it replaces, so the search tree, node counts, values and
-witnesses are unchanged.
+memoized under it in two dicts per depth.  For gamma_oidr the two add up, as
+in the paper's lower bound gamma + beta: a label x weighs at least
+[x >= 1] + [x >= 2], the clique bound counts nonzero vertices and the packing
+vertices labeled 2 or 3, so the search prunes on their sum.  Labels that
+leave the mask as it is share one lookup per call: labels 0 and 1 one
+packing, labels 2 and 3 another, and every label but 0 one clique bound.
+The memo lives for one search and stops growing at _BOUND_MEMO_LIMIT
+entries; it returns exactly the bound it replaces, so the search tree, node
+counts, values and witnesses are unchanged.
 """
 
 from __future__ import annotations
@@ -266,15 +269,38 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     of disjoint closed neighborhoods with no support, keyed by the opened
     vertices without support (for the cover a greedy matching, keyed by
     those without a 0-neighbor), and for an independent 0-class the
-    clique-cover independence bound, keyed by z & free.  Both are memoized
-    in two dicts per depth, kept in this search's copy of the plan row and
-    stored until _BOUND_MEMO_LIMIT entries are kept in all.  Labels that
-    share a key look it up at most once per call: labels 0 and 1 leave hi
-    (s1 below 3), labels 2 and 3 both set hi | m, and every label but 0
-    leaves z.  A leaf is an improvement and, in ascending order, ends the
-    call, since the next label weighs more.  A child is called only when
-    its weight plus both bounds beats best, so it does not test its weight
-    again on entry.
+    clique-cover independence bound, keyed by z & free (z & open in
+    labels_0123).  Both are memoized in two dicts per depth, kept in this
+    search's copy of the plan row and stored until _BOUND_MEMO_LIMIT entries
+    are kept in all.  Labels that share a key look it up at most once per
+    call: labels 0 and 1 leave hi (s1 below 3), labels 2 and 3 both set
+    hi | m, and every label but 0 leaves z.  A leaf is an improvement and,
+    in ascending order, ends the call, since the next label weighs more.  A
+    child is called only when its weight plus its bound beats best, so it
+    does not test its weight again on entry.
+
+    gamma_oidr prunes on the packing and the clique bound together, the
+    argument of the paper's lower bound gamma + beta.  Let C be the nonzero
+    vertices and H those labeled 2 or 3.  A label x weighs at least
+    [x >= 1] + [x >= 2], so weight(free) >= |C & free| + |H & free|.  The
+    free set splits into sealed and opened vertices:
+      sealed  no free neighbor, so its state is final: it is in C if it
+              cannot be 0 and in H if it can be neither 0 nor 1, which is
+              the 1 + 1 it already adds to the bound.
+      opened  at least c of them are in C, c the clique bound keyed by the
+              opened vertices with a 0-neighbor: 0-class independent, the
+              other zeros fit in a clique cover.  At least p = packing / 2
+              are in H: a packed vertex has no neighbor labeled 2 or 3 yet,
+              so it is one or its free closed neighborhood holds one, and
+              that neighborhood lies within the opened vertices, disjoint
+              from the other packed ones.
+    So weight(free) >= sealed share + c + p.  A child is first tested on its
+    weight + 2p + sealed share, which needs no clique lookup, then on that
+    sum - p + c.  Both bounds are valid, so no path to the lex-first optimum
+    is cut: the search visits a subset of the nodes that the two bounds
+    taken apart would, and makes the same improvements in the same order.
+    gamma_dr has no independent 0-class and no c: its bound stays
+    weight + 2p + sealed share.
     """
     oi = prob.oi
     sup = prob.zero_mode  # the support label of labels_012
@@ -290,7 +316,8 @@ def _branch_and_bound(g: Graph, prob: _Problem,
         # with an independent 0-class, the zeros among free vertices fit
         # inside any clique cover of them; everything else costs at least 1.
         # key: the free vertices with a 0-neighbor, forced nonzero; a sealed
-        # vertex is a clique of its own
+        # vertex is a clique of its own.  labels_0123 keys it by the opened
+        # vertices only, so it counts the nonzero opened vertices
         rest = 0
         cliques: list[int] = []
         for low, near in opened:
@@ -350,7 +377,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
         nonlocal nodes
         bit, m, free, settled, sealed, opened, open_mask, packs, cliques = rows[depth]
         low = high = None  # the packings of labels 0-1 and of labels 2-3
-        keep = None if oi else 0  # the clique bound of labels 1-3
+        keep = None  # the clique bound of labels 1-3
         zeros = settled & l0
         ones = settled & l1
         # label 0
@@ -367,12 +394,12 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                 lb = w + low
                 if bad := sealed & ~ok:
                     lb += bad.bit_count() + (bad & ~hi).bit_count()
-                if lb < best:
-                    c = 0
-                    if oi and (c := cliques.get(key := nz & free)) is None:
+                if oi and lb < best:
+                    if (c := cliques.get(key := nz & open_mask)) is None:
                         c = miss(cliques, independence_lb, opened, key)
-                    if w + c < best:
-                        labels_0123(depth + 1, w, l0 | bit, l1, nz, s1, hi, ok0)
+                    lb += c - (low >> 1)
+                if lb < best:
+                    labels_0123(depth + 1, w, l0 | bit, l1, nz, s1, hi, ok0)
         # label 1: the masks stay
         w1 = w + 1
         if w1 >= best:
@@ -388,11 +415,12 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             lb = w1 + low
             if bad := sealed & ~ok:
                 lb += bad.bit_count() + (bad & ~hi).bit_count()
-            if lb < best:
-                if keep is None and (keep := cliques.get(key := z & free)) is None:
+            if oi and lb < best:
+                if keep is None and (keep := cliques.get(key := z & open_mask)) is None:
                     keep = miss(cliques, independence_lb, opened, key)
-                if w1 + keep < best:
-                    labels_0123(depth + 1, w1, l0, l1 | bit, z, s1, hi, ok0)
+                lb += keep - (low >> 1)
+            if lb < best:
+                labels_0123(depth + 1, w1, l0, l1 | bit, z, s1, hi, ok0)
         # label 2: a second 2-neighbor completes ok0 where s1 already is
         w2 = w + 2
         if w2 >= best:
@@ -410,11 +438,12 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             lb = w2 + high
             if bad := sealed & ~ok:
                 lb += bad.bit_count() + (bad & ~hi2).bit_count()
-            if lb < best:
-                if keep is None and (keep := cliques.get(key := z & free)) is None:
+            if oi and lb < best:
+                if keep is None and (keep := cliques.get(key := z & open_mask)) is None:
                     keep = miss(cliques, independence_lb, opened, key)
-                if w2 + keep < best:
-                    labels_0123(depth + 1, w2, l0, l1, z, s1 | m, hi2, ok2)
+                lb += keep - (high >> 1)
+            if lb < best:
+                labels_0123(depth + 1, w2, l0, l1, z, s1 | m, hi2, ok2)
         # label 3
         w3 = w + 3
         if w3 >= best:
@@ -431,11 +460,12 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             lb = w3 + high
             if bad := sealed & ~ok:
                 lb += bad.bit_count() + (bad & ~hi2).bit_count()
-            if lb < best:
-                if keep is None and (keep := cliques.get(key := z & free)) is None:
+            if oi and lb < best:
+                if keep is None and (keep := cliques.get(key := z & open_mask)) is None:
                     keep = miss(cliques, independence_lb, opened, key)
-                if w3 + keep < best:
-                    labels_0123(depth + 1, w3, l0, l1, z, s1, hi2, ok3)
+                lb += keep - (high >> 1)
+            if lb < best:
+                labels_0123(depth + 1, w3, l0, l1, z, s1, hi2, ok3)
 
     def labels_012(depth: int, w: int, l0: int, z: int, s1: int) -> None:
         # gamma_oir (oi), gamma_r and gamma: a 0 needs s1, a neighbor

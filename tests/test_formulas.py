@@ -3,6 +3,7 @@ import pytest
 from oidrd import formulas as F
 from oidrd import graphs as G
 from oidrd import solver as S
+from oidrd.labeling import is_oidrd, weight
 
 
 def test_path_formula():
@@ -54,6 +55,15 @@ def test_formulas_agree_with_solver_on_small_slices():
         for n in range(m, 5):
             assert (F.formula_complete_bipartite(m, n)
                     == S.solve_oidrd(G.complete_bipartite(m, n)).value)
+
+
+def test_path_and_cycle_formulas_match_the_engine_up_to_24():
+    # the oracle stops at n = 12, so here the closed forms are the second route
+    for n in range(9, 25):
+        for g, value in ((G.path(n), F.formula_path(n)), (G.cycle(n), F.formula_cycle(n))):
+            r = S.solve_oidrd(g)
+            assert (r.value, weight(r.witness)) == (value, value), (n, g.m)
+            assert is_oidrd(g, r.witness), (n, g.m)
 
 
 def test_corona_coefficients_and_values():

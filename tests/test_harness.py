@@ -255,3 +255,21 @@ def test_campaign_reports_are_pinned():
                       sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "b66f5f477816df130a5ad7e956261eaf6c56565a350858b30b8d4adfda56a21f")
+
+
+def test_run_all_samples_n7_at_the_characterization_default(monkeypatch):
+    # run_all takes the n = 7 sample count from audit_characterization's
+    # signature, so a new default reaches `audit --all` too
+    seen = []
+
+    def characterization(max_n, *, n7_samples=11, seed=0, workers=None):
+        seen.append((max_n, n7_samples))
+
+    for name in ("audit_bounds", "audit_reduction", "audit_trees"):
+        monkeypatch.setattr(H, name, lambda *args, **kwargs: None)
+    monkeypatch.setattr(H, "audit_forced_ones", lambda: None)
+    monkeypatch.setattr(H, "audit_sharpness_h", lambda: None)
+    monkeypatch.setattr(H, "audit_characterization", characterization)
+    for max_n in (3, 6, 7, 10):
+        H.run_all(max_n, workers=1)
+    assert seen == [(3, 0), (6, 0), (6, 11), (6, 11)]

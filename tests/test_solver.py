@@ -462,8 +462,8 @@ def test_certification_checks_survive_optimize(target, name, call):
 
 
 _PINNED_TREES = {
-    "gamma_oidr": [("corona(cycle:3,cycle:4)", 40871), ("sharph:3,2,2", 33756),
-                   ("cycle:15", 16175), ("path:17", 12395), ("kpartite:4,4,4,4,4,4", 3805)],
+    "gamma_oidr": [("corona(cycle:3,cycle:4)", 12680), ("sharph:3,2,2", 7365),
+                   ("cycle:15", 2605), ("path:17", 1830), ("kpartite:4,4,4,4,4,4", 935)],
     "beta": [("corona(cycle:3,cycle:4)", 26), ("sharph:3,2,2", 47), ("cycle:15", 23),
              ("path:17", 25), ("kpartite:4,4,4,4,4,4", 44)],
     "gamma_dr": [("corona(cycle:3,cycle:4)", 9389), ("sharph:3,2,2", 33034), ("cycle:15", 6415),
@@ -477,22 +477,38 @@ _PINNED_TREES = {
 }
 
 
+# gamma_oidr's counts when it pruned on the packing and the clique bound apart
+_SEPARATE_BOUND_TREES = {"corona(cycle:3,cycle:4)": 40871, "sharph:3,2,2": 33756,
+                         "cycle:15": 16175, "path:17": 12395, "kpartite:4,4,4,4,4,4": 3805}
+
+
 @pytest.mark.parametrize("key,spec,nodes", [
     pytest.param(key, spec, nodes, id=f"{'' if key == 'gamma_oidr' else key + '-'}{spec}-{nodes}")
     for key, cases in _PINNED_TREES.items() for spec, nodes in cases])
 def test_search_tree_is_pinned(key, spec, nodes):
-    # gamma_oidr counts recorded before the independence bound was memoized:
-    # the memo may only make the search faster, never change what it visits;
-    # beta counts recorded when the cover search moved onto the one-pass
-    # engine; the other label problems' counts before the bounds went bitwise
-    assert S.SOLVERS[key](G.family(G.parse_family_spec(spec))).node_count == nodes
+    # gamma_oidr counts recorded when it began to prune on the packing and
+    # the clique bound together: that may only cut nodes, so each count is
+    # also at most the one of the two bounds taken apart; beta counts
+    # recorded when the cover search moved onto the one-pass engine; the
+    # other label problems' counts before the bounds went bitwise
+    count = S.SOLVERS[key](G.family(G.parse_family_spec(spec))).node_count
+    assert count == nodes
+    if key == "gamma_oidr":
+        assert count <= _SEPARATE_BOUND_TREES[spec]
+
+
+def _sampled_graphs():
+    graphs = [g for n in range(8, 12) for g in G.sample_connected_graphs(n, 25, seed=n)]
+    return graphs + [G.family(G.parse_family_spec(spec)) for spec in
+                     ("gadget(path:3)", "corona(path:2,empty:4)", "sharph:2,2,2")]
 
 
 def test_small_graph_results_are_pinned():
     # sha256 over (invariant, value, witness, node count) of every SOLVERS
-    # entry on every connected graph with n <= 5, recorded on the engine
-    # before alpha and beta moved onto the one-pass search; their node counts
-    # enter as None here and are pinned by total below
+    # entry on every connected graph with n <= 5, recorded when gamma_oidr
+    # began to prune on the packing and the clique bound together (only its
+    # node counts moved; test_values_and_witnesses_are_pinned holds the rest);
+    # alpha and beta node counts enter as None and are pinned by total below
     h = hashlib.sha256()
     cover_nodes = {"alpha": 0, "beta": 0}
     for n in range(1, 6):
@@ -504,24 +520,35 @@ def test_small_graph_results_are_pinned():
                     cover_nodes[key] += nodes
                     nodes = None
                 h.update(repr((key, r.value, r.witness.values, nodes)).encode())
-    assert h.hexdigest() == "b201eef9bd933c2262345e491bcc87253353e3b94a5c186b89f8f054b47cd57b"
+    assert h.hexdigest() == "62217135a2ae6d5a661eb9e040d5d51641f788abd813bc5577e5fed2a58e45d0"
     assert cover_nodes == {"alpha": 6184, "beta": 6184}
 
 
 def test_sampled_graph_results_are_pinned():
     # sha256 over (invariant, value, witness, node count) of every SOLVERS
     # entry on seeded samples deep enough for the labels of one search node
-    # to share their bound lookups, recorded on the engine before its label
-    # loop was unrolled into one kernel per label set
-    graphs = [g for n in range(8, 12) for g in G.sample_connected_graphs(n, 25, seed=n)]
-    graphs += [G.family(G.parse_family_spec(spec)) for spec in
-               ("gadget(path:3)", "corona(path:2,empty:4)", "sharph:2,2,2")]
+    # to share their bound lookups, recorded when gamma_oidr began to prune
+    # on the packing and the clique bound together (only its node counts moved)
     h = hashlib.sha256()
-    for g in graphs:
+    for g in _sampled_graphs():
         for key, solve in S.SOLVERS.items():
             r = solve(g)
             h.update(repr((key, r.value, r.witness.values, r.node_count)).encode())
-    assert h.hexdigest() == "fc26bc0a6f9987e3465609a27429de7df354f632d58a5fcffd9353b56a50bf08"
+    assert h.hexdigest() == "85c818032ad7fb35bad07737f32d1ea68236c41e1ac510eb37fd90b047436bb6"
+
+
+def test_values_and_witnesses_are_pinned():
+    # sha256 over (invariant, value, witness) of every SOLVERS entry on the
+    # graphs of the two tests above, with node counts left out, recorded
+    # before gamma_oidr pruned on the packing and the clique bound together:
+    # a search that only prunes more keeps every value and canonical witness
+    graphs = [g for n in range(1, 6) for g in G.enumerate_connected_graphs(n)]
+    h = hashlib.sha256()
+    for g in graphs + _sampled_graphs():
+        for key, solve in S.SOLVERS.items():
+            r = solve(g)
+            h.update(repr((key, r.value, r.witness.values)).encode())
+    assert h.hexdigest() == "5cbf3f74a6addadc92d874ead5cea9c75abb87e3578810d41df0513f0e7f0f49"
 
 
 def test_proof_node_count_is_within_the_search():
