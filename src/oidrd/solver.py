@@ -49,16 +49,20 @@ The search state is a few masks: the vertices labeled 0 and 1, those with a
 feasibility checks of the settled vertices and the sealed vertices' share
 of the lower bound are a few bitwise ops each.  What is left, a packing (or
 for the cover a matching) over the opened vertices and the clique-cover
-independence bound, depends only on the depth and on one mask, and is
-memoized under it in two dicts per depth.  For gamma_oidr the two add up, as
-in the paper's lower bound gamma + beta: a label x weighs at least
-[x >= 1] + [x >= 2], the clique bound counts nonzero vertices and the packing
-vertices labeled 2 or 3, so the search prunes on their sum.  Labels that
-leave the mask as it is share one lookup per call: labels 0 and 1 one
-packing, labels 2 and 3 another, and every label but 0 one clique bound.
-The memo lives for one search and stops growing at _BOUND_MEMO_LIMIT
-entries; it returns exactly the bound it replaces, so the search tree, node
-counts, values and witnesses are unchanged.
+independence bound, depends only on the graph, the depth and one mask, not
+on the problem, and is memoized under that mask in the depth's plan
+rows.  So the seven searches on one graph share the memos: gamma_oidr and
+gamma_dr one packing memo, gamma_oir, gamma_r and gamma another, the cover
+its matching memo, and gamma_oidr, gamma_oir and the cover one clique memo.
+For gamma_oidr the two bounds add up, as in the paper's lower bound
+gamma + beta: a label x weighs at least [x >= 1] + [x >= 2], the clique
+bound counts nonzero vertices and the packing vertices labeled 2 or 3, so
+the search prunes on their sum.  Labels that leave the mask as it is share
+one lookup per call: labels 0 and 1 one packing, labels 2 and 3 another,
+and every label but 0 one clique bound.  The memos of a graph stop growing
+at _BOUND_MEMO_LIMIT entries in all; a memo returns exactly the bound it
+replaces, so the search tree, node counts, values and witnesses do not
+depend on what it holds, nor on which searches ran before.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from .labeling import (Labeling, is_cover_labeling, is_dominating_labeling, is_d
 BRUTE_FORCE_CAP = 12
 _CACHE_LIMIT = 1 << 18  # labelings per oracle chunk
 _MEMO_LIMIT = 1 << 12  # oracle columns are memoized while base^n <= this
-_BOUND_MEMO_LIMIT = 1 << 16  # memoized bounds kept per search
+_BOUND_MEMO_LIMIT = 1 << 16  # memoized bounds kept per graph
 _STACK_HEADROOM = 200  # frames below the recursion limit kept for a search's callers
 _last_plan: list | None = None  # _search_plan of the last graph
 
@@ -178,7 +182,7 @@ def _initial_ub(g: Graph, prob: _Problem) -> int:
     n = g.n
     if prob.zero_mode == 1:
         return _greedy_domination_size(g)
-    _, _, iso, k, _ = _search_plan(g)
+    _, _, iso, k, _, _ = _search_plan(g)
     if prob.base == 4:
         return min(2 * n, 3 * (n - k) + 2 * iso)
     if prob.base == 3:
@@ -188,23 +192,26 @@ def _initial_ub(g: Graph, prob: _Problem) -> int:
 
 def _search_plan(g: Graph) -> list:
     """[g, plan, isolated vertices, greedy independent set size, cover
-    search] of g, from a one-entry cache keyed by graph identity, so the
-    searches on one graph share one plan and one set of incumbents, and
-    alpha and beta one cover search (None until it has run).  The cache
-    holds the graph itself, so its identity cannot be reused; the entry is
-    read once, so a graph never gets a plan another caller just stored."""
+    search, memo room] of g, from a one-entry cache keyed by graph identity,
+    so the searches on one graph share one plan with its bound memos and one
+    set of incumbents, and alpha and beta one cover search (None until it
+    has run).  Memo room counts the bounds the graph's memos may still
+    keep, _BOUND_MEMO_LIMIT at first.  The cache holds the graph itself, so
+    its identity cannot be reused; the entry is read once, so a graph never
+    gets a plan another caller just stored."""
     global _last_plan
     last = _last_plan
     if last is None or last[0] is not g:
         last = _last_plan = [g, _build_plan(g), sum(1 for a in g.adj if not a),
-                             len(_greedy_max_independent(g)), None]
+                             len(_greedy_max_independent(g)), None, _BOUND_MEMO_LIMIT]
     return last
 
 
-def _build_plan(g: Graph) -> list[tuple]:
-    """Per depth d, the static part of labeling vertex d, the same on every
-    path of a search along 0..n-1:
-    (bit, nbr, free, settled, sealed, opened, open), where
+def _build_plan(g: Graph) -> tuple[list[tuple], list[tuple], list[tuple]]:
+    """The rows of the three search kernels, labels_0123, labels_012 and
+    labels_10: per depth d, the static part of labeling vertex d, the same
+    on every path of a search along 0..n-1, and the depth's bound memos:
+    (bit, nbr, free, settled, sealed, opened, open, packs, cliques), where
       bit, nbr  1 << d and the neighborhood mask of d
       free      the mask of d+1..n-1, free once d is labeled
       settled   the labeled vertices whose neighbors are all labeled once d
@@ -214,13 +221,19 @@ def _build_plan(g: Graph) -> list[tuple]:
       opened    (bit, bit | nbr & free) of every other vertex of free,
                 ascending: its closed neighborhood within free
       open      the mask of those vertices, free & ~sealed
+      packs     the kernel's packing memo: twice the packing count for
+                labels_0123, the count for labels_012, the matching bound
+                for labels_10
+      cliques   the clique bound memo, one dict in all three rows
+    The memos are empty at first and filled by the searches on the graph
+    (see _branch_and_bound).
     """
     n = g.n
     nbr = g.nbr_masks
     settled = [0] * n
     for u, m in enumerate(nbr):
         settled[max(u, m.bit_length() - 1)] |= 1 << u
-    plan = []
+    plan: tuple[list[tuple], ...] = ([], [], [])
     full = (1 << n) - 1
     for d, m in enumerate(nbr):
         bit = 1 << d
@@ -234,7 +247,10 @@ def _build_plan(g: Graph) -> list[tuple]:
                 opened.append((low, low | near))
             else:
                 sealed |= low
-        plan.append((bit, m, free, settled[d], sealed, opened, free ^ sealed))
+        row = (bit, m, free, settled[d], sealed, opened, free ^ sealed)
+        cliques: dict[int, int] = {}
+        for rows in plan:
+            rows.append((*row, {}, cliques))
     return plan
 
 
@@ -269,15 +285,27 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     of disjoint closed neighborhoods with no support, keyed by the opened
     vertices without support (for the cover a greedy matching, keyed by
     those without a 0-neighbor), and for an independent 0-class the
-    clique-cover independence bound, keyed by z & free (z & open in
-    labels_0123).  Both are memoized in two dicts per depth, kept in this
-    search's copy of the plan row and stored until _BOUND_MEMO_LIMIT entries
-    are kept in all.  Labels that share a key look it up at most once per
-    call: labels 0 and 1 leave hi (s1 below 3), labels 2 and 3 both set
-    hi | m, and every label but 0 leaves z.  A leaf is an improvement and,
-    in ascending order, ends the call, since the next label weighs more.  A
-    child is called only when its weight plus its bound beats best, so it
-    does not test its weight again on entry.
+    clique-cover independence bound, keyed by the opened vertices with a
+    0-neighbor, z & open.  Neither reads the problem beyond its packing
+    factor, so the memos sit in the plan rows and every search on the graph
+    shares them: base 4 keeps twice the packing count, as labels_0123 reads
+    it, the labels_012 problems the count, the cover its matching, and
+    gamma_oidr, gamma_oir and the cover one clique memo.  labels_012 and
+    labels_10 bound the whole free set, so they add the sealed vertices
+    with a 0-neighbor: for a key within free,
+      independence_lb(opened, key)
+          = independence_lb(opened, key & open) + |key & sealed|,
+    since the bound reads key only through low & key of opened vertices,
+    which lie in open, and through key.bit_count().  A memo returns the
+    bound it replaces, so the searches see the same numbers in any order.
+    The graph's memos keep at most _BOUND_MEMO_LIMIT entries in all: a
+    search reads the room left at its start and writes it back at its end.
+    Labels that share a key look it up at most once per call: labels 0 and
+    1 leave hi (s1 below 3), labels 2 and 3 both set hi | m, and every label
+    but 0 leaves z.  A leaf is an improvement and, in ascending order, ends
+    the call, since the next label weighs more.  A child is called only when
+    its weight plus its bound beats best, so it does not test its weight
+    again on entry.
 
     gamma_oidr prunes on the packing and the clique bound together, the
     argument of the paper's lower bound gamma + beta.  Let C be the nonzero
@@ -304,20 +332,21 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     """
     oi = prob.oi
     sup = prob.zero_mode  # the support label of labels_012
-    rows = [(*row, {}, {}) for row in _search_plan(g)[1]]  # + packing and clique memos
+    entry = _search_plan(g)
+    rows = entry[1][0 if prob.base == 4 else 1 if sup else 2]
     bonus = 2 if prob.zero_mode == 3 else 1
     nodes = last = 0
     best = ub
     found: tuple[int, ...] | None = None
     path = [0] * g.n
-    room = _BOUND_MEMO_LIMIT
+    room = entry[5]
 
     def independence_lb(opened: list[tuple[int, int]], key: int) -> int:
-        # with an independent 0-class, the zeros among free vertices fit
-        # inside any clique cover of them; everything else costs at least 1.
-        # key: the free vertices with a 0-neighbor, forced nonzero; a sealed
-        # vertex is a clique of its own.  labels_0123 keys it by the opened
-        # vertices only, so it counts the nonzero opened vertices
+        # with an independent 0-class, the zeros among the opened vertices
+        # fit inside any clique cover of them; everything else costs at least 1.
+        # key: the opened vertices with a 0-neighbor, forced nonzero, so it
+        # counts the nonzero opened vertices; callers that bound all of free
+        # add the sealed ones with a 0-neighbor
         rest = 0
         cliques: list[int] = []
         for low, near in opened:
@@ -488,8 +517,10 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                     low = miss(packs, pack, opened, key)
                 if w + (sealed & ~ok).bit_count() + low < best:
                     c = 0
-                    if oi and (c := cliques.get(key := nz & free)) is None:
-                        c = miss(cliques, independence_lb, opened, key)
+                    if oi:
+                        if (c := cliques.get(key := nz & open_mask)) is None:
+                            c = miss(cliques, independence_lb, opened, key)
+                        c += (nz & sealed).bit_count()
                     if w + c < best:
                         labels_012(depth + 1, w, l0 | bit, nz, s1)
         # label 1, the masks stay (for gamma the support, which weighs 1)
@@ -506,8 +537,10 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                 if low is None and (low := packs.get(key := open_mask & ~s1)) is None:
                     low = miss(packs, pack, opened, key)
                 if w1 + (sealed & ~ok).bit_count() + low < best:
-                    if keep is None and (keep := cliques.get(key := z & free)) is None:
-                        keep = miss(cliques, independence_lb, opened, key)
+                    if keep is None:
+                        if (keep := cliques.get(key := z & open_mask)) is None:
+                            keep = miss(cliques, independence_lb, opened, key)
+                        keep += (z & sealed).bit_count()
                     if w1 + keep < best:
                         labels_012(depth + 1, w1, l0, z, s1)
         # label sup, the support
@@ -524,8 +557,10 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             if (p := packs.get(key := open_mask & ~s1)) is None:
                 p = miss(packs, pack, opened, key)
             if ws + (sealed & ~ok).bit_count() + p < best:
-                if keep is None and (keep := cliques.get(key := z & free)) is None:
-                    keep = miss(cliques, independence_lb, opened, key)
+                if keep is None:
+                    if (keep := cliques.get(key := z & open_mask)) is None:
+                        keep = miss(cliques, independence_lb, opened, key)
+                    keep += (z & sealed).bit_count()
                 if ws + keep < best:
                     labels_012(depth + 1, ws, l0, z, s1)
 
@@ -544,10 +579,10 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             else:
                 if (p := packs.get(key := open_mask & ~z)) is None:
                     p = miss(packs, pack, opened, key)
-                if w1 + (sealed & z).bit_count() + p < best:
-                    if (c := cliques.get(key := z & free)) is None:
+                if (lb := w1 + (sealed & z).bit_count()) + p < best:
+                    if (c := cliques.get(key := z & open_mask)) is None:
                         c = miss(cliques, independence_lb, opened, key)
-                    if w1 + c < best:
+                    if lb + c < best:
                         labels_10(depth + 1, w1, l0, z)
         # label 0
         if w >= best or bit & z:
@@ -560,10 +595,10 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                 return improve(w)
             if (p := packs.get(key := open_mask & ~nz)) is None:
                 p = miss(packs, pack, opened, key)
-            if w + (sealed & nz).bit_count() + p < best:
-                if (c := cliques.get(key := nz & free)) is None:
+            if (lb := w + (sealed & nz).bit_count()) + p < best:
+                if (c := cliques.get(key := nz & open_mask)) is None:
                     c = miss(cliques, independence_lb, opened, key)
-                if w + c < best:
+                if lb + c < best:
                     labels_10(depth + 1, w, l0 | bit, nz)
 
     if prob.base == 4:
@@ -572,6 +607,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
         labels_012(0, 0, 0, 0, 0)
     else:
         labels_10(0, 0, 0, 0)
+    entry[5] = room
     return best, found, nodes, nodes - last
 
 
@@ -848,12 +884,17 @@ def _chunks(base: int, n: int) -> Iterator[tuple[int, list, list[int], int, int]
     weights, weight offset, full set) chunks: the cached tables of the last
     k vertices under each fixed prefix of the first n - k labels.  A prefix
     vertex labeled d gets the constant planes, the full set for d and the
-    empty set for every other label; the offset is the prefix's weight."""
+    empty set for every other label; the offset is the prefix's weight.
+    While base^n <= _CACHE_LIMIT there is no prefix, and the one chunk is
+    the cached tables themselves, which callers only read."""
     k = n
     while base ** k > _CACHE_LIMIT:
         k -= 1
     planes, weights = _tables(base, k)
     full = (1 << base ** k) - 1
+    if k == n:
+        yield 0, planes, weights, 0, full
+        return
     constant = [tuple(full if x == d else 0 for x in range(base)) for d in range(base)]
     for p in range(base ** (n - k)):
         prefix = _decode(p, base, n - k)

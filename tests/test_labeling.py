@@ -1,9 +1,11 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oidrd import graphs as G
+from oidrd import labeling as L
+from oidrd import solver as S
 from oidrd.labeling import (
     Labeling,
     LabelingError,
@@ -117,3 +119,115 @@ def test_zeros_independent_matches_definition(gf):
 def test_is_rd_puts_no_condition_on_ones():
     assert is_rd(G.path(4), [0, 2, 0, 1])
     assert not is_rd(G.path(4), [0, 1, 2, 0])
+
+
+# The definitions as loops over each vertex's neighbour list: the reference
+# that the mask form in oidrd.labeling is checked against.  They take
+# well-formed labelings only.
+
+
+def _ref_zeros_independent(g, vals):
+    return not any(vals[u] == 0 and any(vals[w] == 0 for w in g.adj[u]) for u in range(g.n))
+
+
+def _ref_drd(g, vals):
+    for v, x in enumerate(vals):
+        if x == 0:
+            twos = 0
+            ok = False
+            for w in g.adj[v]:
+                if vals[w] == 3:
+                    ok = True
+                    break
+                if vals[w] == 2:
+                    twos += 1
+                    if twos >= 2:
+                        ok = True
+                        break
+            if not ok:
+                return False
+        elif x == 1:
+            if not any(vals[w] >= 2 for w in g.adj[v]):
+                return False
+    return True
+
+
+def _ref_rd(g, vals):
+    if 3 in vals:
+        return False
+    for v, x in enumerate(vals):
+        if x == 0 and not any(vals[w] == 2 for w in g.adj[v]):
+            return False
+    return True
+
+
+def _ref_dominating(g, vals):
+    return max(vals) <= 1 and all(x == 1 or any(vals[w] == 1 for w in g.adj[v])
+                                  for v, x in enumerate(vals))
+
+
+def _ref_cover(g, vals):
+    return max(vals) <= 1 and _ref_zeros_independent(g, vals)
+
+
+def _ref_independent(g, vals):
+    return max(vals) <= 1 and not any(vals[u] == 1 and any(vals[w] == 1 for w in g.adj[u])
+                                      for u in range(g.n))
+
+
+_REFERENCE = {
+    "zeros_independent": _ref_zeros_independent,
+    "is_drd": _ref_drd,
+    "is_oidrd": lambda g, vals: _ref_zeros_independent(g, vals) and _ref_drd(g, vals),
+    "is_rd": _ref_rd,
+    "is_oird": lambda g, vals: _ref_zeros_independent(g, vals) and _ref_rd(g, vals),
+    "is_dominating_labeling": _ref_dominating,
+    "is_cover_labeling": _ref_cover,
+    "is_independent_labeling": _ref_independent,
+}
+
+
+def _every_small_graph():
+    # every labeled graph with n <= 4, disconnected ones and ones with
+    # isolated vertices among them
+    return [g for n in range(1, 5) for g in G.enumerate_graphs(n)]
+
+
+def test_mask_predicates_match_the_definitions_exhaustively():
+    graphs = _every_small_graph()
+    assert sum(not G.is_connected(g) for g in graphs) > 20
+    assert sum(any(not a for a in g.adj) for g in graphs) > 20
+    for g in graphs:
+        for vals in product(range(4), repeat=g.n):
+            for name, reference in _REFERENCE.items():
+                assert getattr(L, name)(g, vals) == reference(g, vals), \
+                    (name, G.to_edge_list_text(g), vals)
+
+
+def test_mask_predicates_match_the_oracle_valid_sets():
+    # a second route: membership in the oracle's valid set, the AND of the
+    # columns _scan builds, indexed in lex order; alpha's labeling is valid
+    # iff its complement is in the cover set, and a label above an
+    # invariant's range makes it invalid
+    for g in _every_small_graph():
+        for name, (prob, predicate) in S.INVARIANTS.items():
+            (_, valid, _, _), = S._scan(g, prob)
+            for vals in product(range(4), repeat=g.n):
+                if max(vals) >= prob.base:
+                    member = False
+                else:
+                    idx = sum(x * prob.base ** (g.n - 1 - v) for v, x in enumerate(vals))
+                    if name == "alpha":
+                        idx = 2 ** g.n - 1 - idx
+                    member = bool(valid >> idx & 1)
+                assert getattr(L, predicate)(g, vals) == member, (name, G.to_edge_list_text(g), vals)
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE))
+def test_predicates_reject_malformed_labelings(name):
+    predicate = getattr(L, name)
+    with pytest.raises(LabelingError, match="2 values for a graph on 3 vertices"):
+        predicate(G.path(3), [0, 3])
+    for label in (4, -1):
+        with pytest.raises(LabelingError, match="out of range"):
+            predicate(G.path(3), [0, label, 0])

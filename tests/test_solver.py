@@ -577,7 +577,7 @@ def test_alpha_and_beta_share_one_cover_search(monkeypatch):
     assert len(runs) == 2
 
 
-@pytest.mark.parametrize("limit", [0, 1])
+@pytest.mark.parametrize("limit", [0, 1, 100])
 def test_full_bound_memo_changes_nothing(monkeypatch, limit):
     graphs = [G.family(G.parse_family_spec(spec)) for spec in
               ("cycle:12", "sharph:2,2,2", "corona(path:2,empty:4)", "gadget(path:3)")]
@@ -586,6 +586,25 @@ def test_full_bound_memo_changes_nothing(monkeypatch, limit):
     monkeypatch.setattr(S, "_BOUND_MEMO_LIMIT", limit)
     capped = [(solve(g), k) for g in graphs for k, solve in S.SOLVERS.items()]
     assert capped == uncapped
+
+
+def test_shared_bound_memos_are_exact_and_order_free():
+    # each invariant gives the same result alone on a fresh graph object as
+    # after the other six filled the memos of the same object, in either order
+    specs = ("cycle:12", "sharph:2,2,2", "corona(path:2,empty:4)", "gadget(path:3)")
+    graphs = [G.family(G.parse_family_spec(spec)) for spec in specs]
+    graphs += [g for n in range(1, 6) for g in G.enumerate_connected_graphs(n)]
+    keys = list(S.SOLVERS)
+    for g in graphs:
+        for key in keys:
+            results = []
+            for before in ([], [k for k in keys if k != key], [k for k in reversed(keys) if k != key]):
+                h = G.build(g.n, g.edges())
+                for k in before:
+                    S.SOLVERS[k](h)
+                r = S.SOLVERS[key](h)
+                results.append((r.value, r.witness, r.node_count, r.proof_node_count))
+            assert results[0] == results[1] == results[2], (key, G.to_edge_list_text(g))
 
 
 def test_searches_on_one_graph_share_one_plan(monkeypatch):
