@@ -17,9 +17,8 @@ from pathlib import Path
 
 from . import graphs as G
 from . import harness as H
-from .characterize import CharacterizeError, classify
+from .characterize import classify
 from .formulas import (
-    FormulaError,
     corona_value,
     formula_complete,
     formula_complete_bipartite,
@@ -28,8 +27,8 @@ from .formulas import (
     formula_path,
 )
 from .graphs import GraphError
-from .labeling import Labeling, LabelingError, weight
-from .reduction import IDENTITY_BASE_CAP, ReductionError, build_gadget, verify_identity
+from .labeling import Labeling, weight
+from .reduction import IDENTITY_BASE_CAP, build_gadget, verify_identity
 from .solver import SOLVERS, bundle, is_feasible, solve_oidrd
 
 SCHEMA = "oidrd/1"
@@ -399,8 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (GraphError, LabelingError, FormulaError, ReductionError,
-            CharacterizeError, UsageError, ValueError) as exc:
+    except ValueError as exc:  # every input error of the package subclasses it
         print(f"oidrd: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from math import ceil
 from multiprocessing import Pool
+from typing import Iterator
 
 from . import graphs as G
 from .characterize import CLASS_VALUE, OTHER, classify, verify_classification
@@ -118,12 +119,12 @@ def _violations(g: G.Graph, items: list[tuple]) -> list[tuple]:
     return [(text, *item) for item in items]
 
 
-def _map_instances(worker, payloads, workers: int | None, *, chunksize: int = 64) -> list:
-    """Run worker over an iterable of payloads, preserving order, on at most
-    os.cpu_count() processes and no more than there are payloads, chunksize
-    payloads per pool task.  Only the first `workers` payloads are taken
-    ahead to count them; the rest stay a lazy iterator.  workers None means
-    every core; below 1 it raises ValueError."""
+def _map_instances(worker, payloads, workers: int | None, *, chunksize: int = 64) -> Iterator:
+    """Worker's results over an iterable of payloads, in order and as they
+    arrive, from at most os.cpu_count() processes and no more than there are
+    payloads, chunksize payloads per pool task.  Only the first `workers`
+    payloads are taken ahead to count them; the rest stay a lazy iterator.
+    workers None means every core; below 1 it raises ValueError at the call."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cpus = os.cpu_count() or 1
@@ -134,9 +135,13 @@ def _map_instances(worker, payloads, workers: int | None, *, chunksize: int = 64
         workers = len(head)
         payloads = chain(head, payloads)
     if workers <= 1:
-        return [worker(p) for p in payloads]
+        return map(worker, payloads)
+    return _pooled(worker, payloads, workers, chunksize)
+
+
+def _pooled(worker, payloads, workers: int, chunksize: int) -> Iterator:
     with Pool(workers) as pool:
-        return list(pool.imap(worker, payloads, chunksize=chunksize))
+        yield from pool.imap(worker, payloads, chunksize=chunksize)
 
 
 def _report(campaign: str, params: dict, instances: int, violations: list[Violation],
@@ -153,8 +158,8 @@ MAX_N = {"bounds": (2, 6), "characterization": (3, 6), "reduction": (1, 5), "tre
 def _pool_campaign(name, params, payloads, check, workers, *, extra=None, chunksize=64,
                    anchors=()) -> AuditReport:
     """Check max_n against MAX_N and each *samples* count against 0, map check over
-    payloads, and fold each (instances, violations, notes, Counter.update input) in
-    order, anchors last, run here after the pool; extra(instances, tally) gives extra."""
+    payloads, and fold each (instances, violations, notes, Counter.update input) as it
+    arrives, anchors last, run here after the pool; extra(instances, tally) gives extra."""
     lo, hi = MAX_N[name]
     if not lo <= params["max_n"] <= hi:
         scope = " exhaustive" if name == "characterization" else ""  # n = 7 is sampled

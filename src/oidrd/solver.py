@@ -8,10 +8,11 @@ labelings in lex order: one plane per vertex and label, and one set per
 weight.  One bitwise kernel turns the planes of a vertex and its neighbours
 into that vertex's validity column, and a graph's valid set is the AND of
 its n columns.  The least weight whose set meets it is the value, and its
-lowest bit the lex-first optimum (for beta the highest bit, the lex-largest
-minimum cover).  Columns are memoized per neighbourhood while base^n <=
-_MEMO_LIMIT; above _CACHE_LIMIT labelings the scan runs in chunks under
-fixed label prefixes, whose vertices get constant planes.
+lowest bit the lex-first optimum (for the cover the highest bit, the
+lex-largest minimum cover).  Columns are memoized per neighbourhood while
+one chunk holds all base^n <= _MEMO_LIMIT labelings; above _CACHE_LIMIT
+labelings the scan runs in chunks under fixed label prefixes, whose
+vertices get constant planes.
 On forests, gamma_oidr and beta have a third, value-only route in linear
 time: one children-first pass (`_forest_routes`) runs a dynamic program over
 the labels (`tree_oidrd`) and greedy leaf matching (`tree_beta`) together.
@@ -25,8 +26,8 @@ is reached the incumbent stays above the optimum, and every bound on that
 optimum's path is at most its weight, so no pruning cuts it off; after it,
 nothing improves.  The vertex cover problem tries 1 before 0 instead, so
 the same pass keeps the lex-largest minimum cover: that is the beta
-witness, and its complement, the lex-smallest maximum independent set, is
-the alpha witness.  All seven invariants thus come from one search.
+witness, and on both routes alpha is read off it (_read_off): n - beta,
+with the complement, the lex-smallest maximum independent set, as witness.
 
 Since the vertex order is fixed, the free set at each depth of the search is
 the same on every path, and so is all that depends on it alone.  One plan
@@ -35,13 +36,13 @@ labels become final there; the sealed free vertices, with no free neighbor;
 and the opened ones, with their closed neighborhoods within the free set.
 The seven searches on one graph share the plan, and the initial incumbents'
 greedy independent set and isolated vertices, through a one-entry cache
-keyed by graph identity; alpha and beta also share the cover search kept
-there.  Three search kernels, one per constraint shape, write each label
-as a straight-line block with the problem's constants folded in: 0..3 for
-gamma_oidr and gamma_dr; one for the problems where a 0 needs a neighbor
-with the support label zero_mode, 0..2 for gamma_oir and gamma_r (support
-2) and 0/1 for gamma (support 1, so no plain label 1); and 1/0 for the
-cover.
+keyed by graph identity, which also keeps each problem's search result,
+so alpha and beta share one cover search.  Three search kernels, one per
+constraint shape, write each label as a straight-line block with the
+problem's constants folded in: 0..3 for gamma_oidr and gamma_dr; one for
+the problems where a 0 needs a neighbor with the support label zero_mode,
+0..2 for gamma_oir and gamma_r (support 2) and 0/1 for gamma (support 1,
+so no plain label 1); and 1/0 for the cover.
 The search state is a few masks: the vertices labeled 0 and 1, those with a
 0-neighbor and those with a support neighbor; the 0..3 kernel carries hi (a
 2- or 3-neighbor, which a 1 needs) and ok0 (a 3-neighbor or two
@@ -78,7 +79,7 @@ from .labeling import (Labeling, is_cover_labeling, is_dominating_labeling, is_d
 
 BRUTE_FORCE_CAP = 12
 _CACHE_LIMIT = 1 << 18  # labelings per oracle chunk
-_MEMO_LIMIT = 1 << 12  # oracle columns are memoized while base^n <= this
+_MEMO_LIMIT = 1 << 12  # one-chunk oracle columns are memoized while base^n <= this
 _BOUND_MEMO_LIMIT = 1 << 16  # memoized bounds kept per graph
 _STACK_HEADROOM = 200  # frames below the recursion limit kept for a search's callers
 _last_plan: list | None = None  # _search_plan of the last graph
@@ -107,11 +108,12 @@ class SolveResult:
     proof_node_count: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Problem:
     # zero_mode: 0 = none (the cover, searched 1 before 0), 1 = needs a
     # 1-neighbor, 2 = needs a 2-neighbor, 3 = needs a 3-neighbor or two
-    # 2-neighbors, and a 1 then needs a neighbor labeled 2 or 3
+    # 2-neighbors, and a 1 then needs a neighbor labeled 2 or 3.  The six
+    # problems below are the only ones, so they key dicts by identity
     base: int
     oi: bool
     zero_mode: int
@@ -128,8 +130,8 @@ _COVER = _Problem(2, True, 0)
 # The seven invariants, in report order: name -> (the problem both exact
 # routes solve, the name of the predicate that certifies a labeling).  The
 # predicate is looked up when a labeling is checked, so rebinding it here
-# reaches every route.  One row is read off another search: on both routes
-# alpha is the complement of beta's witness, the lex-largest minimum cover.
+# reaches every route.  Alpha solves beta's problem and is read off its
+# optimum by _read_off.
 INVARIANTS: dict[str, tuple[_Problem, str]] = {
     "gamma_oidr": (_OIDR, "is_oidrd"),
     "gamma_dr": (_DR, "is_drd"),
@@ -139,6 +141,16 @@ INVARIANTS: dict[str, tuple[_Problem, str]] = {
     "alpha": (_COVER, "is_independent_labeling"),
     "beta": (_COVER, "is_cover_labeling"),
 }
+
+
+def _read_off(g: Graph, name: str, value: int,
+              wit: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The invariant's (value, witness) from its problem's optimum: alpha is
+    n - beta, and the complement of the lex-largest minimum cover is the
+    lex-smallest maximum independent set; every other row is its optimum."""
+    if name == "alpha":
+        return g.n - value, tuple(1 - x for x in wit)
+    return value, wit
 
 
 def is_feasible(name: str, g: Graph, f: Labeling | Sequence[int]) -> bool:
@@ -191,19 +203,20 @@ def _initial_ub(g: Graph, prob: _Problem) -> int:
 
 
 def _search_plan(g: Graph) -> list:
-    """[g, plan, isolated vertices, greedy independent set size, cover
-    search, memo room] of g, from a one-entry cache keyed by graph identity,
-    so the searches on one graph share one plan with its bound memos and one
-    set of incumbents, and alpha and beta one cover search (None until it
-    has run).  Memo room counts the bounds the graph's memos may still
-    keep, _BOUND_MEMO_LIMIT at first.  The cache holds the graph itself, so
+    """[g, plan, isolated vertices, greedy independent set size, search
+    results, memo room] of g, from a one-entry cache keyed by graph
+    identity, so the searches on one graph share one plan with its bound
+    memos and one set of incumbents, and each problem is searched once: the
+    results map each _Problem searched on g to its _branch_and_bound result.
+    Memo room counts the bounds the graph's memos may still keep,
+    _BOUND_MEMO_LIMIT at first.  The cache holds the graph itself, so
     its identity cannot be reused; the entry is read once, so a graph never
     gets a plan another caller just stored."""
     global _last_plan
     last = _last_plan
     if last is None or last[0] is not g:
         last = _last_plan = [g, _build_plan(g), sum(1 for a in g.adj if not a),
-                             len(_greedy_max_independent(g)), None, _BOUND_MEMO_LIMIT]
+                             len(_greedy_max_independent(g)), {}, _BOUND_MEMO_LIMIT]
     return last
 
 
@@ -619,23 +632,22 @@ def _certified(g: Graph, name: str, lab: Labeling, value: int, nodes: int,
     return SolveResult(value, lab, nodes, proof_node_count=proof)
 
 
-def _solve_min(g: Graph, name: str) -> SolveResult:
+def _solve_min(name: str, g: Graph) -> SolveResult:
     # one pass along 0..n-1; ub + 1 so that an optimal ub is still met.  The
-    # cover search is kept beside the plan, so alpha and beta run it once.
-    # The search recurses once per vertex: refuse what would hit the limit
+    # result is kept beside the plan, so each problem is searched once per
+    # graph.  The search recurses once per vertex: refuse what would hit the limit
     if g.n > sys.getrecursionlimit() - _STACK_HEADROOM:
         raise GraphError(f"graph has {g.n} vertices; the search recurses once per vertex "
                          f"and supports n <= {sys.getrecursionlimit() - _STACK_HEADROOM}")
     prob = INVARIANTS[name][0]
-    entry = _search_plan(g)
-    run = entry[4] if prob is _COVER else None
+    runs = _search_plan(g)[4]
+    run = runs.get(prob)
     if run is None:
-        run = _branch_and_bound(g, prob, _initial_ub(g, prob) + 1)
-        if prob is _COVER:
-            entry[4] = run
+        run = runs[prob] = _branch_and_bound(g, prob, _initial_ub(g, prob) + 1)
     value, wit, nodes, proof = run
     if wit is None:
         raise CertificationError(f"search found no labeling below its incumbent {value}")
+    value, wit = _read_off(g, name, value, wit)
     return _certified(g, name, Labeling(wit), value, nodes, proof)
 
 
@@ -643,7 +655,7 @@ def solve_oidrd(g: Graph, *, count_optimal: bool = False) -> SolveResult:
     """Exact outer independent double Roman domination number with witness."""
     if count_optimal:
         _check_brute_cap(g)  # before the search, which can take long above the cap
-    res = _solve_min(g, "gamma_oidr")
+    res = _solve_min("gamma_oidr", g)
     if count_optimal:
         n_opt = sum(1 for _ in _iter_optimal_indices(g, _OIDR, res.value))
         return replace(res, optimal_count=n_opt)
@@ -652,35 +664,33 @@ def solve_oidrd(g: Graph, *, count_optimal: bool = False) -> SolveResult:
 
 def solve_gamma_dr(g: Graph) -> SolveResult:
     """Exact double Roman domination number with witness."""
-    return _solve_min(g, "gamma_dr")
+    return _solve_min("gamma_dr", g)
 
 
 def solve_gamma_oir(g: Graph) -> SolveResult:
     """Exact outer independent Roman domination number with witness."""
-    return _solve_min(g, "gamma_oir")
+    return _solve_min("gamma_oir", g)
 
 
 def solve_gamma_r(g: Graph) -> SolveResult:
     """Exact Roman domination number with witness."""
-    return _solve_min(g, "gamma_r")
+    return _solve_min("gamma_r", g)
 
 
 def solve_gamma(g: Graph) -> SolveResult:
     """Exact domination number; witness is the 0/1 indicator of the set."""
-    return _solve_min(g, "gamma")
+    return _solve_min("gamma", g)
 
 
 def solve_beta(g: Graph) -> SolveResult:
     """Exact vertex cover number; witness is the lex-largest minimum cover."""
-    return _solve_min(g, "beta")
+    return _solve_min("beta", g)
 
 
 def solve_alpha(g: Graph) -> SolveResult:
     """Exact independence number, n - beta; witness is the complement of the
     beta witness, i.e. the lex-smallest maximum independent set."""
-    b = solve_beta(g)
-    return _certified(g, "alpha", Labeling(tuple(1 - x for x in b.witness.values)),
-                      g.n - b.value, b.node_count, b.proof_node_count)
+    return _solve_min("alpha", g)
 
 
 @dataclass(frozen=True)
@@ -724,15 +734,7 @@ def bundle(g: Graph) -> InvariantBundle:
 
 
 # the engine route of each INVARIANTS row, in the same order
-SOLVERS = {
-    "gamma_oidr": solve_oidrd,
-    "gamma_dr": solve_gamma_dr,
-    "gamma_oir": solve_gamma_oir,
-    "gamma_r": solve_gamma_r,
-    "gamma": solve_gamma,
-    "alpha": solve_alpha,
-    "beta": solve_beta,
-}
+SOLVERS = {name: partial(_solve_min, name) for name in INVARIANTS}
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +850,9 @@ def tree_beta(g: Graph) -> int:
 # planes[v][x] is the set where v is labeled x, and weights[w] the set of
 # labelings of weight w.  Each vertex's constraint is one column built with
 # bitwise ops from the planes of v and its neighbours (_column); a graph's
-# valid set is the AND of its n columns.  While base^n <= _MEMO_LIMIT,
-# columns are memoized per (problem, n, v, neighbourhood mask).  Above
+# valid set is the AND of its n columns.  While base^n <= _MEMO_LIMIT and
+# the scan is one chunk, columns are memoized per (problem, n, v,
+# neighbourhood mask); a chunk's columns hold for that chunk only.  Above
 # _CACHE_LIMIT labelings the scan runs in chunks: the cached tables of the
 # last k vertices under each fixed prefix of the first n - k labels, whose
 # vertices get constant planes, so the same kernel runs in every chunk.
@@ -932,7 +935,8 @@ def _scan(g: Graph, prob: _Problem) -> Iterator[tuple[int, int, list[int], int]]
     """(index of the first labeling, valid set, weights, weight offset) for
     each chunk of the base^n labelings of g, in lex order."""
     n = g.n
-    memo = _column_memo.setdefault((prob, n), {}) if prob.base ** n <= _MEMO_LIMIT else None
+    one_chunk = prob.base ** n <= min(_MEMO_LIMIT, _CACHE_LIMIT)
+    memo = _column_memo.setdefault((prob, n), {}) if one_chunk else None
     for start, planes, weights, offset, full in _chunks(prob.base, n):
         valid = full
         for v, mask in enumerate(g.nbr_masks):
@@ -952,15 +956,19 @@ def _decode(idx: int, base: int, n: int) -> tuple[int, ...]:
 
 def _brute_min(g: Graph, prob: _Problem) -> tuple[int, tuple[int, ...]]:
     """Scan all base^n labelings in lexicographic order; return the minimum
-    weight and the first labeling attaining it."""
+    weight and the first labeling attaining it, or for the cover the last,
+    the lex-largest minimum cover that the engine's 1-before-0 search keeps."""
+    last = not prob.zero_mode
     best: int | None = None
     best_idx = -1
     for start, valid, weights, offset in _scan(g, prob):
-        # the chunk's least weight, and its lowest labeling of that weight
+        # the chunk's least weight, and its lowest (cover: highest) labeling
+        # of that weight; a later chunk holds higher labelings
         w = next((w for w, s in enumerate(weights) if s & valid), None)
-        if w is not None and (best is None or w + offset < best):
+        if w is not None and (best is None or w + offset < best
+                              or last and w + offset == best):
             hit = weights[w] & valid
-            best, best_idx = w + offset, start + (hit & -hit).bit_length() - 1
+            best, best_idx = w + offset, start + (hit if last else hit & -hit).bit_length() - 1
     if best is None:
         raise CertificationError("full enumeration found no valid labeling")
     return best, _decode(best_idx, prob.base, g.n)
@@ -980,43 +988,23 @@ def _check_brute_cap(g: Graph) -> None:
         raise ValueError(f"full enumeration capped at n <= {BRUTE_FORCE_CAP}, got n = {g.n}")
 
 
-def _brute_result(g: Graph, name: str) -> SolveResult:
+def _brute_result(name: str, g: Graph) -> SolveResult:
     prob = INVARIANTS[name][0]
     _check_brute_cap(g)
-    value, wit = _brute_min(g, prob)
+    value, wit = _read_off(g, name, *_brute_min(g, prob))
     return SolveResult(value, Labeling(wit), node_count=prob.base ** g.n)
 
 
 def brute_force_oidrd(g: Graph) -> SolveResult:
     """Oracle twin of solve_oidrd: full scan of 4^n labelings, n <= 12."""
-    return _brute_result(g, "gamma_oidr")
+    return _brute_result("gamma_oidr", g)
 
 
-def brute_force_beta(g: Graph) -> SolveResult:
-    """Oracle twin of solve_beta: scan of 2^n indicators (one chunk, since
-    2^n <= _CACHE_LIMIT for n <= BRUTE_FORCE_CAP); the witness is the
-    highest set bit of the minimum-weight cover set, the lex-largest
-    minimum cover."""
-    _check_brute_cap(g)
-    (_, cover, weights, _), = _scan(g, _COVER)
-    value = next(w for w, s in enumerate(weights) if s & cover)
-    idx = (weights[value] & cover).bit_length() - 1
-    return SolveResult(value, Labeling(_decode(idx, 2, g.n)), node_count=2 ** g.n)
-
-
-def brute_force_alpha(g: Graph) -> SolveResult:
-    """Oracle twin of solve_alpha: n - beta, witness = complement of the
-    beta oracle witness, the lex-smallest maximum independent set."""
-    b = brute_force_beta(g)
-    comp = tuple(1 - x for x in b.witness.values)
-    return SolveResult(g.n - b.value, Labeling(comp), node_count=b.node_count)
-
-
-# the full scan of each row's problem, but beta keeps the last minimum cover
-# and alpha complements it; callers look entries up when they call, so one
-# can be swapped
-BRUTE_SOLVERS = {name: partial(_brute_result, name=name) for name in INVARIANTS}
-BRUTE_SOLVERS.update(alpha=brute_force_alpha, beta=brute_force_beta)
+# the full scan of each row's problem, read off like the engine's result;
+# callers look entries up when they call, so one can be swapped
+BRUTE_SOLVERS = {name: partial(_brute_result, name) for name in INVARIANTS}
+brute_force_alpha = BRUTE_SOLVERS["alpha"]
+brute_force_beta = BRUTE_SOLVERS["beta"]
 
 
 def _optimal_labelings(g: Graph, name: str) -> Iterator[Labeling]:

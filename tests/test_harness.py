@@ -137,11 +137,11 @@ def _record_pool_starts(monkeypatch, cpus):
 
 def test_map_instances_clamps_workers_to_cpu_count(monkeypatch):
     started = _record_pool_starts(monkeypatch, 2)
-    assert H._map_instances(abs, [-1, -2, 3], 10**6) == [1, 2, 3]
-    assert H._map_instances(abs, [-4, -6], None) == [4, 6]
+    assert list(H._map_instances(abs, [-1, -2, 3], 10**6)) == [1, 2, 3]
+    assert list(H._map_instances(abs, [-4, -6], None)) == [4, 6]
     assert started == [2, 2]
     monkeypatch.setattr(H.os, "cpu_count", lambda: 1)
-    assert H._map_instances(abs, [-5, -7], 64) == [5, 7]
+    assert list(H._map_instances(abs, [-5, -7], 64)) == [5, 7]
     assert started == [2, 2]
 
 
@@ -152,12 +152,21 @@ def test_map_instances_starts_no_idle_processes(monkeypatch):
         # a generator, as the campaigns pass it: it can be read only once
         yield from range(-1, -k - 1, -1)
 
-    assert H._map_instances(abs, payloads(1), 2) == [1]
-    assert H._map_instances(abs, payloads(0), 2) == []
+    assert list(H._map_instances(abs, payloads(1), 2)) == [1]
+    assert list(H._map_instances(abs, payloads(0), 2)) == []
     assert started == []
-    assert H._map_instances(abs, payloads(2), 2) == [1, 2]
-    assert H._map_instances(abs, payloads(5), 2) == [1, 2, 3, 4, 5]
+    assert list(H._map_instances(abs, payloads(2), 2)) == [1, 2]
+    assert list(H._map_instances(abs, payloads(5), 2)) == [1, 2, 3, 4, 5]
     assert started == [2, 2]
+
+
+def test_map_instances_streams_results():
+    # on the serial path the first result comes before the second payload is read
+    def payloads():
+        yield -1
+        raise AssertionError("read the second payload before the first result was taken")
+
+    assert next(H._map_instances(abs, payloads(), 1)) == 1
 
 
 @pytest.mark.parametrize("workers", [0, -2])

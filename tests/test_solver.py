@@ -280,6 +280,20 @@ def test_oracle_without_column_memo_is_unchanged(monkeypatch):
     assert not S._column_memo
 
 
+def test_chunked_oracle_with_column_memo_matches_engine(monkeypatch):
+    # chunks of 32 labelings: a chunk's columns must not be memoized for the
+    # other chunks, and the cover (32 chunks at n = 10) keeps its lex-largest
+    # minimum across chunks, as the engine does
+    monkeypatch.setattr(S, "_CACHE_LIMIT", 1 << 5)
+    assert sum(1 for _ in S._chunks(2, 10)) == 32
+    graphs = [*G.sample_connected_graphs(8, 6, seed=8), *G.sample_connected_graphs(10, 3, seed=10),
+              G.family(G.parse_family_spec("empty:9")), G.family(G.parse_family_spec("star:8"))]
+    for g in graphs:
+        for key, solve in S.SOLVERS.items():
+            r, b = solve(g), S.BRUTE_SOLVERS[key](g)
+            assert (r.value, r.witness) == (b.value, b.witness), (key, G.to_edge_list_text(g))
+
+
 def test_count_optimal_checks_the_cap_before_the_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("searched before the full-enumeration cap was checked")
@@ -575,6 +589,21 @@ def test_alpha_and_beta_share_one_cover_search(monkeypatch):
     # another graph gets a cover search of its own
     S.solve_beta(G.cycle(4))
     assert len(runs) == 2
+
+
+def test_each_problem_is_searched_once_per_graph(monkeypatch):
+    runs = []
+    search = S._branch_and_bound
+    monkeypatch.setattr(S, "_branch_and_bound",
+                        lambda g, prob, ub: runs.append(prob) or search(g, prob, ub))
+    g = G.corona(G.cycle(4), G.path(2))
+    first = S.solve_oidrd(g), S.solve_gamma(g)
+    assert (S.solve_oidrd(g), S.solve_gamma(g)) == first
+    assert runs == [S.INVARIANTS["gamma_oidr"][0], S.INVARIANTS["gamma"][0]]
+    # an equal graph is another object, so it is searched again
+    twin = G.corona(G.cycle(4), G.path(2))
+    assert (S.solve_oidrd(twin), S.solve_gamma(twin)) == first
+    assert len(runs) == 4
 
 
 @pytest.mark.parametrize("limit", [0, 1, 100])
