@@ -162,8 +162,7 @@ def _pool_campaign(name, params, payloads, check, workers, *, extra=None, chunks
     arrives, anchors last, run here after the pool; extra(instances, tally) gives extra."""
     lo, hi = MAX_N[name]
     if not lo <= params["max_n"] <= hi:
-        scope = " exhaustive" if name == "characterization" else ""  # n = 7 is sampled
-        raise ValueError(f"audit_{name} supports {lo} <= max_n <= {hi}{scope}")
+        raise ValueError(f"audit_{name} supports {lo} <= max_n <= {hi}")
     for key, value in params.items():
         if "samples" in key and value < 0:
             raise ValueError(f"{key} must be at least 0, got {value}")

@@ -51,10 +51,10 @@ feasibility checks of the settled vertices and the sealed vertices' share
 of the lower bound are a few bitwise ops each.  What is left, a packing (or
 for the cover a matching) over the opened vertices and the clique-cover
 independence bound, depends only on the graph, the depth and one mask, not
-on the problem, and is memoized under that mask in the depth's plan
-rows.  So the seven searches on one graph share the memos: gamma_oidr and
-gamma_dr one packing memo, gamma_oir, gamma_r and gamma another, the cover
-its matching memo, and gamma_oidr, gamma_oir and the cover one clique memo.
+on the problem, and is memoized under that mask in the depth's plan row,
+one memo per bound.  So the seven searches on one graph share the memos:
+the five label problems one packing memo, the cover its matching memo, and
+gamma_oidr, gamma_oir and the cover one clique memo.
 For gamma_oidr the two bounds add up, as in the paper's lower bound
 gamma + beta: a label x weighs at least [x >= 1] + [x >= 2], the clique
 bound counts nonzero vertices and the packing vertices labeled 2 or 3, so
@@ -220,11 +220,11 @@ def _search_plan(g: Graph) -> list:
     return last
 
 
-def _build_plan(g: Graph) -> tuple[list[tuple], list[tuple], list[tuple]]:
-    """The rows of the three search kernels, labels_0123, labels_012 and
-    labels_10: per depth d, the static part of labeling vertex d, the same
-    on every path of a search along 0..n-1, and the depth's bound memos:
-    (bit, nbr, free, settled, sealed, opened, open, packs, cliques), where
+def _build_plan(g: Graph) -> list[tuple]:
+    """One row list for all three search kernels: per depth d, the static
+    part of labeling vertex d, the same on every path of a search along
+    0..n-1, and the depth's bound memos:
+    (bit, nbr, free, settled, sealed, opened, open, packs, match, cliques), where
       bit, nbr  1 << d and the neighborhood mask of d
       free      the mask of d+1..n-1, free once d is labeled
       settled   the labeled vertices whose neighbors are all labeled once d
@@ -234,10 +234,10 @@ def _build_plan(g: Graph) -> tuple[list[tuple], list[tuple], list[tuple]]:
       opened    (bit, bit | nbr & free) of every other vertex of free,
                 ascending: its closed neighborhood within free
       open      the mask of those vertices, free & ~sealed
-      packs     the kernel's packing memo: twice the packing count for
-                labels_0123, the count for labels_012, the matching bound
-                for labels_10
-      cliques   the clique bound memo, one dict in all three rows
+      packs     the packing memo (_packing) of the five label problems:
+                the count, which labels_0123 reads as 2 * p
+      match     the cover's matching memo (_matching)
+      cliques   the clique bound memo (_independence_lb)
     The memos are empty at first and filled by the searches on the graph
     (see _branch_and_bound).
     """
@@ -246,7 +246,7 @@ def _build_plan(g: Graph) -> tuple[list[tuple], list[tuple], list[tuple]]:
     settled = [0] * n
     for u, m in enumerate(nbr):
         settled[max(u, m.bit_length() - 1)] |= 1 << u
-    plan: tuple[list[tuple], ...] = ([], [], [])
+    plan = []
     full = (1 << n) - 1
     for d, m in enumerate(nbr):
         bit = 1 << d
@@ -260,11 +260,54 @@ def _build_plan(g: Graph) -> tuple[list[tuple], list[tuple], list[tuple]]:
                 opened.append((low, low | near))
             else:
                 sealed |= low
-        row = (bit, m, free, settled[d], sealed, opened, free ^ sealed)
-        cliques: dict[int, int] = {}
-        for rows in plan:
-            rows.append((*row, {}, cliques))
+        plan.append((bit, m, free, settled[d], sealed, opened, free ^ sealed, {}, {}, {}))
     return plan
+
+
+def _packing(opened: list[tuple[int, int]], avail: int) -> int:
+    # disjoint closed neighborhoods of the opened vertices in avail, which
+    # have no support yet: each holds a label >= 1, and >= 2 under double
+    # Roman rules, which labels_0123 reads as twice the count
+    count = blocked = 0
+    for low, near in opened:
+        if low & avail and not near & blocked:
+            count += 1
+            blocked |= near
+    return count
+
+
+def _matching(opened: list[tuple[int, int]], avail: int) -> int:
+    # vertex cover: a forced 1 at each opened vertex outside avail, which
+    # has a 0-neighbor, plus a greedy matching inside avail
+    count = len(opened) - avail.bit_count()
+    for low, near in opened:
+        if low & avail:
+            cand = near & avail & -(low << 1)
+            if cand:
+                count += 1
+                avail ^= cand & -cand
+    return count
+
+
+def _independence_lb(opened: list[tuple[int, int]], key: int) -> int:
+    # with an independent 0-class, the zeros among the opened vertices fit
+    # inside any clique cover of them; everything else costs at least 1.
+    # key: the opened vertices with a 0-neighbor, forced nonzero, so it
+    # counts the nonzero opened vertices; callers that bound all of free
+    # add the sealed ones with a 0-neighbor
+    rest = 0
+    cliques: list[int] = []
+    for low, near in opened:
+        if low & key:
+            continue
+        rest += 1
+        for i, members in enumerate(cliques):
+            if members & ~near == 0:
+                cliques[i] = members | low
+                break
+        else:
+            cliques.append(low)
+    return key.bit_count() + rest - len(cliques)
 
 
 def _branch_and_bound(g: Graph, prob: _Problem,
@@ -295,19 +338,19 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     adds the least label it can still take to the lower bound, bitwise.
 
     The rest of the lower bound loops over the opened vertices: a packing
-    of disjoint closed neighborhoods with no support, keyed by the opened
-    vertices without support (for the cover a greedy matching, keyed by
-    those without a 0-neighbor), and for an independent 0-class the
-    clique-cover independence bound, keyed by the opened vertices with a
-    0-neighbor, z & open.  Neither reads the problem beyond its packing
-    factor, so the memos sit in the plan rows and every search on the graph
-    shares them: base 4 keeps twice the packing count, as labels_0123 reads
-    it, the labels_012 problems the count, the cover its matching, and
+    of disjoint closed neighborhoods with no support (_packing), keyed by
+    the opened vertices without support (for the cover a greedy matching,
+    _matching, keyed by those without a 0-neighbor), and for an independent
+    0-class the clique-cover independence bound (_independence_lb), keyed
+    by the opened vertices with a 0-neighbor, z & open.  These module
+    functions read nothing of the search or the problem, so the memos sit
+    in the plan rows and every search on the graph shares them: the five
+    label problems one packing memo, the cover its matching memo, and
     gamma_oidr, gamma_oir and the cover one clique memo.  labels_012 and
     labels_10 bound the whole free set, so they add the sealed vertices
     with a 0-neighbor: for a key within free,
-      independence_lb(opened, key)
-          = independence_lb(opened, key & open) + |key & sealed|,
+      _independence_lb(opened, key)
+          = _independence_lb(opened, key & open) + |key & sealed|,
     since the bound reads key only through low & key of opened vertices,
     which lie in open, and through key.bit_count().  A memo returns the
     bound it replaces, so the searches see the same numbers in any order.
@@ -330,11 +373,11 @@ def _branch_and_bound(g: Graph, prob: _Problem,
               the 1 + 1 it already adds to the bound.
       opened  at least c of them are in C, c the clique bound keyed by the
               opened vertices with a 0-neighbor: 0-class independent, the
-              other zeros fit in a clique cover.  At least p = packing / 2
-              are in H: a packed vertex has no neighbor labeled 2 or 3 yet,
-              so it is one or its free closed neighborhood holds one, and
-              that neighborhood lies within the opened vertices, disjoint
-              from the other packed ones.
+              other zeros fit in a clique cover.  At least p, the packing
+              count, are in H: a packed vertex has no neighbor labeled 2 or
+              3 yet, so it is one or its free closed neighborhood holds
+              one, and that neighborhood lies within the opened vertices,
+              disjoint from the other packed ones.
     So weight(free) >= sealed share + c + p.  A child is first tested on its
     weight + 2p + sealed share, which needs no clique lookup, then on that
     sum - p + c.  Both bounds are valid, so no path to the lex-first optimum
@@ -346,56 +389,12 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     oi = prob.oi
     sup = prob.zero_mode  # the support label of labels_012
     entry = _search_plan(g)
-    rows = entry[1][0 if prob.base == 4 else 1 if sup else 2]
-    bonus = 2 if prob.zero_mode == 3 else 1
+    rows = entry[1]
     nodes = last = 0
     best = ub
     found: tuple[int, ...] | None = None
     path = [0] * g.n
     room = entry[5]
-
-    def independence_lb(opened: list[tuple[int, int]], key: int) -> int:
-        # with an independent 0-class, the zeros among the opened vertices
-        # fit inside any clique cover of them; everything else costs at least 1.
-        # key: the opened vertices with a 0-neighbor, forced nonzero, so it
-        # counts the nonzero opened vertices; callers that bound all of free
-        # add the sealed ones with a 0-neighbor
-        rest = 0
-        cliques: list[int] = []
-        for low, near in opened:
-            if low & key:
-                continue
-            rest += 1
-            for i, members in enumerate(cliques):
-                if members & ~near == 0:
-                    cliques[i] = members | low
-                    break
-            else:
-                cliques.append(low)
-        return key.bit_count() + rest - len(cliques)
-
-    if prob.zero_mode:
-        def pack(opened: list[tuple[int, int]], avail: int) -> int:
-            # disjoint closed neighborhoods of the opened vertices in avail,
-            # which have no support yet: each holds a label >= bonus
-            count = blocked = 0
-            for low, near in opened:
-                if low & avail and not near & blocked:
-                    count += 1
-                    blocked |= near
-            return bonus * count
-    else:
-        def pack(opened: list[tuple[int, int]], avail: int) -> int:
-            # vertex cover: a forced 1 at each opened vertex outside avail,
-            # which has a 0-neighbor, plus a greedy matching inside avail
-            count = len(opened) - avail.bit_count()
-            for low, near in opened:
-                if low & avail:
-                    cand = near & avail & -(low << 1)
-                    if cand:
-                        count += 1
-                        avail ^= cand & -cand
-            return count
 
     def miss(memo: dict[int, int], bound, opened: list[tuple[int, int]], key: int) -> int:
         # a bound the memo lacks: compute it, and keep it while there is room
@@ -417,7 +416,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                     ok0: int) -> None:
         # gamma_oidr (oi) and gamma_dr: a 0 needs ok0, a 1 needs hi
         nonlocal nodes
-        bit, m, free, settled, sealed, opened, open_mask, packs, cliques = rows[depth]
+        bit, m, free, settled, sealed, opened, open_mask, packs, _, cliques = rows[depth]
         low = high = None  # the packings of labels 0-1 and of labels 2-3
         keep = None  # the clique bound of labels 1-3
         zeros = settled & l0
@@ -432,14 +431,14 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                 if not free:
                     return improve(w)
                 if (low := packs.get(key := open_mask & ~hi)) is None:
-                    low = miss(packs, pack, opened, key)
-                lb = w + low
+                    low = miss(packs, _packing, opened, key)
+                lb = w + 2 * low
                 if bad := sealed & ~ok:
                     lb += bad.bit_count() + (bad & ~hi).bit_count()
                 if oi and lb < best:
                     if (c := cliques.get(key := nz & open_mask)) is None:
-                        c = miss(cliques, independence_lb, opened, key)
-                    lb += c - (low >> 1)
+                        c = miss(cliques, _independence_lb, opened, key)
+                    lb += c - low
                 if lb < best:
                     labels_0123(depth + 1, w, l0 | bit, l1, nz, s1, hi, ok0)
         # label 1: the masks stay
@@ -453,14 +452,14 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             if not free:
                 return improve(w1)
             if low is None and (low := packs.get(key := open_mask & ~hi)) is None:
-                low = miss(packs, pack, opened, key)
-            lb = w1 + low
+                low = miss(packs, _packing, opened, key)
+            lb = w1 + 2 * low
             if bad := sealed & ~ok:
                 lb += bad.bit_count() + (bad & ~hi).bit_count()
             if oi and lb < best:
                 if keep is None and (keep := cliques.get(key := z & open_mask)) is None:
-                    keep = miss(cliques, independence_lb, opened, key)
-                lb += keep - (low >> 1)
+                    keep = miss(cliques, _independence_lb, opened, key)
+                lb += keep - low
             if lb < best:
                 labels_0123(depth + 1, w1, l0, l1 | bit, z, s1, hi, ok0)
         # label 2: a second 2-neighbor completes ok0 where s1 already is
@@ -476,14 +475,14 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             if not free:
                 return improve(w2)
             if (high := packs.get(key := open_mask & ~hi2)) is None:
-                high = miss(packs, pack, opened, key)
-            lb = w2 + high
+                high = miss(packs, _packing, opened, key)
+            lb = w2 + 2 * high
             if bad := sealed & ~ok:
                 lb += bad.bit_count() + (bad & ~hi2).bit_count()
             if oi and lb < best:
                 if keep is None and (keep := cliques.get(key := z & open_mask)) is None:
-                    keep = miss(cliques, independence_lb, opened, key)
-                lb += keep - (high >> 1)
+                    keep = miss(cliques, _independence_lb, opened, key)
+                lb += keep - high
             if lb < best:
                 labels_0123(depth + 1, w2, l0, l1, z, s1 | m, hi2, ok2)
         # label 3
@@ -498,14 +497,14 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             if not free:
                 return improve(w3)
             if high is None and (high := packs.get(key := open_mask & ~hi2)) is None:
-                high = miss(packs, pack, opened, key)
-            lb = w3 + high
+                high = miss(packs, _packing, opened, key)
+            lb = w3 + 2 * high
             if bad := sealed & ~ok:
                 lb += bad.bit_count() + (bad & ~hi2).bit_count()
             if oi and lb < best:
                 if keep is None and (keep := cliques.get(key := z & open_mask)) is None:
-                    keep = miss(cliques, independence_lb, opened, key)
-                lb += keep - (high >> 1)
+                    keep = miss(cliques, _independence_lb, opened, key)
+                lb += keep - high
             if lb < best:
                 labels_0123(depth + 1, w3, l0, l1, z, s1, hi2, ok3)
 
@@ -513,7 +512,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
         # gamma_oir (oi), gamma_r and gamma: a 0 needs s1, a neighbor
         # labeled sup; gamma has no plain label 1
         nonlocal nodes
-        bit, m, free, settled, sealed, opened, open_mask, packs, cliques = rows[depth]
+        bit, m, free, settled, sealed, opened, open_mask, packs, _, cliques = rows[depth]
         low = None  # the packing of labels 0-1
         keep = None if oi else 0  # the clique bound of labels 1-2
         zeros = settled & l0
@@ -527,12 +526,12 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                 if not free:
                     return improve(w)
                 if (low := packs.get(key := open_mask & ~s1)) is None:
-                    low = miss(packs, pack, opened, key)
+                    low = miss(packs, _packing, opened, key)
                 if w + (sealed & ~ok).bit_count() + low < best:
                     c = 0
                     if oi:
                         if (c := cliques.get(key := nz & open_mask)) is None:
-                            c = miss(cliques, independence_lb, opened, key)
+                            c = miss(cliques, _independence_lb, opened, key)
                         c += (nz & sealed).bit_count()
                     if w + c < best:
                         labels_012(depth + 1, w, l0 | bit, nz, s1)
@@ -548,11 +547,11 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                 if not free:
                     return improve(w1)
                 if low is None and (low := packs.get(key := open_mask & ~s1)) is None:
-                    low = miss(packs, pack, opened, key)
+                    low = miss(packs, _packing, opened, key)
                 if w1 + (sealed & ~ok).bit_count() + low < best:
                     if keep is None:
                         if (keep := cliques.get(key := z & open_mask)) is None:
-                            keep = miss(cliques, independence_lb, opened, key)
+                            keep = miss(cliques, _independence_lb, opened, key)
                         keep += (z & sealed).bit_count()
                     if w1 + keep < best:
                         labels_012(depth + 1, w1, l0, z, s1)
@@ -568,11 +567,11 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             if not free:
                 return improve(ws)
             if (p := packs.get(key := open_mask & ~s1)) is None:
-                p = miss(packs, pack, opened, key)
+                p = miss(packs, _packing, opened, key)
             if ws + (sealed & ~ok).bit_count() + p < best:
                 if keep is None:
                     if (keep := cliques.get(key := z & open_mask)) is None:
-                        keep = miss(cliques, independence_lb, opened, key)
+                        keep = miss(cliques, _independence_lb, opened, key)
                     keep += (z & sealed).bit_count()
                 if ws + keep < best:
                     labels_012(depth + 1, ws, l0, z, s1)
@@ -580,7 +579,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     def labels_10(depth: int, w: int, l0: int, z: int) -> None:
         # the vertex cover, 1 before 0: a 0 needs no 0-neighbor
         nonlocal nodes
-        bit, m, free, settled, sealed, opened, open_mask, packs, cliques = rows[depth]
+        bit, m, free, settled, sealed, opened, open_mask, _, match, cliques = rows[depth]
         zeros = settled & l0
         # label 1: the masks stay
         w1 = w + 1
@@ -590,11 +589,11 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             if not free:
                 improve(w1)  # a 0 here weighs less and may improve again
             else:
-                if (p := packs.get(key := open_mask & ~z)) is None:
-                    p = miss(packs, pack, opened, key)
+                if (p := match.get(key := open_mask & ~z)) is None:
+                    p = miss(match, _matching, opened, key)
                 if (lb := w1 + (sealed & z).bit_count()) + p < best:
                     if (c := cliques.get(key := z & open_mask)) is None:
-                        c = miss(cliques, independence_lb, opened, key)
+                        c = miss(cliques, _independence_lb, opened, key)
                     if lb + c < best:
                         labels_10(depth + 1, w1, l0, z)
         # label 0
@@ -606,11 +605,11 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             path[depth] = 0
             if not free:
                 return improve(w)
-            if (p := packs.get(key := open_mask & ~nz)) is None:
-                p = miss(packs, pack, opened, key)
+            if (p := match.get(key := open_mask & ~nz)) is None:
+                p = miss(match, _matching, opened, key)
             if (lb := w + (sealed & nz).bit_count()) + p < best:
                 if (c := cliques.get(key := nz & open_mask)) is None:
-                    c = miss(cliques, independence_lb, opened, key)
+                    c = miss(cliques, _independence_lb, opened, key)
                 if lb + c < best:
                     labels_10(depth + 1, w, l0 | bit, nz)
 
@@ -1007,9 +1006,9 @@ brute_force_alpha = BRUTE_SOLVERS["alpha"]
 brute_force_beta = BRUTE_SOLVERS["beta"]
 
 
-def _optimal_labelings(g: Graph, name: str) -> Iterator[Labeling]:
+def _optimal_labelings(g: Graph, prob: _Problem) -> Iterator[Labeling]:
+    # every optimum of prob itself, ascending: no row's read-off applies
     _check_brute_cap(g)
-    prob = INVARIANTS[name][0]
     value, _ = _brute_min(g, prob)
     for idx in _iter_optimal_indices(g, prob, value):
         yield Labeling(_decode(idx, prob.base, g.n))
@@ -1017,9 +1016,9 @@ def _optimal_labelings(g: Graph, name: str) -> Iterator[Labeling]:
 
 def enumerate_optimal_oidrd(g: Graph) -> Iterator[Labeling]:
     """All optimal OIDRD labelings in lexicographic order (n <= 12)."""
-    return _optimal_labelings(g, "gamma_oidr")
+    return _optimal_labelings(g, _OIDR)
 
 
 def enumerate_optimal_oir(g: Graph) -> Iterator[Labeling]:
     """All optimal outer independent Roman labelings in lexicographic order (n <= 12)."""
-    return _optimal_labelings(g, "gamma_oir")
+    return _optimal_labelings(g, _OIR)

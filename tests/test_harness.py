@@ -50,6 +50,20 @@ def test_campaigns_reject_negative_sample_counts(campaign, kwargs):
         campaign(workers=1, **kwargs)
 
 
+@pytest.mark.parametrize("campaign,max_n,message", [
+    pytest.param(H.audit_bounds, 7, "audit_bounds supports 2 <= max_n <= 6", id="bounds"),
+    pytest.param(H.audit_characterization, 7, "audit_characterization supports 3 <= max_n <= 6",
+                 id="characterization"),
+    pytest.param(H.audit_reduction, 0, "audit_reduction supports 1 <= max_n <= 5", id="reduction"),
+    pytest.param(H.audit_trees, 11, "audit_trees supports 1 <= max_n <= 10", id="trees"),
+])
+def test_campaigns_name_their_max_n_range_alike(campaign, max_n, message):
+    # the runner states every campaign's range in one form, read off MAX_N
+    with pytest.raises(ValueError) as caught:
+        campaign(max_n, workers=1)
+    assert str(caught.value) == message
+
+
 def test_violations_carry_the_graph_text(monkeypatch):
     # workers send the graph text back only with a violation; force one per tree
     monkeypatch.setattr(H, "_forest_routes", lambda order, parent: (0, 0))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from oidrd import formulas as F
 from oidrd import graphs as G
 from oidrd import solver as S
-from oidrd.labeling import classes, is_drd, is_oidrd, is_oird, is_rd, weight
+from oidrd.labeling import classes, is_cover_labeling, is_drd, is_oidrd, is_oird, is_rd, weight
 from oidrd.labeling import LabelingError
 
 
@@ -55,6 +56,17 @@ def test_enumerate_optimal_on_edge():
 
 def test_enumerate_optimal_on_point():
     assert [f.values for f in S.enumerate_optimal_oidrd(G.path(1))] == [(2,)]
+
+
+def test_cover_optima_are_the_minimum_covers():
+    # _optimal_labelings takes a problem, not a row name, so no read-off can
+    # apply: the cover problem yields its minimum covers, never alpha's sets
+    for n in range(1, 6):
+        for g in G.enumerate_graphs(n):
+            beta = S.solve_beta(g).value
+            covers = [f for f in product((0, 1), repeat=n)
+                      if sum(f) == beta and is_cover_labeling(g, f)]
+            assert [f.values for f in S._optimal_labelings(g, S._COVER)] == covers
 
 
 def test_count_optimal():
@@ -634,6 +646,24 @@ def test_shared_bound_memos_are_exact_and_order_free():
                 r = S.SOLVERS[key](h)
                 results.append((r.value, r.witness, r.node_count, r.proof_node_count))
             assert results[0] == results[1] == results[2], (key, G.to_edge_list_text(g))
+
+
+def test_five_label_problems_share_one_packing_memo(monkeypatch):
+    # one packing memo per depth serves gamma_oidr and gamma_dr, which read
+    # twice the count, and gamma_oir, gamma_r and gamma, which read the count
+    labels = [key for key, (prob, _) in S.INVARIANTS.items() if prob.zero_mode]
+    specs = ("cycle:12", "sharph:2,2,2", "corona(path:2,empty:4)")
+    unpatched = [[S.SOLVERS[key](G.family(G.parse_family_spec(spec))) for key in labels]
+                 for spec in specs]
+    calls = []
+    packing = S._packing
+    monkeypatch.setattr(S, "_packing", lambda opened, avail:
+                        calls.append((id(opened), avail)) or packing(opened, avail))
+    for spec, expected in zip(specs, unpatched):
+        calls.clear()
+        g = G.family(G.parse_family_spec(spec))
+        assert [S.SOLVERS[key](g) for key in labels] == expected, spec
+        assert calls and len(set(calls)) == len(calls), spec
 
 
 def test_searches_on_one_graph_share_one_plan(monkeypatch):
