@@ -95,7 +95,7 @@ def _covers(g: Graph) -> dict[tuple[int, int], list[tuple[int, ...]]]:
     set touches every edge (sum of degrees minus inner edges = m), keyed by
     their shape."""
     n, m, nb = g.n, g.m, g.nbr_masks
-    deg = [len(s) for s in g.adj]
+    deg = [mask.bit_count() for mask in nb]
     sets = []
     for a in range(n):
         for b in range(a + 1, n):

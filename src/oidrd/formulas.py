@@ -98,8 +98,9 @@ def _min_over_independent_zero_sets(g: Graph, co: CoronaCoefficients) -> int:
 def _direct_four_way_minimum(g: Graph, co: CoronaCoefficients) -> int:
     costs = (co.c0, co.c1, co.c2, co.c3)
     best = None
+    edges = g.edges()
     for f in product(range(4), repeat=g.n):
-        if any(f[u] == 0 and f[w] == 0 for u in range(g.n) for w in g.adj[u]):
+        if any(f[u] == 0 == f[w] for u, w in edges):
             continue
         c = sum(costs[x] for x in f)
         if best is None or c < best:

@@ -22,30 +22,49 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph. adj[v] is the open neighborhood of v."""
+    """Immutable simple graph, stored as one neighbour bitmask per vertex:
+    bit w of nbr_masks[v] is set iff w ~ v.  The masks are symmetric with no
+    self-loop bit, and m is half their total popcount; fields, == and hash
+    read (n, nbr_masks, m) only.  adj is a frozenset view of the same
+    neighbourhoods, built on first use for callers that want sets."""
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    nbr_masks: tuple[int, ...]
     m: int
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.nbr_masks[v].bit_count()
 
     @property
     def max_degree(self) -> int:
-        return max(len(a) for a in self.adj)
+        return max(mask.bit_count() for mask in self.nbr_masks)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        """Every edge (u, v) with u < v, ascending."""
+        return [(u, v) for u, mask in enumerate(self.nbr_masks) for v in bits(mask) if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return 0 <= v < self.n and bool(self.nbr_masks[u] >> v & 1)
 
     @cached_property
-    def nbr_masks(self) -> tuple[int, ...]:
-        """Bitmask of each open neighborhood (bit w set iff w ~ v), built on
-        first use and kept on the instance; fields, == and hash ignore it."""
-        return tuple(sum(1 << w for w in a) for a in self.adj)
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """adj[v] is the open neighbourhood of v as a frozenset, built from
+        the masks on first use and kept on the instance."""
+        return tuple(frozenset(bits(mask)) for mask in self.nbr_masks)
+
+    def __reduce__(self):
+        # pickle the fields alone, never a cached view
+        return Graph, (self.n, self.nbr_masks, self.m)
+
+
+def bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -56,18 +75,18 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 1:
         raise GraphError(f"vertex count must be at least 1, got {n}")
-    nbrs: list[set[int]] = [set() for _ in range(n)]
+    nbr = [0] * n
     m = 0
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge endpoint out of range 0..{n - 1}: ({u}, {v})")
         if u == v:
             raise GraphError(f"self-loop rejected: ({u}, {v})")
-        if v not in nbrs[u]:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+        if not nbr[u] >> v & 1:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
             m += 1
-    return Graph(n, tuple(frozenset(s) for s in nbrs), m)
+    return Graph(n, tuple(nbr), m)
 
 
 def _connected(nbr: Sequence[int]) -> bool:
@@ -500,8 +519,29 @@ MAX_ENUM_GRAPH_N = 7
 MAX_ENUM_TREE_N = 10
 
 
-def _graph_from_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> Graph:
-    return build(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+def _edge_masks(n: int, pairs: list[tuple[int, int]], mask: int) -> list[int]:
+    """The neighbour masks of the graph on n vertices whose edges are the
+    pairs[i] with bit i of mask set."""
+    nbr = [0] * n
+    i = 0
+    while mask:
+        if mask & 1:
+            u, v = pairs[i]
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        mask >>= 1
+        i += 1
+    return nbr
+
+
+def _enumerated(n: int, connected: bool) -> Iterator[Graph]:
+    if not 1 <= n <= MAX_ENUM_GRAPH_N:
+        raise GraphError(f"graph enumeration supports 1 <= n <= {MAX_ENUM_GRAPH_N}, got {n}")
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        nbr = _edge_masks(n, pairs, mask)
+        if not connected or _connected(nbr):
+            yield Graph(n, tuple(nbr), mask.bit_count())
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
@@ -509,26 +549,12 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 
     Edge i of the bitmask is the i-th pair in lexicographic order.
     """
-    if not 1 <= n <= MAX_ENUM_GRAPH_N:
-        raise GraphError(f"graph enumeration supports 1 <= n <= {MAX_ENUM_GRAPH_N}, got {n}")
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield _graph_from_mask(n, pairs, mask)
+    return _enumerated(n, False)
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """All labeled connected simple graphs on n vertices, edge-bitmask ascending."""
-    if not 1 <= n <= MAX_ENUM_GRAPH_N:
-        raise GraphError(f"graph enumeration supports 1 <= n <= {MAX_ENUM_GRAPH_N}, got {n}")
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        nbr = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                nbr[u] |= 1 << v
-                nbr[v] |= 1 << u
-        if _connected(nbr):
-            yield _graph_from_mask(n, pairs, mask)
+    return _enumerated(n, True)
 
 
 def prufer_sequences(n: int, samples: int | None = None,
@@ -590,8 +616,13 @@ def prufer_parents(seq: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
 def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
     """Decode a Prufer sequence of length max(n - 2, 0) into its labeled tree."""
     _, parent = prufer_parents(seq, n)
+    nbr = [0] * n
     # the root n - 1 is the one vertex without a parent
-    return build(n, zip(range(n - 1), parent))
+    for v in range(n - 1):
+        p = parent[v]
+        nbr[v] |= 1 << p
+        nbr[p] |= 1 << v
+    return Graph(n, tuple(nbr), n - 1)
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
@@ -610,6 +641,8 @@ def sample_connected_graphs(n: int, count: int, seed: int,
     Raises GraphError after SAMPLE_ATTEMPTS rejections in a row, which is how
     a constraint that no graph (or almost none) meets shows up.
     """
+    if n < 1:
+        raise GraphError(f"vertex count must be at least 1, got {n}")
     if count < 0:
         raise GraphError(f"sample count must be at least 0, got {count}")
     rng = random.Random(seed)
@@ -621,14 +654,16 @@ def sample_connected_graphs(n: int, count: int, seed: int,
             raise GraphError(f"no connected graph on {n} vertices with max degree "
                              f"{max_deg} in {SAMPLE_ATTEMPTS} draws; the constraint is "
                              f"(nearly) unsatisfiable")
-        edges = [p for p in pairs if rng.getrandbits(1)]
-        g = build(n, edges)
-        if not is_connected(g) or (max_deg is not None and g.max_degree > max_deg):
+        # one bit per pair, in pair order: bit i of the draw keeps pairs[i]
+        mask = sum(1 << i for i in range(len(pairs)) if rng.getrandbits(1))
+        nbr = _edge_masks(n, pairs, mask)
+        if not _connected(nbr) or (max_deg is not None
+                                   and max(b.bit_count() for b in nbr) > max_deg):
             rejected += 1
             continue
         rejected = 0
         produced += 1
-        yield g
+        yield Graph(n, tuple(nbr), mask.bit_count())
 
 
 def sample_trees(n: int, count: int, seed: int) -> Iterator[Graph]:

@@ -8,8 +8,8 @@ canonically before emission).  Pool workers send a graph's text back only
 with a violation.  The trees campaign sends its workers chunks of Prufer
 sequences, which they decode straight into the forest routes' input, so no
 tree is built as a graph unless it violates the bound; the other campaigns
-send each Graph their enumerator or sampler built, and the worker checks it
-as it is.
+send each Graph their enumerator or sampler built (pickled as its order,
+neighbour masks and edge count), and the worker checks it as it is.
 """
 
 from __future__ import annotations
@@ -145,10 +145,10 @@ def _pooled(worker, payloads, workers: int, chunksize: int) -> Iterator:
 
 
 def _report(campaign: str, params: dict, instances: int, violations: list[Violation],
-            t0: float, notes: list[str] | None = None, extra: dict | None = None) -> AuditReport:
+            t0: float, extra: dict | None = None) -> AuditReport:
     violations = sorted(violations, key=lambda v: (v.graph, v.claim, str(v.lhs), str(v.rhs)))
     return AuditReport(campaign, instances, violations, int((time.monotonic() - t0) * 1000),
-                       params, notes or [], extra or {})
+                       params, extra=extra or {})
 
 
 # the max_n range of each pool campaign; run_all clamps into it
@@ -158,7 +158,7 @@ MAX_N = {"bounds": (2, 6), "characterization": (3, 6), "reduction": (1, 5), "tre
 def _pool_campaign(name, params, payloads, check, workers, *, extra=None, chunksize=64,
                    anchors=()) -> AuditReport:
     """Check max_n against MAX_N and each *samples* count against 0, map check over
-    payloads, and fold each (instances, violations, notes, Counter.update input) as it
+    payloads, and fold each (instances, violations, Counter.update input) as it
     arrives, anchors last, run here after the pool; extra(instances, tally) gives extra."""
     lo, hi = MAX_N[name]
     if not lo <= params["max_n"] <= hi:
@@ -167,15 +167,13 @@ def _pool_campaign(name, params, payloads, check, workers, *, extra=None, chunks
         if "samples" in key and value < 0:
             raise ValueError(f"{key} must be at least 0, got {value}")
     t0 = time.monotonic()
-    instances, violations, notes, tally = 0, [], [], Counter()
+    instances, violations, tally = 0, [], Counter()
     results = chain(_map_instances(check, payloads, workers, chunksize=chunksize), anchors)
-    for count, vs, ns, t in results:
+    for count, vs, t in results:
         instances += count
         violations += (Violation(*v) for v in vs)
-        notes += ns
         tally.update(t)
-    return _report(name, params, instances, violations, t0, notes,
-                   extra and extra(instances, tally))
+    return _report(name, params, instances, violations, t0, extra and extra(instances, tally))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,7 @@ def _bounds_check(g: G.Graph) -> tuple:
     if s.lower > s.gamma_oidr:
         items.append(("lower_max_gamma_2alpha_over_delta_plus_beta",
                       [s.lower.numerator, s.lower.denominator], s.gamma_oidr))
-    return 1, _violations(g, items), (), ()
+    return 1, _violations(g, items), ()
 
 
 def audit_bounds(max_n: int = 5, *, workers: int | None = None) -> AuditReport:
@@ -241,7 +239,7 @@ def _characterization_check(g: G.Graph) -> tuple:
         items.append(("small_value_class", res.value_class, value))
     if res.value_class != OTHER and not verify_classification(g, res):
         items.append(("anchor_witness", res.family, "re-verification failed"))
-    return 1, _violations(g, items), (), (res.value_class,)
+    return 1, _violations(g, items), (res.value_class,)
 
 
 def audit_characterization(max_n: int = 6, *, n7_samples: int = 300, seed: int = 0,
@@ -263,18 +261,9 @@ def audit_characterization(max_n: int = 6, *, n7_samples: int = 300, seed: int =
 
 
 def _reduction_check(g: G.Graph) -> tuple:
+    # the identity holds on every graph (see verify_identity), whatever its degree
     rep = verify_identity(g)
-    items = []
-    notes = []
-    if not rep.equal:
-        if g.max_degree <= 3:
-            items.append(("gadget_identity", rep.lhs, rep.rhs))
-        else:
-            # outside the planar low-degree class the identity is stated for:
-            # informational only
-            notes.append(f"identity failed at max degree {g.max_degree}: "
-                         f"{rep.lhs} != {rep.rhs} for\n{G.to_edge_list_text(g)}")
-    return 1, _violations(g, items), notes, ()
+    return 1, _violations(g, [] if rep.equal else [("gadget_identity", rep.lhs, rep.rhs)]), ()
 
 
 def audit_reduction(max_n: int = 5, *, samples_n5: int = 50, seed: int = 0,
@@ -310,7 +299,7 @@ def _tree_check(payload: tuple) -> tuple:
         elif goidr < 2 * beta + 1:
             violations += _violations(G.prufer_decode(seq, n),
                                       [("tree_lower_bound", 2 * beta + 1, goidr)])
-    return len(seqs), violations, (), {"equality_cases": equality}
+    return len(seqs), violations, {"equality_cases": equality}
 
 
 def _even_path_check(n: int) -> tuple:
@@ -318,7 +307,7 @@ def _even_path_check(n: int) -> tuple:
     for the forest routes inside the campaign itself, counted as no tree."""
     p = G.path(n)
     lhs, rhs = solve_oidrd(p).value, 2 * solve_beta(p).value + 1
-    return 0, _violations(p, [("even_path_tightness", lhs, rhs)] if lhs != rhs else []), (), ()
+    return 0, _violations(p, [("even_path_tightness", lhs, rhs)] if lhs != rhs else []), ()
 
 
 def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,

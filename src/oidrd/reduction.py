@@ -57,7 +57,19 @@ class IdentityReport:
 
 
 def verify_identity(g: Graph, max_n: int = IDENTITY_BASE_CAP) -> IdentityReport:
-    """Compute both sides of the gadget identity exactly."""
+    """Compute both sides of the gadget identity exactly.
+
+    The identity gamma_oidR(G') = 4n - alpha(G) holds for every graph G,
+    whatever its maximum degree.  Lower bound: let f be an OIDRD function of
+    G'.  Each center u with leaves a and b weighs f(u) + f(a) + f(b) >= 3: a
+    leaf labeled 0 has u as its one neighbour, so f(u) = 3; otherwise both
+    leaves are nonzero, and a leaf labeled 1 needs f(u) >= 2, so the three
+    weigh at least 4.  The base vertices labeled 0 are independent in G', so
+    in G, and at most alpha of them are 0: the other n - alpha weigh at least
+    1 each, and f weighs at least 3n + n - alpha.  Upper bound: the labeling
+    of witness_from_independent_set on a maximum independent set weighs
+    4n - alpha.
+    """
     if g.n > max_n:
         raise ReductionError(
             f"identity verification capped at base n <= {max_n} (the gadget has 4n vertices)")
@@ -73,8 +85,9 @@ def witness_from_independent_set(g: Graph, independent: Iterable[int]) -> Labeli
     chosen = set(independent)
     if not chosen <= set(range(g.n)):
         raise ReductionError("independent set contains vertices outside the base graph")
+    chosen_mask = sum(1 << v for v in chosen)
     for v in chosen:
-        if g.adj[v] & chosen:
+        if g.nbr_masks[v] & chosen_mask:
             raise ReductionError(f"vertex set is not independent: {v} has a chosen neighbor")
     gm = build_gadget(g)
     values = [0] * gm.gadget.n

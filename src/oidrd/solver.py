@@ -73,7 +73,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterator, Sequence
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, bits
 from .labeling import (Labeling, is_cover_labeling, is_dominating_labeling, is_drd,
                        is_independent_labeling, is_oidrd, is_oird, is_rd, weight)
 
@@ -168,7 +168,7 @@ def is_feasible(name: str, g: Graph, f: Labeling | Sequence[int]) -> bool:
 def _greedy_max_independent(g: Graph) -> set[int]:
     # ascending degree, ties by index (sorted is stable)
     nbr = g.nbr_masks
-    deg = [len(a) for a in g.adj]
+    deg = [m.bit_count() for m in nbr]
     chosen: set[int] = set()
     taken = 0
     for v in sorted(range(g.n), key=deg.__getitem__):
@@ -215,7 +215,7 @@ def _search_plan(g: Graph) -> list:
     global _last_plan
     last = _last_plan
     if last is None or last[0] is not g:
-        last = _last_plan = [g, _build_plan(g), sum(1 for a in g.adj if not a),
+        last = _last_plan = [g, _build_plan(g), g.nbr_masks.count(0),
                              len(_greedy_max_independent(g)), {}, _BOUND_MEMO_LIMIT]
     return last
 
@@ -721,7 +721,7 @@ def bundle(g: Graph) -> InvariantBundle:
     if b.gamma > b.alpha:
         raise CertificationError(f"gamma = {b.gamma} > alpha = {b.alpha}")
     # label a minimum cover 3, isolated vertices 2 and the rest 0
-    cover_labeling = 3 * b.beta + 2 * sum(1 for a in g.adj if not a)
+    cover_labeling = 3 * b.beta + 2 * g.nbr_masks.count(0)
     if b.gamma_oidr > cover_labeling:
         raise CertificationError(f"gamma_oidr = {b.gamma_oidr} > 3 beta + 2 (isolated) "
                                  f"= {cover_labeling}")
@@ -759,7 +759,7 @@ def _forest_order(g: Graph) -> tuple[list[int], list[int]]:
         while i < len(order):
             v = order[i]
             i += 1
-            for w in g.adj[v]:
+            for w in bits(g.nbr_masks[v]):
                 if not seen[w]:
                     seen[w] = 1
                     parent[w] = v
@@ -936,15 +936,16 @@ def _scan(g: Graph, prob: _Problem) -> Iterator[tuple[int, int, list[int], int]]
     n = g.n
     one_chunk = prob.base ** n <= min(_MEMO_LIMIT, _CACHE_LIMIT)
     memo = _column_memo.setdefault((prob, n), {}) if one_chunk else None
+    nbrs = None if one_chunk else [bits(mask) for mask in g.nbr_masks]
     for start, planes, weights, offset, full in _chunks(prob.base, n):
         valid = full
         for v, mask in enumerate(g.nbr_masks):
             if memo is None:
-                col = _column(prob, planes, full, v, g.adj[v])
+                col = _column(prob, planes, full, v, nbrs[v])
             else:
                 col = memo.get((v, mask))
                 if col is None:
-                    col = memo[(v, mask)] = _column(prob, planes, full, v, g.adj[v])
+                    col = memo[(v, mask)] = _column(prob, planes, full, v, bits(mask))
             valid &= col
         yield start, valid, weights, offset
 

@@ -348,9 +348,9 @@ def test_nbr_masks_are_the_adjacency_and_leave_identity_alone():
     for g in (G.path(5), G.complete(4), G.empty(3), G.sharpness_h([2, 3, 2])):
         twin = G.build(g.n, g.edges())
         assert g == twin and hash(g) == hash(twin)
-        masks = g.nbr_masks
-        assert masks == tuple(sum(1 << w for w in g.adj[v]) for v in range(g.n))
-        assert all((masks[v] >> w & 1) == (w in g.adj[v]) for v in range(g.n) for w in range(g.n))
-        # cached on the instance: the same object, and no change to == or hash
-        assert g.nbr_masks is masks
+        masks, adj = g.nbr_masks, g.adj
+        assert masks == tuple(sum(1 << w for w in adj[v]) for v in range(g.n))
+        assert all((masks[v] >> w & 1) == (w in adj[v]) for v in range(g.n) for w in range(g.n))
+        # the set view is cached on the instance, and ==, hash and repr ignore it
+        assert g.adj is adj and "adj" not in twin.__dict__
         assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)

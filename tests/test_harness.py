@@ -75,15 +75,23 @@ def test_violations_carry_the_graph_text(monkeypatch):
 
 
 
-def test_trees_campaign_builds_only_the_even_path_anchors(monkeypatch):
+def _count_graphs(monkeypatch) -> list[int]:
+    """The order of every Graph constructed from here on.  Prufer decoding,
+    the enumerators and the sampler make graphs from masks without G.build,
+    so this counts Graph.__init__, whichever route calls it."""
     built = []
-    build = G.build
+    init = G.Graph.__init__
 
-    def counting_build(n, edges):
+    def counting_init(self, n, nbr_masks, m):
         built.append(n)
-        return build(n, edges)
+        init(self, n, nbr_masks, m)
 
-    monkeypatch.setattr(G, "build", counting_build)
+    monkeypatch.setattr(G.Graph, "__init__", counting_init)
+    return built
+
+
+def test_trees_campaign_builds_only_the_even_path_anchors(monkeypatch):
+    built = _count_graphs(monkeypatch)
     r = H.audit_trees(6, workers=1)
     assert r.status == "pass" and r.instances_checked == 1 + 1 + 3 + 16 + 125 + 1296
     assert built == [2, 4, 6]
@@ -97,14 +105,7 @@ def test_trees_campaign_builds_only_the_even_path_anchors(monkeypatch):
     pytest.param(lambda: H.audit_reduction(4, workers=1), 2, id="reduction"),
 ])
 def test_graph_campaigns_build_each_instance_once(monkeypatch, campaign, builds_per_instance):
-    built = []
-    build = G.build
-
-    def counting_build(n, edges):
-        built.append(n)
-        return build(n, edges)
-
-    monkeypatch.setattr(G, "build", counting_build)
+    built = _count_graphs(monkeypatch)
     r = campaign()
     assert r.status == "pass" and len(built) == builds_per_instance * r.instances_checked
 
