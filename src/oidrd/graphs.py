@@ -583,6 +583,8 @@ def prufer_parents(seq: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
     The tree is rooted at n - 1, the last vertex left, and order is the
     leaf-removal order reversed, so every parent comes before its children;
     parent[v] is the vertex each leaf v was removed from, -1 at the root.
+    Unchecked, for speed: n >= 1 and a sequence as prufer_sequences(n)
+    yields it, every entry in 0..n-1; prufer_decode checks both.
     """
     if n == 1:
         return [0], [-1]
@@ -614,7 +616,15 @@ def prufer_parents(seq: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
-    """Decode a Prufer sequence of length max(n - 2, 0) into its labeled tree."""
+    """Decode a Prufer sequence of length max(n - 2, 0), entries in 0..n-1,
+    into its labeled tree; raises GraphError on any other input."""
+    if n < 1:
+        raise GraphError(f"vertex count must be at least 1, got {n}")
+    if len(seq) != max(n - 2, 0):
+        raise GraphError(f"a Prufer sequence on {n} vertices has length {max(n - 2, 0)}, "
+                         f"got {len(seq)}")
+    if seq and not 0 <= min(seq) <= max(seq) < n:
+        raise GraphError(f"Prufer entry out of range 0..{n - 1}: {seq!r}")
     _, parent = prufer_parents(seq, n)
     nbr = [0] * n
     # the root n - 1 is the one vertex without a parent

@@ -16,6 +16,9 @@ vertices get constant planes.
 On forests, gamma_oidr and beta have a third, value-only route in linear
 time: one children-first pass (`_forest_routes`) runs a dynamic program over
 the labels (`tree_oidrd`) and greedy leaf matching (`tree_beta`) together.
+The program is a finite automaton: its cost vectors, taken relative to their
+minimum with dominated states dropped, take 99 values, and a child closes
+into its parent with one lookup in a transition table filled on a miss.
 
 Canonical witness contract: the lexicographically smallest optimal
 labeling, values read in vertex order 0..n-1.  The engine makes one
@@ -769,6 +772,75 @@ def _forest_order(g: Graph) -> tuple[list[int], list[int]]:
     return order, parent
 
 
+# The forest automaton.  A cost vector holds the seven states of _forest_routes
+# in the order Z0, Z1, Z2, O0, O1, T, H, with _INF for a state out of reach.
+_INF = float("inf")
+_LEAF = (0, _INF, _INF, 1, _INF, 2, 3)  # a vertex before any child closes in
+
+
+def _merge(p: tuple, c: tuple) -> tuple:
+    """The cost vector of a vertex with vector p once a child with vector c
+    closes into it: the min-plus algebra that holds every rule of the forest
+    program.  The parent's label closes each child's state: Z0 needs a parent
+    labeled 3, Z1 and O0 a parent labeled 2 or 3, and no 0 may have a parent
+    labeled 0."""
+    pz0, pz1, pz2, po0, po1, pt, ph = p
+    z0, z1, z2, o0, o1, t, h = c
+    low = min(z2, o1)  # final without the parent
+    high = min(t, h)  # labeled 2 or 3
+    return (
+        # parent labeled 0: the child is O1, T or H
+        pz0 + o1,
+        min(pz1 + o1, pz0 + t),
+        min(pz2 + min(o1, high), pz1 + high, pz0 + h),
+        # parent labeled 1: the child is Z2 or O1, or supports it with T or H
+        po0 + low,
+        min(po1 + min(low, high), po0 + high),
+        # parent labeled 2 closes everything but Z0; labeled 3, everything
+        pt + min(z1, o0, low, high),
+        ph + min(z0, z1, o0, low, high),
+    )
+
+
+def _normalised(x: tuple) -> tuple[tuple, int]:
+    """x with every state that costs at least H dropped, less its minimum;
+    and that minimum."""
+    h = x[6]
+    kept = (*(c if c < h else _INF for c in x[:6]), h)
+    least = min(kept)
+    return tuple(c - least for c in kept), least
+
+
+# Filled by _close: the normalised vectors met so far, the leaf's first, and
+# their ids; per state the least weight it leaves at a root, and its moves,
+# a dict from the state of a child closing in to (the merged state, the
+# increment of the offset).
+_STATES: list[tuple] = []
+_STATE_IDS: dict[tuple, int] = {}
+_ROOT: list[int] = []
+_MOVES: list[dict[int, tuple[int, int]]] = []
+
+
+def _intern(x: tuple) -> int:
+    s = _STATE_IDS.get(x)
+    if s is None:
+        s = _STATE_IDS[x] = len(_STATES)
+        _STATES.append(x)
+        _ROOT.append(min(x[2], x[4], x[5], x[6]))
+        _MOVES.append({})
+    return s
+
+
+_intern(_LEAF)
+
+
+def _close(sp: int, sc: int) -> tuple[int, int]:
+    """The move of state sp when a child in state sc closes into it, tabled."""
+    merged, least = _normalised(_merge(_STATES[sp], _STATES[sc]))
+    move = _MOVES[sp][sc] = (_intern(merged), least)
+    return move
+
+
 def _forest_routes(order: list[int], parent: list[int]) -> tuple[int, int]:
     """(beta, gamma_oidr) of the forest given by an order that lists every
     parent before its children and each vertex's parent (-1 at roots), such
@@ -785,49 +857,50 @@ def _forest_routes(order: list[int], parent: list[int]) -> tuple[int, int]:
                   2-children)
       O0, O1      label 1 without / with a child labeled 2 or 3
       T, H        label 2, label 3
-    The parent's label closes each child's state: Z0 needs a parent labeled 3,
-    Z1 and O0 a parent labeled 2 or 3, and no 0 may have a parent labeled 0.
-    A root has no parent, so only Z2, O1, T and H are final there.  Each state
-    is one list, seeded for a leaf, and each minimum a chain of comparisons.
+    A child closes into its parent by _merge, and a root has no parent, so
+    only Z2, O1, T and H are final there.  The pass runs this program as a
+    finite automaton.  A vertex's costs are an offset plus a normalised
+    vector (_normalised: clipped, less its minimum), interned as a state id.
+    A child closes into its parent with one lookup in _MOVES, keyed by the
+    two state ids, which gives the parent's new state and the increment of
+    its offset; _close computes a missing entry.  Offsets only flow into
+    the root's, so one running sum holds them all, and since the table is a
+    memo, no result depends on what it holds.  Two facts make this exact
+    and bounded:
+    - Min-plus linearity.  Every merged entry is one parent entry plus a
+      min over child entries, so merging vectors shifted by a and b gives
+      the merge shifted by a + b: the table is keyed by the normalised
+      vectors alone.
+    - Clipping.  H accepts every parent label and gives the parent all any
+      other state could, a nonzero label and a 3-neighbor.  So replacing
+      the subtree's labeling by its best H-labeling stays valid and only
+      moves the parent to a better bucket (Z0/Z1 to Z2, O0 to O1), and any
+      other state costing at least H can be dropped.  This holds on partial
+      vectors too, because a later child adds at least its minimum to every
+      state and exactly that to H.  Since H is at most the minimum plus 3,
+      every kept relative cost lies in 0..3.
+    The closure of the leaf vector under _merge and normalisation has 99
+    states, so the table holds at most 99^2 moves; it is filled on a miss.
     """
     n = len(order)
-    inf = 3 * n + 1  # above every feasible weight; sums of it stay above too
-    Z0, Z1, Z2, O0, O1, T, H = [0] * n, [inf] * n, [inf] * n, [1] * n, [inf] * n, [2] * n, [3] * n
+    state = [0] * n  # the leaf, until a child closes in
     matched = bytearray(n)
+    moves, root = _MOVES, _ROOT
     beta = gamma = 0
     for v in reversed(order):
-        z2, o1 = Z2[v], O1[v]
-        t, h = T[v], H[v]
-        low = z2 if z2 < o1 else o1
-        high = t if t < h else h
+        s = state[v]
         p = parent[v]
         if p < 0:
-            gamma += low if low < high else high
+            gamma += root[s]
             continue
         if not matched[v] and not matched[p]:
             matched[v] = matched[p] = 1
             beta += 1
-        # parent labeled 0: the child is O1, T or H
-        a, b, c = Z0[p], Z1[p], Z2[p]
-        Z0[p] = a + o1
-        x, y = b + o1, a + t
-        Z1[p] = x if x < y else y
-        x, y = c + (o1 if o1 < high else high), b + high
-        x = x if x < y else y
-        y = a + h
-        Z2[p] = x if x < y else y
-        # parent labeled 1: the child is Z2 or O1, or supports it with T or H
-        a = O0[p]
-        O0[p] = a + low
-        x, y = O1[p] + (low if low < high else high), a + high
-        O1[p] = x if x < y else y
-        # parent labeled 2 closes everything but Z0; labeled 3, everything
-        z0, z1, o0 = Z0[v], Z1[v], O0[v]
-        c = z1 if z1 < o0 else o0
-        c = c if c < low else low
-        c = c if c < high else high
-        T[p] += c
-        H[p] += z0 if z0 < c else c
+        try:
+            state[p], low = moves[state[p]][s]
+        except KeyError:
+            state[p], low = _close(state[p], s)
+        gamma += low
     return beta, gamma
 
 

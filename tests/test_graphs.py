@@ -261,6 +261,19 @@ def test_samplers_reject_negative_counts():
         list(G.sample_connected_graphs(5, -1, seed=0))
 
 
+@pytest.mark.parametrize("seq, n, match", [
+    ((0, 0, 0), 4, "has length 2, got 3"),  # once decoded silently to K_{1,3}
+    ((0,), 4, "has length 2, got 1"),
+    ((), 3, "has length 1, got 0"),
+    ((-1,), 3, r"out of range 0\.\.2"),
+    ((7,), 3, r"out of range 0\.\.2"),
+    ((), 0, "at least 1"),
+])
+def test_prufer_decode_rejects_malformed_sequences(seq, n, match):
+    with pytest.raises(GraphError, match=match):
+        G.prufer_decode(seq, n)
+
+
 def test_edge_list_round_trip():
     for g in (G.path(3), G.complete_bipartite(2, 3), G.gadget(G.path(2))):
         again = G.from_edge_list_text(G.to_edge_list_text(g))

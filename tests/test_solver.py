@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from oidrd import formulas as F
 from oidrd import graphs as G
+from oidrd import harness as H
 from oidrd import solver as S
 from oidrd.labeling import classes, is_cover_labeling, is_drd, is_oidrd, is_oird, is_rd, weight
 from oidrd.labeling import LabelingError
@@ -415,6 +416,85 @@ def test_prufer_route_on_one_and_two_vertices():
     assert S._forest_routes(*G.prufer_parents((), 1)) == (0, 2)
     assert S._forest_routes(*G.prufer_parents((), 2)) == (1, 3)
     assert G.prufer_decode((), 1).m == 0 and G.prufer_decode((), 2).edges() == [(0, 1)]
+
+
+def _automaton_closure() -> set[tuple]:
+    """Every normalised vector reachable from the leaf, both merge orders."""
+    states, frontier = {S._LEAF}, [S._LEAF]
+    while frontier:
+        a = frontier.pop()
+        for b in list(states):
+            for p, c in ((a, b), (b, a)):
+                x = S._normalised(S._merge(p, c))[0]
+                if x not in states:
+                    states.add(x)
+                    frontier.append(x)
+    return states
+
+
+def test_forest_automaton_closure_is_finite_with_costs_in_0_to_3():
+    closure = _automaton_closure()
+    assert len(closure) == 99
+    for x in closure:
+        kept = [c for c in x if c != S._INF]
+        # H is kept, the minimum is 0, and every other kept state costs less than H
+        assert x[6] == kept[-1] and min(kept) == 0, x
+        assert all(c in range(4) for c in kept) and all(c < x[6] for c in kept[:-1]), x
+
+
+def test_forest_table_stays_within_the_closure():
+    H.audit_trees(8, workers=1)
+    closure = _automaton_closure()
+    assert set(S._STATES) <= closure and len(S._STATES) == len(S._STATE_IDS)
+    assert sum(map(len, S._MOVES)) <= len(closure) ** 2
+
+
+def _unclipped_routes(order, parent) -> tuple[int, int]:
+    """(gamma_oidr, largest relative cost met) by folding _merge on absolute
+    costs: no table, no clipping."""
+    vec = [S._LEAF] * len(order)
+    gamma = spread = 0
+    for v in reversed(order):
+        finite = [c for c in vec[v] if c != S._INF]
+        spread = max(spread, max(finite) - min(finite))
+        p = parent[v]
+        if p < 0:
+            z0, z1, z2, o0, o1, t, h = vec[v]
+            gamma += min(z2, o1, t, h)
+        else:
+            vec[p] = S._merge(vec[p], vec[v])
+    return gamma, spread
+
+
+def _spider(legs: int, length: int) -> G.Graph:
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges += [(0, first)] + [(first + i, first + i + 1) for i in range(length - 1)]
+    return G.build(1 + legs * length, edges)
+
+
+def _caterpillar(spine: int, leaves: int) -> G.Graph:
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * leaves + j) for i in range(spine) for j in range(leaves)]
+    return G.build(spine * (1 + leaves), edges)
+
+
+def test_forest_table_matches_the_unclipped_fold_on_high_degree_trees():
+    ks = (*range(1, 25), 50, 100, 199, 200, 300)
+    trees = [(G.star(k), F.formula_complete_bipartite(1, k)) for k in ks]
+    trees += [(_spider(k, length), None) for k in ks for length in (2, 3)]
+    trees += [(G.path(2000), F.formula_path(2000))]
+    trees += [(_caterpillar(s, j), None) for s, j in ((5, 40), (40, 5), (60, 1), (3, 300))]
+    spread = 0
+    for g, formula in trees:
+        order, parent = S._forest_order(g)
+        gamma, wide = _unclipped_routes(order, parent)
+        spread = max(spread, wide)
+        assert S._forest_routes(order, parent)[1] == gamma, G.to_edge_list_text(g)
+        assert formula in (None, gamma)
+    # the relative costs the clipping keeps in 0..3 grow with the degree
+    assert spread > 100
 
 
 @st.composite
