@@ -6,10 +6,11 @@ are explicit inputs recorded in the report.  Instance work may fan out to a
 process pool; aggregation is order-independent (violations are sorted
 canonically before emission).  Pool workers send a graph's text back only
 with a violation.  The trees campaign sends its workers chunks of Prufer
-sequences, which they decode straight into the forest routes' input, so no
-tree is built as a graph unless it violates the bound; the other campaigns
-send each Graph their enumerator or sampler built (pickled as its order,
-neighbour masks and edge count), and the worker checks it as it is.
+sequences packed into bytes, and each worker scores a sequence while it
+decodes it, so no tree is built as a graph unless it violates the bound;
+the other campaigns send each Graph their enumerator or sampler built
+(pickled as its order, neighbour masks and edge count), and the worker
+checks it as it is.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import graphs as G
 from .characterize import CLASS_VALUE, OTHER, classify, verify_classification
 from .reduction import verify_identity
 from .solver import (
-    _forest_routes,
+    _prufer_routes,
     enumerate_optimal_oidrd,
     solve_alpha,
     solve_beta,
@@ -286,20 +287,23 @@ TREE_CHUNK = 1024  # Prufer sequences per pool payload
 
 
 def _tree_check(payload: tuple) -> tuple:
-    """The result for one chunk of Prufer sequences, tallying equality cases.  Each
-    decodes straight into the order and parents the linear forest routes take; tests
-    cross-check them against the engine.  Only a violation builds its tree, for the text."""
-    n, seqs = payload
+    """The result for one chunk of count Prufer sequences on n vertices, packed
+    into data, max(n - 2, 0) bytes each, tallying equality cases.  Each slice is
+    scored by the linear forest routes while it is decoded; tests cross-check
+    them against the engine.  Only a violation builds its tree, for the text."""
+    n, count, data = payload
+    k = max(n - 2, 0)
     equality = 0
     violations = []
-    for seq in seqs:
-        beta, goidr = _forest_routes(*G.prufer_parents(seq, n))
+    for i in range(0, count * k, k) if k else range(count):
+        seq = data[i:i + k]
+        beta, goidr = _prufer_routes(seq, n)
         if goidr == 2 * beta + 1:
             equality += 1
         elif goidr < 2 * beta + 1:
             violations += _violations(G.prufer_decode(seq, n),
                                       [("tree_lower_bound", 2 * beta + 1, goidr)])
-    return len(seqs), violations, {"equality_cases": equality}
+    return count, violations, {"equality_cases": equality}
 
 
 def _even_path_check(n: int) -> tuple:
@@ -315,8 +319,10 @@ def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
     """Tree lower bound on all labeled trees up to min(max_n, 8) vertices,
     seeded samples beyond, plus tightness of every even path up to max_n.
 
-    The pool receives the trees as (n, chunk of Prufer sequences) payloads
-    and builds no graph unless a tree violates the bound."""
+    The pool receives the trees as (n, count, bytes) payloads, a chunk of
+    Prufer sequences with one byte per entry (max_n <= 10 keeps every entry
+    below 256, and bytes() raises on any other), and builds no graph unless a
+    tree violates the bound."""
     exhaustive = sum(1 if n <= 2 else n ** (n - 2)
                      for n in range(1, min(max_n, TREE_EXHAUSTIVE_CAP) + 1))
 
@@ -325,7 +331,7 @@ def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
             seqs = (G.prufer_sequences(n) if n <= TREE_EXHAUSTIVE_CAP
                     else G.prufer_sequences(n, samples, seed))
             while chunk := tuple(islice(seqs, TREE_CHUNK)):
-                yield n, chunk
+                yield n, len(chunk), bytes(chain.from_iterable(chunk))
 
     # one chunk per task: a campaign has only tens to hundreds of chunks
     return _pool_campaign(

@@ -15,7 +15,8 @@ labelings the scan runs in chunks under fixed label prefixes, whose
 vertices get constant planes.
 On forests, gamma_oidr and beta have a third, value-only route in linear
 time: one children-first pass (`_forest_routes`) runs a dynamic program over
-the labels (`tree_oidrd`) and greedy leaf matching (`tree_beta`) together.
+the labels (`tree_oidrd`) and greedy leaf matching (`tree_beta`) together,
+and `_prufer_routes` runs the same pass while it decodes a Prufer sequence.
 The program is a finite automaton: its cost vectors, taken relative to their
 minimum with dominated states dropped, take 99 values, and a child closes
 into its parent with one lookup in a transition table filled on a miss.
@@ -844,7 +845,9 @@ def _close(sp: int, sc: int) -> tuple[int, int]:
 def _forest_routes(order: list[int], parent: list[int]) -> tuple[int, int]:
     """(beta, gamma_oidr) of the forest given by an order that lists every
     parent before its children and each vertex's parent (-1 at roots), such
-    as _forest_order or graphs.prufer_parents returns, in one children-first pass.
+    as _forest_order returns, in one children-first pass.  graphs.prufer_parents
+    also returns such a pair; _prufer_routes walks the same pass while decoding,
+    without building it.
 
     beta: by Konig's theorem the vertex cover number equals the maximum
     matching, which greedy matching of leaves to their parents attains when
@@ -902,6 +905,51 @@ def _forest_routes(order: list[int], parent: list[int]) -> tuple[int, int]:
             state[p], low = _close(state[p], s)
         gamma += low
     return beta, gamma
+
+
+def _prufer_routes(seq: Sequence[int], n: int) -> tuple[int, int]:
+    """(beta, gamma_oidr) of the labeled tree with Prufer sequence seq (a tuple
+    or bytes, unchecked as for graphs.prufer_parents), in one decoding pass.
+
+    Each leaf closes into its parent the moment it is removed.  A vertex is a
+    leaf only once all its children are removed, so its state is final then,
+    and the removal order is the one _forest_routes walks on prufer_parents'
+    output: the same greedy leaf matching and the same moves, with the last
+    vertex left, n - 1, as the root.  No order or parent list is built.  A
+    removed leaf is never read again, so its degree is not cleared and it is
+    not marked matched: the smallest-leaf pointer steps past each leaf it takes.
+    """
+    if n == 1:
+        return 0, _ROOT[0]
+    deg = [1] * n
+    for s in seq:
+        deg[s] += 1
+    state = [0] * n  # the leaf, until a child closes in
+    free = [True] * n  # not yet matched
+    moves = _MOVES
+    beta = gamma = 0
+    ptr = 0
+    leaf = -1
+    # as in prufer_parents, the appended n - 1 attaches the last leaf but one
+    # to the root
+    for p in (*seq, n - 1):
+        if leaf < 0:
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+            ptr += 1
+        if free[leaf] and free[p]:
+            free[p] = False
+            beta += 1
+        sp = state[p]
+        try:
+            state[p], low = moves[sp][state[leaf]]
+        except KeyError:
+            state[p], low = _close(sp, state[leaf])
+        gamma += low
+        d = deg[p] = deg[p] - 1
+        leaf = p if d == 1 and p < ptr else -1
+    return beta, gamma + _ROOT[state[n - 1]]
 
 
 def tree_oidrd(g: Graph) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -66,7 +67,7 @@ def test_campaigns_name_their_max_n_range_alike(campaign, max_n, message):
 
 def test_violations_carry_the_graph_text(monkeypatch):
     # workers send the graph text back only with a violation; force one per tree
-    monkeypatch.setattr(H, "_forest_routes", lambda order, parent: (0, 0))
+    monkeypatch.setattr(H, "_prufer_routes", lambda seq, n: (0, 0))
     r = H.audit_trees(3, workers=1)
     assert r.status == "fail" and r.extra["equality_cases"] == 0
     trees = [G.to_edge_list_text(t) for n in (1, 2, 3) for t in G.enumerate_trees(n)]
@@ -115,9 +116,10 @@ def test_trees_campaign_scores_every_tree_of_a_partial_last_chunk(monkeypatch):
     check = H._tree_check
 
     def counting_check(payload):
-        n, seqs = payload
-        assert 0 < len(seqs) <= H.TREE_CHUNK
-        scored[n] += len(seqs)
+        n, count, data = payload
+        assert 0 < count <= H.TREE_CHUNK
+        assert len(data) == count * max(n - 2, 0)
+        scored[n] += count
         return check(payload)
 
     monkeypatch.setattr(H, "_tree_check", counting_check)
@@ -125,6 +127,28 @@ def test_trees_campaign_scores_every_tree_of_a_partial_last_chunk(monkeypatch):
     assert 7 ** 5 % H.TREE_CHUNK
     assert scored == {1: 1, 2: 1, 3: 3, 4: 16, 5: 125, 6: 1296, 7: 16807}
     assert r.instances_checked == sum(scored.values())
+
+
+def test_trees_payloads_stay_small_and_violations_keep_their_text(monkeypatch):
+    # a chunk pickles as its bytes plus a fixed header, however many trees
+    sizes = []
+    check = H._tree_check
+
+    def sizing_check(payload):
+        sizes.append(len(pickle.dumps(payload)))
+        return check(payload)
+
+    # force one violation at n = 7, so its text is decoded from a bytes slice
+    seq = (6, 0, 3, 3, 1)
+    routes = H._prufer_routes
+    monkeypatch.setattr(H, "_tree_check", sizing_check)
+    monkeypatch.setattr(H, "_prufer_routes",
+                        lambda s, n: (5, 0) if (n, tuple(s)) == (7, seq) else routes(s, n))
+    r = H.audit_trees(7, workers=1)
+    assert len(sizes) == 1 + 1 + 1 + 1 + 1 + 2 + 17
+    assert max(sizes) <= H.TREE_CHUNK * 5 + 200
+    assert [(v.graph, v.claim, v.lhs, v.rhs) for v in r.violations] == [
+        (G.to_edge_list_text(G.prufer_decode(seq, 7)), "tree_lower_bound", 11, 0)]
 
 
 def _record_pool_starts(monkeypatch, cpus):

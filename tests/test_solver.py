@@ -418,6 +418,35 @@ def test_prufer_route_on_one_and_two_vertices():
     assert G.prufer_decode((), 1).m == 0 and G.prufer_decode((), 2).edges() == [(0, 1)]
 
 
+def test_one_pass_prufer_routes_match_the_two_pass_route_on_every_small_tree():
+    h = hashlib.sha256()
+    trees = 0
+    for n in range(1, 8):
+        for seq in G.prufer_sequences(n):
+            routes = S._prufer_routes(seq, n)
+            assert routes == S._forest_routes(*G.prufer_parents(seq, n)), (n, seq)
+            h.update(bytes(routes))
+            trees += 1
+    assert trees == 18249
+    # the digest of test_forest_routes_are_pinned_on_every_small_tree
+    assert h.hexdigest() == "9cea6a65d17c36a7ebb37b729041f5df28c11017e2537f13c6dc40be57284202"
+
+
+@pytest.mark.parametrize("n,count", [(9, 300), (10, 300), (20, 200), (100, 50), (1000, 20)])
+def test_one_pass_prufer_routes_match_the_graph_route_on_samples(n, count):
+    for seq in G.prufer_sequences(n, count, seed=n):
+        expected = S._forest_routes(*S._forest_order(G.prufer_decode(seq, n)))
+        assert S._prufer_routes(seq, n) == expected, (n, seq)
+
+
+def test_one_pass_prufer_routes_on_small_orders_and_bytes():
+    assert S._prufer_routes((), 1) == S._prufer_routes(b"", 1) == (0, 2)
+    assert S._prufer_routes((), 2) == S._prufer_routes(b"", 2) == (1, 3)
+    for n in range(3, 9):
+        for seq in G.prufer_sequences(n, 50, seed=n):
+            assert S._prufer_routes(bytes(seq), n) == S._prufer_routes(seq, n), (n, seq)
+
+
 def _automaton_closure() -> set[tuple]:
     """Every normalised vector reachable from the leaf, both merge orders."""
     states, frontier = {S._LEAF}, [S._LEAF]
@@ -589,7 +618,8 @@ _SEPARATE_BOUND_TREES = {"corona(cycle:3,cycle:4)": 40871, "sharph:3,2,2": 33756
 
 
 @pytest.mark.parametrize("key,spec,nodes", [
-    pytest.param(key, spec, nodes, id=f"{'' if key == 'gamma_oidr' else key + '-'}{spec}-{nodes}")
+    pytest.param(key, spec, nodes,
+                 id=f"gamma_oidr-{spec}" if key == "gamma_oidr" else f"{key}-{spec}-{nodes}")
     for key, cases in _PINNED_TREES.items() for spec, nodes in cases])
 def test_search_tree_is_pinned(key, spec, nodes):
     # gamma_oidr counts recorded when it began to prune on the packing and
