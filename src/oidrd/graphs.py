@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -24,9 +24,8 @@ class GraphError(ValueError):
 class Graph:
     """Immutable simple graph, stored as one neighbour bitmask per vertex:
     bit w of nbr_masks[v] is set iff w ~ v.  The masks are symmetric with no
-    self-loop bit, and m is half their total popcount; fields, == and hash
-    read (n, nbr_masks, m) only.  adj is a frozenset view of the same
-    neighbourhoods, built on first use for callers that want sets."""
+    self-loop bit, and m is half their total popcount.  bits(nbr_masks[v])
+    lists the neighbours of v."""
 
     n: int
     nbr_masks: tuple[int, ...]
@@ -43,17 +42,9 @@ class Graph:
         """Every edge (u, v) with u < v, ascending."""
         return [(u, v) for u, mask in enumerate(self.nbr_masks) for v in bits(mask) if u < v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.nbr_masks[u] >> v & 1)
-
-    @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """adj[v] is the open neighbourhood of v as a frozenset, built from
-        the masks on first use and kept on the instance."""
-        return tuple(frozenset(bits(mask)) for mask in self.nbr_masks)
-
     def __reduce__(self):
-        # pickle the fields alone, never a cached view
+        # the three fields as constructor arguments: a smaller pickle than
+        # the default, which also carries the instance dict and field names
         return Graph, (self.n, self.nbr_masks, self.m)
 
 
@@ -577,47 +568,11 @@ def prufer_sequences(n: int, samples: int | None = None,
         yield tuple(rng.randrange(n) for _ in range(n - 2))
 
 
-def prufer_parents(seq: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
-    """Decode a Prufer sequence of length max(n - 2, 0) into (order, parent).
-
-    The tree is rooted at n - 1, the last vertex left, and order is the
-    leaf-removal order reversed, so every parent comes before its children;
-    parent[v] is the vertex each leaf v was removed from, -1 at the root.
-    Unchecked, for speed: n >= 1 and a sequence as prufer_sequences(n)
-    yields it, every entry in 0..n-1; prufer_decode checks both.
-    """
-    if n == 1:
-        return [0], [-1]
-    deg = [1] * n
-    for s in seq:
-        deg[s] += 1
-    parent = [-1] * n
-    order: list[int] = []
-    ptr = 0
-    leaf = -1
-    # the appended n - 1 attaches the last leaf but one to n - 1, which is
-    # never the smallest leaf and so is the last vertex left, the root
-    for s in (*seq, n - 1):
-        if leaf == -1:
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-        parent[leaf] = s
-        order.append(leaf)
-        deg[leaf] = 0
-        deg[s] -= 1
-        if deg[s] == 1 and s < ptr:
-            leaf = s
-        else:
-            leaf = -1
-    order.append(n - 1)
-    order.reverse()
-    return order, parent
-
-
 def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
     """Decode a Prufer sequence of length max(n - 2, 0), entries in 0..n-1,
-    into its labeled tree; raises GraphError on any other input."""
+    into its labeled tree; raises GraphError on any other input.  Each step
+    joins the smallest leaf to the next entry.  The pointer steps past each
+    leaf it takes, so a taken leaf's degree needs no clearing."""
     if n < 1:
         raise GraphError(f"vertex count must be at least 1, got {n}")
     if len(seq) != max(n - 2, 0):
@@ -625,13 +580,26 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
                          f"got {len(seq)}")
     if seq and not 0 <= min(seq) <= max(seq) < n:
         raise GraphError(f"Prufer entry out of range 0..{n - 1}: {seq!r}")
-    _, parent = prufer_parents(seq, n)
+    if n == 1:
+        return Graph(1, (0,), 0)
     nbr = [0] * n
-    # the root n - 1 is the one vertex without a parent
-    for v in range(n - 1):
-        p = parent[v]
-        nbr[v] |= 1 << p
-        nbr[p] |= 1 << v
+    deg = [1] * n
+    for s in seq:
+        deg[s] += 1
+    ptr = 0
+    leaf = -1
+    # the appended n - 1 joins the last leaf but one to n - 1, which is never
+    # the smallest leaf and so is the last vertex left
+    for p in (*seq, n - 1):
+        if leaf < 0:
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+            ptr += 1
+        nbr[leaf] |= 1 << p
+        nbr[p] |= 1 << leaf
+        d = deg[p] = deg[p] - 1
+        leaf = p if d == 1 and p < ptr else -1
     return Graph(n, tuple(nbr), n - 1)
 
 

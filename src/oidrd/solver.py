@@ -845,9 +845,9 @@ def _close(sp: int, sc: int) -> tuple[int, int]:
 def _forest_routes(order: list[int], parent: list[int]) -> tuple[int, int]:
     """(beta, gamma_oidr) of the forest given by an order that lists every
     parent before its children and each vertex's parent (-1 at roots), such
-    as _forest_order returns, in one children-first pass.  graphs.prufer_parents
-    also returns such a pair; _prufer_routes walks the same pass while decoding,
-    without building it.
+    as _forest_order returns, in one children-first pass.  _prufer_routes
+    walks the same pass while it decodes a Prufer sequence, without building
+    the pair.
 
     beta: by Konig's theorem the vertex cover number equals the maximum
     matching, which greedy matching of leaves to their parents attains when
@@ -909,15 +909,19 @@ def _forest_routes(order: list[int], parent: list[int]) -> tuple[int, int]:
 
 def _prufer_routes(seq: Sequence[int], n: int) -> tuple[int, int]:
     """(beta, gamma_oidr) of the labeled tree with Prufer sequence seq (a tuple
-    or bytes, unchecked as for graphs.prufer_parents), in one decoding pass.
+    or bytes), in one decoding pass.  Unchecked, for speed: n >= 1 and a
+    sequence as graphs.prufer_sequences(n) yields it; graphs.prufer_decode
+    checks both.
 
-    Each leaf closes into its parent the moment it is removed.  A vertex is a
-    leaf only once all its children are removed, so its state is final then,
-    and the removal order is the one _forest_routes walks on prufer_parents'
-    output: the same greedy leaf matching and the same moves, with the last
-    vertex left, n - 1, as the root.  No order or parent list is built.  A
-    removed leaf is never read again, so its degree is not cleared and it is
-    not marked matched: the smallest-leaf pointer steps past each leaf it takes.
+    Root the tree at n - 1, the last vertex left; a leaf's parent is the
+    vertex it is joined to when it is removed.  A vertex becomes a leaf only
+    once all its children are removed, so the leaf-removal order, then n - 1,
+    is a children-first order.  Each leaf closes into its parent the moment
+    it is removed, with its state final: the same greedy leaf matching and
+    the same moves as _forest_routes walking that order.  No order or parent
+    list is built.  A removed leaf is never read again, so its degree is not
+    cleared and it is not marked matched: the smallest-leaf pointer steps
+    past each leaf it takes.
     """
     if n == 1:
         return 0, _ROOT[0]
@@ -930,8 +934,8 @@ def _prufer_routes(seq: Sequence[int], n: int) -> tuple[int, int]:
     beta = gamma = 0
     ptr = 0
     leaf = -1
-    # as in prufer_parents, the appended n - 1 attaches the last leaf but one
-    # to the root
+    # as in graphs.prufer_decode, the appended n - 1 attaches the last leaf
+    # but one to the root
     for p in (*seq, n - 1):
         if leaf < 0:
             while deg[ptr] != 1:

@@ -26,7 +26,7 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     """Brute-force isomorphism test for tiny graphs (n <= 8)."""
     if a.n != b.n or a.m != b.m:
         return False
-    if sorted(len(s) for s in a.adj) != sorted(len(s) for s in b.adj):
+    if sorted(map(a.degree, range(a.n))) != sorted(map(b.degree, range(b.n))):
         return False
     edges_b = set()
     for u, v in b.edges():

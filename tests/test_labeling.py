@@ -127,7 +127,8 @@ def test_is_rd_puts_no_condition_on_ones():
 
 
 def _ref_zeros_independent(g, vals):
-    return not any(vals[u] == 0 and any(vals[w] == 0 for w in g.adj[u]) for u in range(g.n))
+    return not any(vals[u] == 0 and any(vals[w] == 0 for w in G.bits(g.nbr_masks[u]))
+                   for u in range(g.n))
 
 
 def _ref_drd(g, vals):
@@ -135,7 +136,7 @@ def _ref_drd(g, vals):
         if x == 0:
             twos = 0
             ok = False
-            for w in g.adj[v]:
+            for w in G.bits(g.nbr_masks[v]):
                 if vals[w] == 3:
                     ok = True
                     break
@@ -147,7 +148,7 @@ def _ref_drd(g, vals):
             if not ok:
                 return False
         elif x == 1:
-            if not any(vals[w] >= 2 for w in g.adj[v]):
+            if not any(vals[w] >= 2 for w in G.bits(g.nbr_masks[v])):
                 return False
     return True
 
@@ -156,13 +157,13 @@ def _ref_rd(g, vals):
     if 3 in vals:
         return False
     for v, x in enumerate(vals):
-        if x == 0 and not any(vals[w] == 2 for w in g.adj[v]):
+        if x == 0 and not any(vals[w] == 2 for w in G.bits(g.nbr_masks[v])):
             return False
     return True
 
 
 def _ref_dominating(g, vals):
-    return max(vals) <= 1 and all(x == 1 or any(vals[w] == 1 for w in g.adj[v])
+    return max(vals) <= 1 and all(x == 1 or any(vals[w] == 1 for w in G.bits(g.nbr_masks[v]))
                                   for v, x in enumerate(vals))
 
 
@@ -171,7 +172,8 @@ def _ref_cover(g, vals):
 
 
 def _ref_independent(g, vals):
-    return max(vals) <= 1 and not any(vals[u] == 1 and any(vals[w] == 1 for w in g.adj[u])
+    return max(vals) <= 1 and not any(vals[u] == 1 and any(vals[w] == 1
+                                                           for w in G.bits(g.nbr_masks[u]))
                                       for u in range(g.n))
 
 
@@ -196,7 +198,7 @@ def _every_small_graph():
 def test_mask_predicates_match_the_definitions_exhaustively():
     graphs = _every_small_graph()
     assert sum(not G.is_connected(g) for g in graphs) > 20
-    assert sum(any(not a for a in g.adj) for g in graphs) > 20
+    assert sum(0 in g.nbr_masks for g in graphs) > 20
     for g in graphs:
         for vals in product(range(4), repeat=g.n):
             for name, reference in _REFERENCE.items():

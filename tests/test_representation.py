@@ -1,8 +1,7 @@
-"""A Graph stores one neighbour bitmask per vertex: every builder writes the
-masks, and no library path needs the frozenset view `adj`."""
+"""A Graph is its neighbour bitmasks, one per vertex: every builder writes
+the masks, and no library path keeps any other view on the instance."""
 
 import pickle
-import pickletools
 
 from hypothesis import given, settings, strategies as st
 
@@ -35,10 +34,11 @@ def test_build_writes_symmetric_loop_free_masks(case):
     assert all(not mask >> v & 1 for v, mask in enumerate(nbr))
     assert all((nbr[u] >> v & 1) == (nbr[v] >> u & 1) for u in range(n) for v in range(n))
     assert 2 * g.m == sum(mask.bit_count() for mask in nbr)
-    assert g.edges() == sorted({(min(e), max(e)) for e in edges})
-    assert g.adj == tuple(frozenset(w for w in range(n) if nbr[v] >> w & 1) for v in range(n))
-    assert [g.degree(v) for v in range(n)] == [len(a) for a in g.adj]
-    assert all(g.has_edge(u, v) == (v in g.adj[u]) for u in range(n) for v in range(-1, n + 1))
+    want = {(min(e), max(e)) for e in edges}
+    assert g.edges() == sorted(want)
+    adj = [[w for w in range(n) if (min(v, w), max(v, w)) in want] for v in range(n)]
+    assert [G.bits(mask) for mask in nbr] == adj
+    assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
 
 
 def _rebuilt_alike(graphs):
@@ -59,11 +59,11 @@ def test_mask_builders_equal_build_of_their_edges():
 
 def test_pickle_carries_the_masks_alone():
     for g in (G.path(1), G.cycle(9), G.gadget(G.complete(4)), *G.enumerate_connected_graphs(4)):
-        g.adj  # build the set view first: it must not travel
         data = pickle.dumps(g)
         back = pickle.loads(data)
-        assert back == g and hash(back) == hash(g) and "adj" not in back.__dict__
-        assert not any("frozenset" in str(arg) for _, arg, _ in pickletools.genops(data))
+        assert back == g and hash(back) == hash(g) and vars(back) == vars(g)
+        # constructor arguments only: no instance dict, so no field names
+        assert b"nbr_masks" not in data
 
 
 def _guard_graphs():
@@ -91,5 +91,6 @@ def test_no_library_path_builds_the_set_view():
     assert (S.tree_oidrd(tree), S.tree_beta(tree)) == (S.solve_oidrd(tree).value,
                                                      S.solve_beta(tree).value)
     corona_value(tree, G.empty(2))
+    # nothing above caches a view on the graph: it keeps its three fields
     for g in graphs:
-        assert "adj" not in g.__dict__, G.to_edge_list_text(g)
+        assert vars(g) == {"n": g.n, "nbr_masks": g.nbr_masks, "m": g.m}, G.to_edge_list_text(g)

@@ -257,7 +257,7 @@ def test_packed_columns_match_the_predicates():
     rng = random.Random(7)
     isolated = 0
     for g in _seeded_graphs():
-        isolated += any(not a for a in g.adj)
+        isolated += 0 in g.nbr_masks
         for key, predicate in _LABEL_PREDICATES.items():
             prob = _LABEL_PROBLEMS[key]
             (_, valid, weights, offset), = S._scan(g, prob)
@@ -296,13 +296,17 @@ def test_oracle_without_column_memo_is_unchanged(monkeypatch):
 def test_chunked_oracle_with_column_memo_matches_engine(monkeypatch):
     # chunks of 32 labelings: a chunk's columns must not be memoized for the
     # other chunks, and the cover (32 chunks at n = 10) keeps its lex-largest
-    # minimum across chunks, as the engine does
+    # minimum across chunks, as the engine does.  The base-4 rows would scan
+    # 65,536 chunks per n = 10 graph, so they run on the orders 8 and 9 here;
+    # test_oracle_chunks_match_engine[10-4] chunks them at n = 10
     monkeypatch.setattr(S, "_CACHE_LIMIT", 1 << 5)
     assert sum(1 for _ in S._chunks(2, 10)) == 32
     graphs = [*G.sample_connected_graphs(8, 6, seed=8), *G.sample_connected_graphs(10, 3, seed=10),
               G.family(G.parse_family_spec("empty:9")), G.family(G.parse_family_spec("star:8"))]
     for g in graphs:
         for key, solve in S.SOLVERS.items():
+            if g.n == 10 and key in ("gamma_oidr", "gamma_dr"):
+                continue
             r, b = solve(g), S.BRUTE_SOLVERS[key](g)
             assert (r.value, r.witness) == (b.value, b.witness), (key, G.to_edge_list_text(g))
 
@@ -356,7 +360,7 @@ def _components(g):
             stack = [r]
             seen.add(r)
             while stack:
-                for w in g.adj[stack.pop()]:
+                for w in G.bits(g.nbr_masks[stack.pop()]):
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -389,7 +393,7 @@ def test_prufer_route_matches_the_graph_route():
     for n, seq in sequences:
         g = G.prufer_decode(seq, n)
         expected = (S.tree_beta(g), S.tree_oidrd(g))
-        assert S._forest_routes(*G.prufer_parents(seq, n)) == expected, (n, seq)
+        assert S._prufer_routes(seq, n) == expected, (n, seq)
     assert len(sequences) == 18249 + 2000
 
 
@@ -406,15 +410,13 @@ def test_forest_routes_are_pinned_on_every_small_tree():
     h = hashlib.sha256()
     for n in range(1, 8):
         for seq in G.prufer_sequences(n):
-            h.update(bytes(S._forest_routes(*G.prufer_parents(seq, n))))
+            h.update(bytes(S._forest_routes(*S._forest_order(G.prufer_decode(seq, n)))))
     assert h.hexdigest() == "9cea6a65d17c36a7ebb37b729041f5df28c11017e2537f13c6dc40be57284202"
 
 
 def test_prufer_route_on_one_and_two_vertices():
-    assert G.prufer_parents((), 1) == ([0], [-1])
-    assert G.prufer_parents((), 2) == ([1, 0], [1, -1])
-    assert S._forest_routes(*G.prufer_parents((), 1)) == (0, 2)
-    assert S._forest_routes(*G.prufer_parents((), 2)) == (1, 3)
+    assert S._forest_routes(*S._forest_order(G.prufer_decode((), 1))) == (0, 2)
+    assert S._forest_routes(*S._forest_order(G.prufer_decode((), 2))) == (1, 3)
     assert G.prufer_decode((), 1).m == 0 and G.prufer_decode((), 2).edges() == [(0, 1)]
 
 
@@ -424,7 +426,7 @@ def test_one_pass_prufer_routes_match_the_two_pass_route_on_every_small_tree():
     for n in range(1, 8):
         for seq in G.prufer_sequences(n):
             routes = S._prufer_routes(seq, n)
-            assert routes == S._forest_routes(*G.prufer_parents(seq, n)), (n, seq)
+            assert routes == S._forest_routes(*S._forest_order(G.prufer_decode(seq, n))), (n, seq)
             h.update(bytes(routes))
             trees += 1
     assert trees == 18249
@@ -619,7 +621,7 @@ _SEPARATE_BOUND_TREES = {"corona(cycle:3,cycle:4)": 40871, "sharph:3,2,2": 33756
 
 @pytest.mark.parametrize("key,spec,nodes", [
     pytest.param(key, spec, nodes,
-                 id=f"gamma_oidr-{spec}" if key == "gamma_oidr" else f"{key}-{spec}-{nodes}")
+                 id=f"{key}-{spec}" if key in ("gamma_oidr", "beta") else f"{key}-{spec}-{nodes}")
     for key, cases in _PINNED_TREES.items() for spec, nodes in cases])
 def test_search_tree_is_pinned(key, spec, nodes):
     # gamma_oidr counts recorded when it began to prune on the packing and
