@@ -11,6 +11,17 @@ decodes it, so no tree is built as a graph unless it violates the bound;
 the other campaigns send each Graph their enumerator or sampler built
 (pickled as its order, neighbour masks and edge count), and the worker
 checks it as it is.
+
+The bounds and characterization claims are inequalities about gamma_oidR,
+so their checks decide them without computing it.  gamma_oidR is an
+integer, so it is below a bound b iff some labeling weighs less than
+ceil(b), and one search from that incumbent (solver._solve_below) answers
+that and returns the canonical optimum when it finds one.  The
+characterization leaves a graph OTHER only if gamma_oidR >= 6, which the
+search below 6 certifies; the bound 3 beta is certified by a labeling, 3 on
+a minimum cover and 0 elsewhere.  Each check's docstring has the argument.
+A violation row still carries the exact gamma_oidR: the search's optimum,
+or, when nothing lies below the bound, the value of solve_oidrd.
 """
 
 from __future__ import annotations
@@ -30,9 +41,11 @@ from typing import Iterator
 
 from . import graphs as G
 from .characterize import CLASS_VALUE, OTHER, classify, verify_classification
+from .labeling import is_oidrd
 from .reduction import verify_identity
 from .solver import (
     _prufer_routes,
+    _solve_below,
     enumerate_optimal_oidrd,
     solve_alpha,
     solve_beta,
@@ -196,24 +209,55 @@ class Sandwich:
     gamma_oidr: int
 
 
-def sandwich(g: G.Graph) -> Sandwich:
-    """Both sandwich bounds on g, which has an edge."""
-    alpha = solve_alpha(g).value
+def _sandwich_terms(g: G.Graph) -> tuple[tuple[int, ...], tuple]:
+    """The values of alpha's witness, the lex-smallest maximum independent
+    set, and the terms (gamma, alpha, beta, 2 alpha / Delta, lower, upper) of
+    both sandwich bounds on g.  Raises ValueError unless g has an edge,
+    since 2 alpha / Delta needs Delta >= 1."""
+    if not g.m:
+        raise ValueError(f"the sandwich bounds need a graph with an edge, got none on "
+                         f"{g.n} vertices")
+    a = solve_alpha(g)
+    alpha = a.value
     beta = g.n - alpha
     gamma = solve_gamma(g).value
     frac = Fraction(2 * alpha, g.max_degree)
-    return Sandwich(gamma, alpha, beta, frac, max(Fraction(gamma), frac) + beta, 3 * beta,
-                    solve_oidrd(g).value)
+    return a.witness.values, (gamma, alpha, beta, frac, max(Fraction(gamma), frac) + beta, 3 * beta)
+
+
+def sandwich(g: G.Graph) -> Sandwich:
+    """Both sandwich bounds on g, which has an edge, and its exact gamma_oidR."""
+    return Sandwich(*_sandwich_terms(g)[1], solve_oidrd(g).value)
 
 
 def _bounds_check(g: G.Graph) -> tuple:
-    s = sandwich(g)
+    """Both sandwich bounds on the connected graph g, n >= 2, each decided
+    without computing gamma_oidR unless its check fails.
+
+    Upper: label the minimum cover C that complements alpha's witness 3 and
+    the rest 0.  That weighs 3 beta, and on a connected graph with n >= 2 it
+    is an OIDRD labeling: the 0-class, the complement of a cover, is
+    independent, and each of its vertices has a neighbor, all in C and
+    labeled 3.  So gamma_oidR <= 3 beta holds once is_oidrd accepts it.
+    Lower: gamma_oidR is an integer, so it is below the rational lower bound
+    iff some labeling weighs less than its ceiling, which one search from
+    that incumbent decides.
+
+    A violation row carries the exact gamma_oidR: the search returns the
+    optimum when it finds a labeling, and a cover labeling that fails its
+    check falls back to solve_oidrd, so the rows are those the exact value
+    would give."""
+    independent, (_, _, _, _, lower, upper) = _sandwich_terms(g)
+    below = _solve_below("gamma_oidr", g, ceil(lower))
+    cover = tuple(3 - 3 * x for x in independent)
     items = []
-    if s.gamma_oidr > s.upper:
-        items.append(("upper_3beta", s.gamma_oidr, s.upper))
-    if s.lower > s.gamma_oidr:
+    if not is_oidrd(g, cover):
+        value = (solve_oidrd(g) if below is None else below).value
+        if value > upper:
+            items.append(("upper_3beta", value, upper))
+    if below is not None:
         items.append(("lower_max_gamma_2alpha_over_delta_plus_beta",
-                      [s.lower.numerator, s.lower.denominator], s.gamma_oidr))
+                      [lower.numerator, lower.denominator], below.value))
     return 1, _violations(g, items), ()
 
 
@@ -229,15 +273,28 @@ def audit_bounds(max_n: int = 5, *, workers: int | None = None) -> AuditReport:
 
 
 def _characterization_check(g: G.Graph) -> tuple:
+    """classify's value class against gamma_oidR, and the class's anchor
+    witness, decided without computing gamma_oidR unless the class fails.
+
+    The characterization names every connected graph with gamma_oidR in
+    CLASS_VALUE (3, 4 or 5), so a graph it leaves OTHER must have
+    gamma_oidR >= 6, one above the largest class value.  One search from
+    that incumbent decides both sides of the biconditional: it finds a
+    labeling iff gamma_oidR <= 5, and then returns the optimum, the value
+    a class must equal; finding none certifies an OTHER graph.
+
+    A violation row carries the exact gamma_oidR: the search's optimum, or
+    for a class on a graph with no labeling below the incumbent, the value
+    of solve_oidrd."""
     res = classify(g)
-    value = solve_oidrd(g).value
-    items = []
     expected = CLASS_VALUE.get(res.value_class)
-    if expected is None:
-        if value <= 5:
-            items.append(("small_value_class", res.value_class, value))
-    elif value != expected:
-        items.append(("small_value_class", res.value_class, value))
+    small = _solve_below("gamma_oidr", g, max(CLASS_VALUE.values()) + 1)
+    items = []
+    if small is None:
+        if expected is not None:
+            items.append(("small_value_class", res.value_class, solve_oidrd(g).value))
+    elif small.value != expected:
+        items.append(("small_value_class", res.value_class, small.value))
     if res.value_class != OTHER and not verify_classification(g, res):
         items.append(("anchor_witness", res.family, "re-verification failed"))
     return 1, _violations(g, items), (res.value_class,)

@@ -28,10 +28,13 @@ above an achievable weight, and keeps the labeling at each strict
 improvement.  The last one kept is canonical: until the lex-first optimum
 is reached the incumbent stays above the optimum, and every bound on that
 optimum's path is at most its weight, so no pruning cuts it off; after it,
-nothing improves.  The vertex cover problem tries 1 before 0 instead, so
-the same pass keeps the lex-largest minimum cover: that is the beta
-witness, and on both routes alpha is read off it (_read_off): n - beta,
-with the complement, the lex-smallest maximum independent set, as witness.
+nothing improves.  That holds from any incumbent above the optimum, so
+_solve_below runs the same pass from a caller's bound and returns the
+canonical optimum if one lies below it, and nothing otherwise.  The vertex
+cover problem tries 1 before 0 instead, so the same pass keeps the
+lex-largest minimum cover: that is the beta witness, and on both routes
+alpha is read off it (_read_off): n - beta, with the complement, the
+lex-smallest maximum independent set, as witness.
 
 Since the vertex order is fixed, the free set at each depth of the search is
 the same on every path, and so is all that depends on it alone.  One plan
@@ -215,10 +218,14 @@ def _search_plan(g: Graph) -> list:
     Memo room counts the bounds the graph's memos may still keep,
     _BOUND_MEMO_LIMIT at first.  The cache holds the graph itself, so
     its identity cannot be reused; the entry is read once, so a graph never
-    gets a plan another caller just stored."""
+    gets a plan another caller just stored.  The search recurses once per
+    vertex, so a graph that would hit the recursion limit gets no plan."""
     global _last_plan
     last = _last_plan
     if last is None or last[0] is not g:
+        if g.n > sys.getrecursionlimit() - _STACK_HEADROOM:
+            raise GraphError(f"graph has {g.n} vertices; the search recurses once per vertex "
+                             f"and supports n <= {sys.getrecursionlimit() - _STACK_HEADROOM}")
         last = _last_plan = [g, _build_plan(g), g.nbr_masks.count(0),
                              len(_greedy_max_independent(g)), {}, _BOUND_MEMO_LIMIT]
     return last
@@ -627,31 +634,48 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     return best, found, nodes, nodes - last
 
 
-def _certified(g: Graph, name: str, lab: Labeling, value: int, nodes: int,
-               proof: int) -> SolveResult:
+def _certified(g: Graph, name: str, run: tuple) -> SolveResult | None:
+    # the invariant's result from a _branch_and_bound run, its witness
+    # checked by the row's predicate; None if the run beat no incumbent
+    value, wit, nodes, proof = run
+    if wit is None:
+        return None
+    value, wit = _read_off(g, name, value, wit)
+    lab = Labeling(wit)
     if weight(lab) != value or not is_feasible(name, g, lab):
         raise CertificationError(f"{name} witness {lab.to_text()} is not a valid labeling "
                                  f"of weight {value}")
     return SolveResult(value, lab, nodes, proof_node_count=proof)
 
 
+def _solve_below(name: str, g: Graph, bound: int) -> SolveResult | None:
+    """The invariant's certified result on g, value and canonical witness,
+    if its problem has a labeling that weighs less than bound; else None.
+    For alpha the bound is on the cover it is read off.
+
+    One search from the incumbent bound.  The witness is the canonical one
+    whatever the bound above the optimum, by the argument of the module
+    docstring, so a claim that only needs to know whether the value lies
+    below a bound pays for no descent from a looser incumbent, and for no
+    proof above the bound.  The run shares the graph's plan and bound memos,
+    which are exact, but it is not kept as the problem's session result, so
+    a later solve on g searches as it would have without it."""
+    return _certified(g, name, _branch_and_bound(g, INVARIANTS[name][0], bound))
+
+
 def _solve_min(name: str, g: Graph) -> SolveResult:
-    # one pass along 0..n-1; ub + 1 so that an optimal ub is still met.  The
-    # result is kept beside the plan, so each problem is searched once per
-    # graph.  The search recurses once per vertex: refuse what would hit the limit
-    if g.n > sys.getrecursionlimit() - _STACK_HEADROOM:
-        raise GraphError(f"graph has {g.n} vertices; the search recurses once per vertex "
-                         f"and supports n <= {sys.getrecursionlimit() - _STACK_HEADROOM}")
+    # the search below an achievable weight plus one, so that an optimal one
+    # is still met.  The run is kept beside the plan, so each problem is
+    # searched once per graph
     prob = INVARIANTS[name][0]
     runs = _search_plan(g)[4]
     run = runs.get(prob)
     if run is None:
         run = runs[prob] = _branch_and_bound(g, prob, _initial_ub(g, prob) + 1)
-    value, wit, nodes, proof = run
-    if wit is None:
-        raise CertificationError(f"search found no labeling below its incumbent {value}")
-    value, wit = _read_off(g, name, value, wit)
-    return _certified(g, name, Labeling(wit), value, nodes, proof)
+    res = _certified(g, name, run)
+    if res is None:
+        raise CertificationError(f"search found no labeling below its incumbent {run[0]}")
+    return res
 
 
 def solve_oidrd(g: Graph, *, count_optimal: bool = False) -> SolveResult:

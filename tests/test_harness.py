@@ -2,11 +2,13 @@ import hashlib
 import json
 import pickle
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from oidrd import graphs as G
 from oidrd import harness as H
+from oidrd.characterize import FOUR, OTHER, ClassifyResult
 
 
 def _strip_runtime(report):
@@ -303,6 +305,86 @@ def test_campaign_reports_are_pinned():
                       sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "b66f5f477816df130a5ad7e956261eaf6c56565a350858b30b8d4adfda56a21f")
+
+
+def _rows_digest(report) -> tuple:
+    rows = [[v.graph, v.claim, v.lhs, v.rhs] for v in report.violations]
+    claims = Counter(claim for _, claim, _, _ in rows)
+    return dict(claims), hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+def _count_exact_solves(monkeypatch) -> list:
+    calls = []
+    solve = H.solve_oidrd
+    monkeypatch.setattr(H, "solve_oidrd", lambda g: calls.append(g) or solve(g))
+    return calls
+
+
+def test_passing_checks_compute_no_gamma_oidr(monkeypatch):
+    # each claim is decided by a search below its bound and, for 3 beta, by
+    # the cover labeling; only a failed claim asks for the exact value
+    calls = _count_exact_solves(monkeypatch)
+    assert H.audit_bounds(5, workers=1).status == "pass"
+    assert H.audit_characterization(5, n7_samples=20, workers=1).status == "pass"
+    assert calls == []
+
+
+# the rows of each patched campaign, as (claim counts, sha256 of the rows'
+# JSON), recorded while both checks still computed gamma_oidR for every graph
+_PATCHED_ROWS = {
+    "classify": ({"small_value_class": 15, "anchor_witness": 12},
+                 "f3265c479894e02e559dd051ddfb921f7460094ca4aa684b559d92078749b1d3"),
+    "gamma": ({"lower_max_gamma_2alpha_over_delta_plus_beta": 103},
+              "24f0cd76815f552c2dcd0d73fd5407e1e0ffb5e740eeb1e3919aedea4ba541e1"),
+    "cover": ({}, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "cover_and_value": ({"upper_3beta": 769},
+                        "48f9c5d57b3d82bf4784c436d6777ffc44ac54692114b4fe3480c92df055c239"),
+}
+
+
+def test_violation_rows_carry_the_exact_value_when_a_class_is_wrong(monkeypatch):
+    # OTHER on every C4 (gamma_oidR 4), found below 6; FOUR on every C5
+    # (gamma_oidR 6), with no labeling below 6, so its row asks for the value
+    classify = H.classify
+
+    def misclassify(g):
+        if g.m == g.n and g.max_degree == 2 and g.n in (4, 5):
+            return ClassifyResult(OTHER if g.n == 4 else FOUR)
+        return classify(g)
+
+    monkeypatch.setattr(H, "classify", misclassify)
+    calls = _count_exact_solves(monkeypatch)
+    r = H.audit_characterization(5, n7_samples=0, workers=1)
+    assert _rows_digest(r) == _PATCHED_ROWS["classify"]
+    assert len(calls) == 12
+    assert {v.rhs for v in r.violations if v.claim == "small_value_class"} == {4, 6}
+
+
+def test_violation_rows_carry_the_exact_value_below_a_raised_lower_bound(monkeypatch):
+    solve_gamma = H.solve_gamma
+    monkeypatch.setattr(H, "solve_gamma", lambda g: replace(solve_gamma(g),
+                                                            value=solve_gamma(g).value + 1))
+    assert _rows_digest(H.audit_bounds(5, workers=1)) == _PATCHED_ROWS["gamma"]
+
+
+def test_a_failed_cover_labeling_falls_back_to_the_exact_value(monkeypatch):
+    monkeypatch.setattr(H, "is_oidrd", lambda g, f: False)
+    calls = _count_exact_solves(monkeypatch)
+    r = H.audit_bounds(5, workers=1)
+    assert _rows_digest(r) == _PATCHED_ROWS["cover"]
+    assert len(calls) == r.instances_checked
+    # an exact value past 3 beta then gives the upper row
+    solve = H.solve_oidrd
+    monkeypatch.setattr(H, "solve_oidrd", lambda g: replace(solve(g), value=solve(g).value + g.n))
+    assert _rows_digest(H.audit_bounds(5, workers=1)) == _PATCHED_ROWS["cover_and_value"]
+
+
+def test_sandwich_needs_an_edge():
+    for g in (G.empty(1), G.empty(2)):
+        with pytest.raises(ValueError, match="need a graph with an edge"):
+            H.sandwich(g)
+    with pytest.raises(ValueError, match="need a graph with an edge"):
+        H._bounds_check(G.empty(3))
 
 
 def test_run_all_samples_n7_at_the_characterization_default(monkeypatch):

@@ -586,6 +586,7 @@ except S.CertificationError as e:
     ("S", "is_cover_labeling", "S.solve_beta(G.path(4))"),
     ("S", "is_independent_labeling", "S.solve_alpha(G.path(4))"),
     ("R", "is_oidrd", "R.witness_from_independent_set(G.path(2), [0])"),
+    ("S", "is_oidrd", "S._solve_below('gamma_oidr', G.path(4), 6)"),
 ])
 def test_certification_checks_survive_optimize(target, name, call):
     src = str(Path(S.__file__).resolve().parents[1])
@@ -621,7 +622,8 @@ _SEPARATE_BOUND_TREES = {"corona(cycle:3,cycle:4)": 40871, "sharph:3,2,2": 33756
 
 @pytest.mark.parametrize("key,spec,nodes", [
     pytest.param(key, spec, nodes,
-                 id=f"{key}-{spec}" if key in ("gamma_oidr", "beta") else f"{key}-{spec}-{nodes}")
+                 id=f"{key}-{spec}" if key in ("gamma_oidr", "beta", "gamma")
+                 else f"{key}-{spec}-{nodes}")
     for key, cases in _PINNED_TREES.items() for spec, nodes in cases])
 def test_search_tree_is_pinned(key, spec, nodes):
     # gamma_oidr counts recorded when it began to prune on the packing and
@@ -687,6 +689,25 @@ def test_values_and_witnesses_are_pinned():
             r = solve(g)
             h.update(repr((key, r.value, r.witness.values)).encode())
     assert h.hexdigest() == "5cbf3f74a6addadc92d874ead5cea9c75abb87e3578810d41df0513f0e7f0f49"
+
+
+def test_search_below_a_bound_decides_it_and_leaves_no_trace():
+    # for every bound up to two past the value: None iff the value is at
+    # least the bound, and otherwise the exact value and canonical witness;
+    # then a full solve on the same object is the one a fresh twin gets,
+    # with the node counts that the small and sampled graph pins hold, so no
+    # bounded run is kept as the session result
+    graphs = [g for n in range(1, 6) for g in G.enumerate_connected_graphs(n)]
+    for g in graphs + _sampled_graphs():
+        twin = G.build(g.n, g.edges())
+        exact = S.solve_oidrd(twin)
+        for bound in range(exact.value + 3):
+            below = S._solve_below("gamma_oidr", g, bound)
+            if bound <= exact.value:
+                assert below is None, (bound, G.to_edge_list_text(g))
+            else:
+                assert (below.value, below.witness) == (exact.value, exact.witness), bound
+        assert S.solve_oidrd(g) == exact, G.to_edge_list_text(g)
 
 
 def test_proof_node_count_is_within_the_search():
