@@ -41,10 +41,10 @@ from typing import Iterator
 
 from . import graphs as G
 from .characterize import CLASS_VALUE, OTHER, classify, verify_classification
+from .forest import _prufer_routes
 from .labeling import is_oidrd
 from .reduction import verify_identity
 from .solver import (
-    _prufer_routes,
     _solve_below,
     enumerate_optimal_oidrd,
     solve_alpha,

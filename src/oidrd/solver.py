@@ -13,13 +13,6 @@ lex-largest minimum cover).  Columns are memoized per neighbourhood while
 one chunk holds all base^n <= _MEMO_LIMIT labelings; above _CACHE_LIMIT
 labelings the scan runs in chunks under fixed label prefixes, whose
 vertices get constant planes.
-On forests, gamma_oidr and beta have a third, value-only route in linear
-time: one children-first pass (`_forest_routes`) runs a dynamic program over
-the labels (`tree_oidrd`) and greedy leaf matching (`tree_beta`) together,
-and `_prufer_routes` runs the same pass while it decodes a Prufer sequence.
-The program is a finite automaton: its cost vectors, taken relative to their
-minimum with dominated states dropped, take 99 values, and a child closes
-into its parent with one lookup in a transition table filled on a miss.
 
 Canonical witness contract: the lexicographically smallest optimal
 labeling, values read in vertex order 0..n-1.  The engine makes one
@@ -762,232 +755,6 @@ def bundle(g: Graph) -> InvariantBundle:
 
 # the engine route of each INVARIANTS row, in the same order
 SOLVERS = {name: partial(_solve_min, name) for name in INVARIANTS}
-
-
-# ---------------------------------------------------------------------------
-# Forests: linear-time, value-only routes (independent of the engine above)
-# ---------------------------------------------------------------------------
-
-
-def _forest_order(g: Graph) -> tuple[list[int], list[int]]:
-    """Breadth-first order of every component (roots are the smallest vertex
-    of each) and each vertex's parent, -1 at roots.  Raises GraphError unless
-    g is a forest, i.e. m = n - (number of components)."""
-    parent = [-1] * g.n
-    seen = bytearray(g.n)
-    order: list[int] = []
-    components = 0
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        components += 1
-        seen[root] = 1
-        i = len(order)
-        order.append(root)
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for w in bits(g.nbr_masks[v]):
-                if not seen[w]:
-                    seen[w] = 1
-                    parent[w] = v
-                    order.append(w)
-    if g.m != g.n - components:
-        raise GraphError(f"not a forest: {g.m} edges on {g.n} vertices in {components} components")
-    return order, parent
-
-
-# The forest automaton.  A cost vector holds the seven states of _forest_routes
-# in the order Z0, Z1, Z2, O0, O1, T, H, with _INF for a state out of reach.
-_INF = float("inf")
-_LEAF = (0, _INF, _INF, 1, _INF, 2, 3)  # a vertex before any child closes in
-
-
-def _merge(p: tuple, c: tuple) -> tuple:
-    """The cost vector of a vertex with vector p once a child with vector c
-    closes into it: the min-plus algebra that holds every rule of the forest
-    program.  The parent's label closes each child's state: Z0 needs a parent
-    labeled 3, Z1 and O0 a parent labeled 2 or 3, and no 0 may have a parent
-    labeled 0."""
-    pz0, pz1, pz2, po0, po1, pt, ph = p
-    z0, z1, z2, o0, o1, t, h = c
-    low = min(z2, o1)  # final without the parent
-    high = min(t, h)  # labeled 2 or 3
-    return (
-        # parent labeled 0: the child is O1, T or H
-        pz0 + o1,
-        min(pz1 + o1, pz0 + t),
-        min(pz2 + min(o1, high), pz1 + high, pz0 + h),
-        # parent labeled 1: the child is Z2 or O1, or supports it with T or H
-        po0 + low,
-        min(po1 + min(low, high), po0 + high),
-        # parent labeled 2 closes everything but Z0; labeled 3, everything
-        pt + min(z1, o0, low, high),
-        ph + min(z0, z1, o0, low, high),
-    )
-
-
-def _normalised(x: tuple) -> tuple[tuple, int]:
-    """x with every state that costs at least H dropped, less its minimum;
-    and that minimum."""
-    h = x[6]
-    kept = (*(c if c < h else _INF for c in x[:6]), h)
-    least = min(kept)
-    return tuple(c - least for c in kept), least
-
-
-# Filled by _close: the normalised vectors met so far, the leaf's first, and
-# their ids; per state the least weight it leaves at a root, and its moves,
-# a dict from the state of a child closing in to (the merged state, the
-# increment of the offset).
-_STATES: list[tuple] = []
-_STATE_IDS: dict[tuple, int] = {}
-_ROOT: list[int] = []
-_MOVES: list[dict[int, tuple[int, int]]] = []
-
-
-def _intern(x: tuple) -> int:
-    s = _STATE_IDS.get(x)
-    if s is None:
-        s = _STATE_IDS[x] = len(_STATES)
-        _STATES.append(x)
-        _ROOT.append(min(x[2], x[4], x[5], x[6]))
-        _MOVES.append({})
-    return s
-
-
-_intern(_LEAF)
-
-
-def _close(sp: int, sc: int) -> tuple[int, int]:
-    """The move of state sp when a child in state sc closes into it, tabled."""
-    merged, least = _normalised(_merge(_STATES[sp], _STATES[sc]))
-    move = _MOVES[sp][sc] = (_intern(merged), least)
-    return move
-
-
-def _forest_routes(order: list[int], parent: list[int]) -> tuple[int, int]:
-    """(beta, gamma_oidr) of the forest given by an order that lists every
-    parent before its children and each vertex's parent (-1 at roots), such
-    as _forest_order returns, in one children-first pass.  _prufer_routes
-    walks the same pass while it decodes a Prufer sequence, without building
-    the pair.
-
-    beta: by Konig's theorem the vertex cover number equals the maximum
-    matching, which greedy matching of leaves to their parents attains when
-    every vertex is taken after its children.
-
-    gamma_oidr: each vertex v carries the minimum weight of its subtree for
-    seven states of v, given the labels of its children only:
-      Z0, Z1, Z2  label 0 with no 2- or 3-child, with exactly one 2-child
-                  and no 3-child, or already satisfied (a 3-child or two
-                  2-children)
-      O0, O1      label 1 without / with a child labeled 2 or 3
-      T, H        label 2, label 3
-    A child closes into its parent by _merge, and a root has no parent, so
-    only Z2, O1, T and H are final there.  The pass runs this program as a
-    finite automaton.  A vertex's costs are an offset plus a normalised
-    vector (_normalised: clipped, less its minimum), interned as a state id.
-    A child closes into its parent with one lookup in _MOVES, keyed by the
-    two state ids, which gives the parent's new state and the increment of
-    its offset; _close computes a missing entry.  Offsets only flow into
-    the root's, so one running sum holds them all, and since the table is a
-    memo, no result depends on what it holds.  Two facts make this exact
-    and bounded:
-    - Min-plus linearity.  Every merged entry is one parent entry plus a
-      min over child entries, so merging vectors shifted by a and b gives
-      the merge shifted by a + b: the table is keyed by the normalised
-      vectors alone.
-    - Clipping.  H accepts every parent label and gives the parent all any
-      other state could, a nonzero label and a 3-neighbor.  So replacing
-      the subtree's labeling by its best H-labeling stays valid and only
-      moves the parent to a better bucket (Z0/Z1 to Z2, O0 to O1), and any
-      other state costing at least H can be dropped.  This holds on partial
-      vectors too, because a later child adds at least its minimum to every
-      state and exactly that to H.  Since H is at most the minimum plus 3,
-      every kept relative cost lies in 0..3.
-    The closure of the leaf vector under _merge and normalisation has 99
-    states, so the table holds at most 99^2 moves; it is filled on a miss.
-    """
-    n = len(order)
-    state = [0] * n  # the leaf, until a child closes in
-    matched = bytearray(n)
-    moves, root = _MOVES, _ROOT
-    beta = gamma = 0
-    for v in reversed(order):
-        s = state[v]
-        p = parent[v]
-        if p < 0:
-            gamma += root[s]
-            continue
-        if not matched[v] and not matched[p]:
-            matched[v] = matched[p] = 1
-            beta += 1
-        try:
-            state[p], low = moves[state[p]][s]
-        except KeyError:
-            state[p], low = _close(state[p], s)
-        gamma += low
-    return beta, gamma
-
-
-def _prufer_routes(seq: Sequence[int], n: int) -> tuple[int, int]:
-    """(beta, gamma_oidr) of the labeled tree with Prufer sequence seq (a tuple
-    or bytes), in one decoding pass.  Unchecked, for speed: n >= 1 and a
-    sequence as graphs.prufer_sequences(n) yields it; graphs.prufer_decode
-    checks both.
-
-    Root the tree at n - 1, the last vertex left; a leaf's parent is the
-    vertex it is joined to when it is removed.  A vertex becomes a leaf only
-    once all its children are removed, so the leaf-removal order, then n - 1,
-    is a children-first order.  Each leaf closes into its parent the moment
-    it is removed, with its state final: the same greedy leaf matching and
-    the same moves as _forest_routes walking that order.  No order or parent
-    list is built.  A removed leaf is never read again, so its degree is not
-    cleared and it is not marked matched: the smallest-leaf pointer steps
-    past each leaf it takes.
-    """
-    if n == 1:
-        return 0, _ROOT[0]
-    deg = [1] * n
-    for s in seq:
-        deg[s] += 1
-    state = [0] * n  # the leaf, until a child closes in
-    free = [True] * n  # not yet matched
-    moves = _MOVES
-    beta = gamma = 0
-    ptr = 0
-    leaf = -1
-    # as in graphs.prufer_decode, the appended n - 1 attaches the last leaf
-    # but one to the root
-    for p in (*seq, n - 1):
-        if leaf < 0:
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        if free[leaf] and free[p]:
-            free[p] = False
-            beta += 1
-        sp = state[p]
-        try:
-            state[p], low = moves[sp][state[leaf]]
-        except KeyError:
-            state[p], low = _close(sp, state[leaf])
-        gamma += low
-        d = deg[p] = deg[p] - 1
-        leaf = p if d == 1 and p < ptr else -1
-    return beta, gamma + _ROOT[state[n - 1]]
-
-
-def tree_oidrd(g: Graph) -> int:
-    """gamma_oidr of a forest by a bottom-up dynamic program, O(n)."""
-    return _forest_routes(*_forest_order(g))[1]
-
-
-def tree_beta(g: Graph) -> int:
-    """Vertex cover number of a forest by leaf matching, O(n)."""
-    return _forest_routes(*_forest_order(g))[0]
 
 
 # ---------------------------------------------------------------------------

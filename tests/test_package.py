@@ -1,0 +1,37 @@
+"""The package's layout: which exact routes may import which, and the public
+names the package re-exports."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import oidrd
+
+
+def _package_imports(module: str) -> set[str]:
+    """The oidrd modules that oidrd.<module> imports, read from its source."""
+    source = (Path(oidrd.__file__).parent / f"{module}.py").read_text()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("oidrd."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("oidrd.")}
+    return found
+
+
+def test_forest_route_is_independent_of_the_engine():
+    assert _package_imports("forest") == {"graphs"}
+    assert "forest" not in _package_imports("solver")
+    # a check that the reader finds imports at all: harness uses both routes
+    assert {"forest", "solver"} <= _package_imports("harness")
+
+
+def test_public_names_are_the_objects_their_modules_define():
+    assert len(set(oidrd.__all__)) == len(oidrd.__all__)
+    for name in oidrd.__all__:
+        obj = getattr(oidrd, name)
+        assert obj.__module__.startswith("oidrd.") and obj.__qualname__ == name, name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name

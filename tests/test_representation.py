@@ -5,6 +5,7 @@ import pickle
 
 from hypothesis import given, settings, strategies as st
 
+from oidrd import forest
 from oidrd import graphs as G
 from oidrd import harness as H
 from oidrd import solver as S
@@ -75,7 +76,7 @@ def _guard_graphs():
     return tree, gadget, big
 
 
-def test_no_library_path_builds_the_set_view():
+def test_no_library_path_stores_a_view_on_the_graph():
     tree, gadget, big = _guard_graphs()
     graphs = (tree, gadget, big)
     for g in graphs:
@@ -88,8 +89,8 @@ def test_no_library_path_builds_the_set_view():
         S.bundle(g)
     assert verify_identity(tree).equal
     witness_from_independent_set(tree, S._greedy_max_independent(tree))
-    assert (S.tree_oidrd(tree), S.tree_beta(tree)) == (S.solve_oidrd(tree).value,
-                                                     S.solve_beta(tree).value)
+    assert (forest.tree_oidrd(tree), forest.tree_beta(tree)) == (S.solve_oidrd(tree).value,
+                                                               S.solve_beta(tree).value)
     corona_value(tree, G.empty(2))
     # nothing above caches a view on the graph: it keeps its three fields
     for g in graphs:

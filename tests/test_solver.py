@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oidrd import forest
 from oidrd import formulas as F
 from oidrd import graphs as G
 from oidrd import harness as H
@@ -374,8 +375,8 @@ def test_forest_routes_match_engine_on_every_small_forest():
             if g.m != n - _components(g):
                 continue
             forests += 1
-            assert S.tree_oidrd(g) == S.solve_oidrd(g).value, G.to_edge_list_text(g)
-            assert S.tree_beta(g) == S.solve_beta(g).value, G.to_edge_list_text(g)
+            assert forest.tree_oidrd(g) == S.solve_oidrd(g).value, G.to_edge_list_text(g)
+            assert forest.tree_beta(g) == S.solve_beta(g).value, G.to_edge_list_text(g)
     # labeled forests on 1..6 vertices (OEIS A001858)
     assert forests == 1 + 2 + 7 + 38 + 291 + 2932
 
@@ -383,8 +384,8 @@ def test_forest_routes_match_engine_on_every_small_forest():
 def test_forest_routes_match_oracle_on_sampled_trees():
     for n in (8, 9, 10):
         for t in G.sample_trees(n, 8, seed=n):
-            assert S.tree_oidrd(t) == S.brute_force_oidrd(t).value, G.to_edge_list_text(t)
-            assert S.tree_beta(t) == S.brute_force_beta(t).value, G.to_edge_list_text(t)
+            assert forest.tree_oidrd(t) == S.brute_force_oidrd(t).value, G.to_edge_list_text(t)
+            assert forest.tree_beta(t) == S.brute_force_beta(t).value, G.to_edge_list_text(t)
 
 
 def test_prufer_route_matches_the_graph_route():
@@ -392,15 +393,15 @@ def test_prufer_route_matches_the_graph_route():
     sequences += [(n, seq) for n in (9, 10) for seq in G.prufer_sequences(n, 1000, seed=n)]
     for n, seq in sequences:
         g = G.prufer_decode(seq, n)
-        expected = (S.tree_beta(g), S.tree_oidrd(g))
-        assert S._prufer_routes(seq, n) == expected, (n, seq)
+        expected = (forest.tree_beta(g), forest.tree_oidrd(g))
+        assert forest._prufer_routes(seq, n) == expected, (n, seq)
     assert len(sequences) == 18249 + 2000
 
 
 def test_forest_routes_match_engine_on_sampled_deeper_trees():
     for n in range(7, 15):
         for t in G.sample_trees(n, 25, seed=n):
-            routes = S._forest_routes(*S._forest_order(t))
+            routes = forest._forest_routes(t)
             assert routes == (S.solve_beta(t).value, S.solve_oidrd(t).value), G.to_edge_list_text(t)
 
 
@@ -410,13 +411,13 @@ def test_forest_routes_are_pinned_on_every_small_tree():
     h = hashlib.sha256()
     for n in range(1, 8):
         for seq in G.prufer_sequences(n):
-            h.update(bytes(S._forest_routes(*S._forest_order(G.prufer_decode(seq, n)))))
+            h.update(bytes(forest._forest_routes(G.prufer_decode(seq, n))))
     assert h.hexdigest() == "9cea6a65d17c36a7ebb37b729041f5df28c11017e2537f13c6dc40be57284202"
 
 
 def test_prufer_route_on_one_and_two_vertices():
-    assert S._forest_routes(*S._forest_order(G.prufer_decode((), 1))) == (0, 2)
-    assert S._forest_routes(*S._forest_order(G.prufer_decode((), 2))) == (1, 3)
+    assert forest._forest_routes(G.prufer_decode((), 1)) == (0, 2)
+    assert forest._forest_routes(G.prufer_decode((), 2)) == (1, 3)
     assert G.prufer_decode((), 1).m == 0 and G.prufer_decode((), 2).edges() == [(0, 1)]
 
 
@@ -425,8 +426,8 @@ def test_one_pass_prufer_routes_match_the_two_pass_route_on_every_small_tree():
     trees = 0
     for n in range(1, 8):
         for seq in G.prufer_sequences(n):
-            routes = S._prufer_routes(seq, n)
-            assert routes == S._forest_routes(*S._forest_order(G.prufer_decode(seq, n))), (n, seq)
+            routes = forest._prufer_routes(seq, n)
+            assert routes == forest._forest_routes(G.prufer_decode(seq, n)), (n, seq)
             h.update(bytes(routes))
             trees += 1
     assert trees == 18249
@@ -437,26 +438,26 @@ def test_one_pass_prufer_routes_match_the_two_pass_route_on_every_small_tree():
 @pytest.mark.parametrize("n,count", [(9, 300), (10, 300), (20, 200), (100, 50), (1000, 20)])
 def test_one_pass_prufer_routes_match_the_graph_route_on_samples(n, count):
     for seq in G.prufer_sequences(n, count, seed=n):
-        expected = S._forest_routes(*S._forest_order(G.prufer_decode(seq, n)))
-        assert S._prufer_routes(seq, n) == expected, (n, seq)
+        expected = forest._forest_routes(G.prufer_decode(seq, n))
+        assert forest._prufer_routes(seq, n) == expected, (n, seq)
 
 
 def test_one_pass_prufer_routes_on_small_orders_and_bytes():
-    assert S._prufer_routes((), 1) == S._prufer_routes(b"", 1) == (0, 2)
-    assert S._prufer_routes((), 2) == S._prufer_routes(b"", 2) == (1, 3)
+    assert forest._prufer_routes((), 1) == forest._prufer_routes(b"", 1) == (0, 2)
+    assert forest._prufer_routes((), 2) == forest._prufer_routes(b"", 2) == (1, 3)
     for n in range(3, 9):
         for seq in G.prufer_sequences(n, 50, seed=n):
-            assert S._prufer_routes(bytes(seq), n) == S._prufer_routes(seq, n), (n, seq)
+            assert forest._prufer_routes(bytes(seq), n) == forest._prufer_routes(seq, n), (n, seq)
 
 
 def _automaton_closure() -> set[tuple]:
     """Every normalised vector reachable from the leaf, both merge orders."""
-    states, frontier = {S._LEAF}, [S._LEAF]
+    states, frontier = {forest._LEAF}, [forest._LEAF]
     while frontier:
         a = frontier.pop()
         for b in list(states):
             for p, c in ((a, b), (b, a)):
-                x = S._normalised(S._merge(p, c))[0]
+                x = forest._normalised(forest._merge(p, c))[0]
                 if x not in states:
                     states.add(x)
                     frontier.append(x)
@@ -467,7 +468,7 @@ def test_forest_automaton_closure_is_finite_with_costs_in_0_to_3():
     closure = _automaton_closure()
     assert len(closure) == 99
     for x in closure:
-        kept = [c for c in x if c != S._INF]
+        kept = [c for c in x if c != forest._INF]
         # H is kept, the minimum is 0, and every other kept state costs less than H
         assert x[6] == kept[-1] and min(kept) == 0, x
         assert all(c in range(4) for c in kept) and all(c < x[6] for c in kept[:-1]), x
@@ -476,24 +477,31 @@ def test_forest_automaton_closure_is_finite_with_costs_in_0_to_3():
 def test_forest_table_stays_within_the_closure():
     H.audit_trees(8, workers=1)
     closure = _automaton_closure()
-    assert set(S._STATES) <= closure and len(S._STATES) == len(S._STATE_IDS)
-    assert sum(map(len, S._MOVES)) <= len(closure) ** 2
+    assert set(forest._STATES) <= closure and len(forest._STATES) == len(forest._STATE_IDS)
+    assert sum(map(len, forest._MOVES)) <= len(closure) ** 2
 
 
-def _unclipped_routes(order, parent) -> tuple[int, int]:
-    """(gamma_oidr, largest relative cost met) by folding _merge on absolute
-    costs: no table, no clipping."""
-    vec = [S._LEAF] * len(order)
+def _unclipped_routes(g: G.Graph) -> tuple[int, int]:
+    """(gamma_oidr, largest relative cost met) of the tree g by folding _merge
+    on absolute costs, children first along a breadth-first order from
+    vertex 0: no table, no clipping, no leaf peeling."""
+    order, parent = [0], [-1] * g.n
+    for v in order:
+        for w in G.bits(g.nbr_masks[v]):
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    vec = [forest._LEAF] * g.n
     gamma = spread = 0
     for v in reversed(order):
-        finite = [c for c in vec[v] if c != S._INF]
+        finite = [c for c in vec[v] if c != forest._INF]
         spread = max(spread, max(finite) - min(finite))
         p = parent[v]
         if p < 0:
             z0, z1, z2, o0, o1, t, h = vec[v]
             gamma += min(z2, o1, t, h)
         else:
-            vec[p] = S._merge(vec[p], vec[v])
+            vec[p] = forest._merge(vec[p], vec[v])
     return gamma, spread
 
 
@@ -519,10 +527,9 @@ def test_forest_table_matches_the_unclipped_fold_on_high_degree_trees():
     trees += [(_caterpillar(s, j), None) for s, j in ((5, 40), (40, 5), (60, 1), (3, 300))]
     spread = 0
     for g, formula in trees:
-        order, parent = S._forest_order(g)
-        gamma, wide = _unclipped_routes(order, parent)
+        gamma, wide = _unclipped_routes(g)
         spread = max(spread, wide)
-        assert S._forest_routes(order, parent)[1] == gamma, G.to_edge_list_text(g)
+        assert forest._forest_routes(g)[1] == gamma, G.to_edge_list_text(g)
         assert formula in (None, gamma)
     # the relative costs the clipping keeps in 0..3 grow with the degree
     assert spread > 100
@@ -541,30 +548,32 @@ def relabeled_forest(draw):
 @given(relabeled_forest())
 def test_forest_routes_match_engine_and_ignore_labels(pair):
     g, relabeled = pair
-    value = S.tree_oidrd(g)
-    assert value == S.solve_oidrd(g).value == S.tree_oidrd(relabeled)
-    assert S.tree_beta(g) == S.solve_beta(g).value == S.tree_beta(relabeled)
+    value = forest.tree_oidrd(g)
+    assert value == S.solve_oidrd(g).value == forest.tree_oidrd(relabeled)
+    assert forest.tree_beta(g) == S.solve_beta(g).value == forest.tree_beta(relabeled)
 
 
 def test_forest_routes_on_families():
-    assert S.tree_oidrd(G.path(2000)) == F.formula_path(2000)
-    assert S.tree_beta(G.path(2000)) == 1000
+    assert forest.tree_oidrd(G.path(2000)) == F.formula_path(2000)
+    assert forest.tree_beta(G.path(2000)) == 1000
     for k in range(1, 30):
-        assert S.tree_oidrd(G.star(k)) == F.formula_complete_bipartite(1, k)
-        assert S.tree_beta(G.star(k)) == 1
+        assert forest.tree_oidrd(G.star(k)) == F.formula_complete_bipartite(1, k)
+        assert forest.tree_beta(G.star(k)) == 1
     # forests: components add up, an isolated vertex costs 2
-    assert S.tree_oidrd(G.empty(5)) == 10 and S.tree_beta(G.empty(5)) == 0
+    assert forest.tree_oidrd(G.empty(5)) == 10 and forest.tree_beta(G.empty(5)) == 0
     two_p3 = G.build(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    assert S.tree_oidrd(two_p3) == 6 and S.tree_beta(two_p3) == 2
+    assert forest.tree_oidrd(two_p3) == 6 and forest.tree_beta(two_p3) == 2
 
 
 def test_forest_routes_reject_graphs_with_cycles():
     with_cycle = G.build(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
-    for g in (G.cycle(3), G.complete(4), with_cycle):
+    # the pendant path and the isolated vertex peel away before the triangle
+    pendant = G.build(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])
+    for g in (G.cycle(3), G.complete(4), with_cycle, pendant):
         with pytest.raises(G.GraphError, match="not a forest"):
-            S.tree_oidrd(g)
+            forest.tree_oidrd(g)
         with pytest.raises(G.GraphError, match="not a forest"):
-            S.tree_beta(g)
+            forest.tree_beta(g)
 
 
 _PATCHED_PREDICATES = """
@@ -621,9 +630,7 @@ _SEPARATE_BOUND_TREES = {"corona(cycle:3,cycle:4)": 40871, "sharph:3,2,2": 33756
 
 
 @pytest.mark.parametrize("key,spec,nodes", [
-    pytest.param(key, spec, nodes,
-                 id=f"{key}-{spec}" if key in ("gamma_oidr", "beta", "gamma")
-                 else f"{key}-{spec}-{nodes}")
+    pytest.param(key, spec, nodes, id=f"{key}-{spec}")
     for key, cases in _PINNED_TREES.items() for spec, nodes in cases])
 def test_search_tree_is_pinned(key, spec, nodes):
     # gamma_oidr counts recorded when it began to prune on the packing and
