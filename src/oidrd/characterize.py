@@ -3,17 +3,19 @@
 The G and H families are the rows of graphs.ANCHORED, the table the builders
 read too: anchors with fixed edges among them, and blocks of vertices whose
 neighborhood is exactly a fixed anchor subset.  So an accepted anchor set
-covers every edge, and a family is tried only on the ordered anchor tuples,
-in lexicographic order, drawn from the graph's 2- and 3-vertex covers whose
-adjacency among themselves is the family's edge set.  Families may overlap,
-so classify reports the first accepting family in the fixed order star, G1,
-G2, G3, H1..H6, with its first subcase whose rule the block sizes meet.
-Only the value class carries a correctness contract.
+covers every edge, and recognition takes each 2- and 3-vertex cover once, as
+a sorted set, and reads its inner edges and how many other vertices see each
+subset of it against _ROWS, the family anchor orders per edge pattern.
+Families may overlap, so classify reports the first accepting family in the
+fixed order star, G1, G2, G3, H1..H6, at its least accepting anchor tuple,
+with that tuple's first subcase whose rule the block sizes meet.
+verify_classification re-checks one tuple with _match, which recognition
+does not share.  Only the value class carries a correctness contract.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -60,15 +62,16 @@ def _shape(nb: Sequence[int], anchors: tuple[int, ...]) -> tuple[int, int]:
     return 3, (nb[a] >> b & 1) | (nb[a] >> c & 1) << 1 | (nb[b] >> c & 1) << 2
 
 
-def _family_shape(fam: Anchored) -> tuple[int, int]:
+def _family_shape(fam: Anchored, order: Sequence[int] = range(3)) -> tuple[int, int]:
+    """The shape of fam's anchors once each anchor i is renumbered order[i]."""
     nb = [0] * fam.k
     for x, y in fam.edges:
-        nb[x] |= 1 << y
-        nb[y] |= 1 << x
+        nb[order[x]] |= 1 << order[y]
+        nb[order[y]] |= 1 << order[x]
     return _shape(nb, tuple(range(fam.k)))
 
 
-# family name -> (its row, the shape of its anchors), in recognition order
+# family name -> (its row, the shape of its anchors), for verify_classification
 _FAMILIES = {fam.name: (fam, _family_shape(fam)) for fam in ANCHORED.values()}
 
 
@@ -90,50 +93,77 @@ def _match(g: Graph, fam: Anchored, anchors: tuple[int, ...]) -> str | None:
     return next((sub for sub, rule in fam.rules.items() if rule(*sizes)), None)
 
 
-def _covers(g: Graph) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-    """Lex-sorted ordered pairs and triples of distinct vertices whose vertex
-    set touches every edge (sum of degrees minus inner edges = m), keyed by
-    their shape."""
+def _rows() -> dict[tuple[int, int], list[tuple]]:
+    """Shape of a sorted anchor set -> (family, rank, order, slots, forbidden)
+    per fit of the rank-th family: anchor i is the set's order[i]-th vertex,
+    block i sees just the set positions in bitmask slots[i], and `forbidden`
+    has bit j iff position subset j is no block's."""
+    rows: dict[tuple[int, int], list[tuple]] = {}
+    for rank, fam in enumerate(ANCHORED.values()):
+        for order in permutations(range(fam.k)):
+            slots = tuple(sum(1 << order[i] for i in block) for block in fam.blocks)
+            rows.setdefault(_family_shape(fam, order), []).append(
+                (fam, rank, order, slots, 255 & ~sum(1 << j for j in slots)))
+    return rows
+
+
+_ROWS = _rows()
+
+
+def _cover_sets(g: Graph) -> Iterator[tuple[int, ...]]:
+    """The sorted pairs and triples of vertices that touch every edge (sum of
+    degrees minus inner edges = m)."""
     n, m, nb = g.n, g.m, g.nbr_masks
     deg = [mask.bit_count() for mask in nb]
-    sets = []
     for a in range(n):
         for b in range(a + 1, n):
             dab = deg[a] + deg[b] - (nb[a] >> b & 1)
             if dab == m:
-                sets.append((a, b))
+                yield a, b
             for c in range(b + 1, n):
                 if dab + deg[c] - (nb[c] >> a & 1) - (nb[c] >> b & 1) == m:
-                    sets.append((a, b, c))
-    out: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for t in sorted(t for s in sets for t in permutations(s)):
-        out.setdefault(_shape(nb, t), []).append(t)
-    return out
+                    yield a, b, c
 
 
-def _first_hit(g: Graph, value_class: str, covers: dict[tuple[int, int], list[tuple[int, ...]]]
-               ) -> tuple[str, str, tuple[int, ...]] | None:
-    """First (family, subcase, anchors) of the value class accepting g."""
-    value = CLASS_VALUE[value_class]
-    for name, (fam, shape) in _FAMILIES.items():
-        if fam.value == value:
-            for anchors in covers.get(shape, ()):
-                if (sub := _match(g, fam, anchors)) is not None:
-                    return name, sub, anchors
-    return None
+def _hits(g: Graph) -> dict[int, tuple[int, tuple[int, ...], str, str]]:
+    """Value -> (rank, anchors, family, subcase) of the first family of that
+    value accepting g, at its least accepting anchor tuple.  A vertex outside
+    a cover sees only anchors, so it is in a block iff the subset it sees is
+    the block's, and the block sizes sum to n - k iff no vertex sees a
+    forbidden subset."""
+    n, nb = g.n, g.nbr_masks
+    best: dict[int, tuple[int, tuple[int, ...], str, str]] = {}
+    for s in _cover_sets(g):
+        a, b, c = s if len(s) == 3 else (*s, n)  # no vertex sees a vertex n
+        count, seen = [0] * 8, 0
+        for v in range(n):
+            if v != a and v != b and v != c:
+                x = nb[v]
+                j = (x >> a & 1) | (x >> b & 1) << 1 | (x >> c & 1) << 2
+                count[j] += 1
+                seen |= 1 << j
+        for fam, rank, order, slots, forbidden in _ROWS.get(_shape(nb, s), ()):
+            if not seen & forbidden:
+                sizes = [count[j] for j in slots]
+                sub = next((sub for sub, rule in fam.rules.items() if rule(*sizes)), None)
+                hit = rank, tuple(s[i] for i in order), fam.name, sub
+                if sub and (fam.value not in best or hit < best[fam.value]):
+                    best[fam.value] = hit
+    return best
 
 
 def recognize_G(g: Graph) -> tuple[str, tuple[int, int]] | None:
     """First family among G1, G2, G3 matching g, with its anchor pair."""
     _require_connected(g)
-    hit = _first_hit(g, FOUR, _covers(g))
-    return None if hit is None else (hit[0], hit[2])
+    hit = _hits(g).get(CLASS_VALUE[FOUR])
+    return None if hit is None else (hit[2], hit[1])
 
 
 def recognize_H(g: Graph) -> tuple[str, str, tuple[int, ...]] | None:
     """First family among H1..H6 matching g, with its subcase and anchors."""
     _require_connected(g)
-    return _first_hit(g, FIVE, _covers(g))
+    hit = _hits(g).get(CLASS_VALUE[FIVE])
+    return None if hit is None else (hit[2], hit[3], hit[1])
 
 
 def classify(g: Graph) -> ClassifyResult:
@@ -143,18 +173,17 @@ def classify(g: Graph) -> ClassifyResult:
     classes is surfaced as an error rather than masked by ordering.
     """
     _require_connected(g)
-    covers = _covers(g)
-    hits = [(cls, hit) for cls in (FOUR, FIVE)
-            if (hit := _first_hit(g, cls, covers)) is not None]
+    found = _hits(g)
+    hits = [(cls, found[CLASS_VALUE[cls]]) for cls in (FOUR, FIVE) if CLASS_VALUE[cls] in found]
     if g.m == g.n - 1 and g.max_degree == g.n - 1:
         center = next(v for v in range(g.n) if g.degree(v) == g.n - 1)
-        hits.insert(0, (THREE, ("star", "none", (center,))))
+        hits.insert(0, (THREE, (0, (center,), "star", "none")))
     if len(hits) > 1:
         raise CharacterizeError("recognizers for distinct value classes both accepted; "
                                 "this contradicts their characterizations")
     if not hits:
         return ClassifyResult(OTHER)
-    value_class, (name, sub, anchors) = hits[0]
+    value_class, (_, anchors, name, sub) = hits[0]
     return ClassifyResult(value_class, name, None if sub == "none" else sub, anchors)
 
 

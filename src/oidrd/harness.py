@@ -209,25 +209,34 @@ class Sandwich:
     gamma_oidr: int
 
 
-def _sandwich_terms(g: G.Graph) -> tuple[tuple[int, ...], tuple]:
+def _sandwich_terms(g: G.Graph) -> tuple[tuple[int, ...], int, int, int]:
     """The values of alpha's witness, the lex-smallest maximum independent
-    set, and the terms (gamma, alpha, beta, 2 alpha / Delta, lower, upper) of
-    both sandwich bounds on g.  Raises ValueError unless g has an edge,
-    since 2 alpha / Delta needs Delta >= 1."""
+    set, and gamma, alpha and beta of g.  Raises ValueError unless g has an
+    edge, since 2 alpha / Delta needs Delta >= 1."""
     if not g.m:
         raise ValueError(f"the sandwich bounds need a graph with an edge, got none on "
                          f"{g.n} vertices")
     a = solve_alpha(g)
-    alpha = a.value
-    beta = g.n - alpha
-    gamma = solve_gamma(g).value
+    return a.witness.values, solve_gamma(g).value, a.value, g.n - a.value
+
+
+def _rational_lower(g: G.Graph, gamma: int, alpha: int, beta: int) -> tuple[Fraction, Fraction]:
+    """2 alpha / Delta and the lower bound max{gamma, 2 alpha / Delta} + beta."""
     frac = Fraction(2 * alpha, g.max_degree)
-    return a.witness.values, (gamma, alpha, beta, frac, max(Fraction(gamma), frac) + beta, 3 * beta)
+    return frac, max(Fraction(gamma), frac) + beta
+
+
+def _lower_ceiling(g: G.Graph, gamma: int, alpha: int, beta: int) -> int:
+    """The ceiling of the lower bound, in integers: gamma and beta are
+    integers, and -(-x // d) is ceil(x / d) for d > 0."""
+    return max(gamma, -(-2 * alpha // g.max_degree)) + beta
 
 
 def sandwich(g: G.Graph) -> Sandwich:
     """Both sandwich bounds on g, which has an edge, and its exact gamma_oidR."""
-    return Sandwich(*_sandwich_terms(g)[1], solve_oidrd(g).value)
+    _, gamma, alpha, beta = _sandwich_terms(g)
+    return Sandwich(gamma, alpha, beta, *_rational_lower(g, gamma, alpha, beta), 3 * beta,
+                    solve_oidrd(g).value)
 
 
 def _bounds_check(g: G.Graph) -> tuple:
@@ -246,16 +255,17 @@ def _bounds_check(g: G.Graph) -> tuple:
     A violation row carries the exact gamma_oidR: the search returns the
     optimum when it finds a labeling, and a cover labeling that fails its
     check falls back to solve_oidrd, so the rows are those the exact value
-    would give."""
-    independent, (_, _, _, _, lower, upper) = _sandwich_terms(g)
-    below = _solve_below("gamma_oidr", g, ceil(lower))
+    would give.  Only a lower-bound row builds the rational bound."""
+    independent, gamma, alpha, beta = _sandwich_terms(g)
+    below = _solve_below("gamma_oidr", g, _lower_ceiling(g, gamma, alpha, beta))
     cover = tuple(3 - 3 * x for x in independent)
     items = []
     if not is_oidrd(g, cover):
         value = (solve_oidrd(g) if below is None else below).value
-        if value > upper:
-            items.append(("upper_3beta", value, upper))
+        if value > 3 * beta:
+            items.append(("upper_3beta", value, 3 * beta))
     if below is not None:
+        _, lower = _rational_lower(g, gamma, alpha, beta)
         items.append(("lower_max_gamma_2alpha_over_delta_plus_beta",
                       [lower.numerator, lower.denominator], below.value))
     return 1, _violations(g, items), ()

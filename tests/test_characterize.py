@@ -1,5 +1,5 @@
 import hashlib
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -133,19 +133,77 @@ def test_classify_output_is_pinned():
 
 def test_matchers_only_see_vertex_covers(monkeypatch):
     seen = []
-    match = C._match
+    cover_sets = C._cover_sets
 
-    def recorded(g, fam, anchors):
-        seen.append((g, anchors))
-        return match(g, fam, anchors)
+    def recorded(g):
+        for anchors in cover_sets(g):
+            seen.append((g, anchors))
+            yield anchors
 
-    monkeypatch.setattr(C, "_match", recorded)
+    monkeypatch.setattr(C, "_cover_sets", recorded)
     for n in range(3, 6):
         for g in G.enumerate_connected_graphs(n):
             C.classify(g)
     assert len(seen) > 1000
     for g, anchors in seen:
         assert _covers_every_edge(g, anchors), (G.to_edge_list_text(g), anchors)
+
+
+def _reference_covers(g):
+    """Lex-sorted ordered pairs and triples of distinct vertices whose vertex
+    set touches every edge (sum of degrees minus inner edges = m), keyed by
+    their shape: every anchor tuple a family could accept, one by one."""
+    n, m, nb = g.n, g.m, g.nbr_masks
+    deg = [mask.bit_count() for mask in nb]
+    sets = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            dab = deg[a] + deg[b] - (nb[a] >> b & 1)
+            if dab == m:
+                sets.append((a, b))
+            for c in range(b + 1, n):
+                if dab + deg[c] - (nb[c] >> a & 1) - (nb[c] >> b & 1) == m:
+                    sets.append((a, b, c))
+    out = {}
+    for t in sorted(t for s in sets for t in permutations(s)):
+        out.setdefault(C._shape(nb, t), []).append(t)
+    return out
+
+
+def _reference_hit(g, value_class, covers):
+    """First (family, subcase, anchors) of the value class accepting g: the
+    families in recognition order, each on its shape's tuples in lex order."""
+    for name, (fam, shape) in C._FAMILIES.items():
+        if fam.value == C.CLASS_VALUE[value_class]:
+            for anchors in covers.get(shape, ()):
+                if (sub := C._match(g, fam, anchors)) is not None:
+                    return name, sub, anchors
+    return None
+
+
+def _reference(g):
+    """What classify, recognize_G and recognize_H return, tuple by tuple."""
+    covers = _reference_covers(g)
+    four, five = (_reference_hit(g, cls, covers) for cls in (C.FOUR, C.FIVE))
+    hits = [(cls, hit) for cls, hit in ((C.FOUR, four), (C.FIVE, five)) if hit is not None]
+    if C.is_star(g):
+        center = next(v for v in range(g.n) if g.degree(v) == g.n - 1)
+        hits.insert(0, (C.THREE, ("star", "none", (center,))))
+    assert len(hits) <= 1, hits
+    res = C.ClassifyResult(C.OTHER)
+    if hits:
+        value_class, (name, sub, anchors) = hits[0]
+        res = C.ClassifyResult(value_class, name, None if sub == "none" else sub, anchors)
+    return res, None if four is None else (four[0], four[2]), five
+
+
+def test_per_set_recognition_matches_the_tuple_by_tuple_reference():
+    graphs = [g for n in range(3, 7) for g in G.enumerate_connected_graphs(n)]
+    samples = [*G.sample_connected_graphs(7, 300, 0), *G.sample_connected_graphs(7, 300, 1),
+               *G.sample_connected_graphs(8, 300, 2)]
+    for g in graphs + samples:
+        assert (C.classify(g), C.recognize_G(g), C.recognize_H(g)) == _reference(g), (
+            G.to_edge_list_text(g))
 
 
 def test_reported_anchors_cover_every_edge():

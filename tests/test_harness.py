@@ -3,6 +3,7 @@ import json
 import pickle
 from collections import Counter
 from dataclasses import replace
+from math import ceil
 
 import pytest
 
@@ -385,6 +386,17 @@ def test_sandwich_needs_an_edge():
             H.sandwich(g)
     with pytest.raises(ValueError, match="need a graph with an edge"):
         H._bounds_check(G.empty(3))
+
+
+def test_integer_lower_ceiling_is_the_ceiling_of_the_rational_bound():
+    # the bounds check searches below this integer; sandwich reports the
+    # rational bound, whose ceiling it must be, and gamma_oidR lies between
+    for n in range(2, 7):
+        for g in G.enumerate_connected_graphs(n):
+            s = H.sandwich(g)
+            assert H._lower_ceiling(g, s.gamma, s.alpha, s.beta) == ceil(s.lower), (
+                G.to_edge_list_text(g))
+            assert ceil(s.lower) <= s.gamma_oidr <= s.upper
 
 
 def test_run_all_samples_n7_at_the_characterization_default(monkeypatch):

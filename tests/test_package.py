@@ -29,6 +29,12 @@ def test_forest_route_is_independent_of_the_engine():
     assert {"forest", "solver"} <= _package_imports("harness")
 
 
+def test_recognizer_is_independent_of_the_engine():
+    # classify reads the family table in graphs, so the characterization
+    # check stays an exact route apart from the engine it is checked against
+    assert _package_imports("characterize") == {"graphs"}
+
+
 def test_public_names_are_the_objects_their_modules_define():
     assert len(set(oidrd.__all__)) == len(oidrd.__all__)
     for name in oidrd.__all__:
