@@ -112,17 +112,29 @@ _ROWS = _rows()
 
 def _cover_sets(g: Graph) -> Iterator[tuple[int, ...]]:
     """The sorted pairs and triples of vertices that touch every edge (sum of
-    degrees minus inner edges = m)."""
+    degrees minus inner edges = m).  A set touches at most the sum of its
+    degrees, so none exists when m exceeds the three largest degrees, and a
+    pair (a, b) has no third vertex when m exceeds its count plus the
+    largest degree after b."""
     n, m, nb = g.n, g.m, g.nbr_masks
     deg = [mask.bit_count() for mask in nb]
+    if m > sum(sorted(deg)[-3:]):
+        return
+    tail = [0] * n  # tail[b]: the largest degree among b+1..n-1
+    big = 0
+    for i in range(n - 1, 0, -1):
+        if deg[i] > big:
+            big = deg[i]
+        tail[i - 1] = big
     for a in range(n):
         for b in range(a + 1, n):
             dab = deg[a] + deg[b] - (nb[a] >> b & 1)
             if dab == m:
                 yield a, b
-            for c in range(b + 1, n):
-                if dab + deg[c] - (nb[c] >> a & 1) - (nb[c] >> b & 1) == m:
-                    yield a, b, c
+            if dab + tail[b] >= m:
+                for c in range(b + 1, n):
+                    if dab + deg[c] - (nb[c] >> a & 1) - (nb[c] >> b & 1) == m:
+                        yield a, b, c
 
 
 def _hits(g: Graph) -> dict[int, tuple[int, tuple[int, ...], str, str]]:

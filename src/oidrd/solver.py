@@ -54,7 +54,11 @@ independence bound, depends only on the graph, the depth and one mask, not
 on the problem, and is memoized under that mask in the depth's plan row,
 one memo per bound.  So the seven searches on one graph share the memos:
 the five label problems one packing memo, the cover its matching memo, and
-gamma_oidr, gamma_oir and the cover one clique memo.
+gamma_oidr, gamma_oir and the cover one clique memo.  A pendant group, a
+free support with two or more free leaves plus those leaves, leaves those
+bounds, and its least weight (3 double Roman, the support label for Roman
+and domination, 1 for the cover) is added to them through the depth's memos,
+where the cover then gets a clique memo of its own.
 For gamma_oidr the two bounds add up, as in the paper's lower bound
 gamma + beta: a label x weighs at least [x >= 1] + [x >= 2], the clique
 bound counts nonzero vertices and the packing vertices labeled 2 or 3, so
@@ -82,6 +86,8 @@ _CACHE_LIMIT = 1 << 18  # labelings per oracle chunk
 _MEMO_LIMIT = 1 << 12  # one-chunk oracle columns are memoized while base^n <= this
 _BOUND_MEMO_LIMIT = 1 << 16  # memoized bounds kept per graph
 _STACK_HEADROOM = 200  # frames below the recursion limit kept for a search's callers
+_SHARE = -1  # the memo key of a row's pendant-group share; no bound key is negative
+_GROUP_MIN_N = 8  # smaller graphs get no pendant-group rows: they cost more than they save there
 _last_plan: list | None = None  # _search_plan of the last graph
 
 
@@ -194,7 +200,7 @@ def _initial_ub(g: Graph, prob: _Problem) -> int:
     n = g.n
     if prob.zero_mode == 1:
         return _greedy_domination_size(g)
-    _, _, iso, k, _, _ = _search_plan(g)
+    _, _, iso, k, _, _, _ = _search_plan(g)
     if prob.base == 4:
         return min(2 * n, 3 * (n - k) + 2 * iso)
     if prob.base == 3:
@@ -203,32 +209,38 @@ def _initial_ub(g: Graph, prob: _Problem) -> int:
 
 
 def _search_plan(g: Graph) -> list:
-    """[g, plan, isolated vertices, greedy independent set size, search
-    results, memo room] of g, from a one-entry cache keyed by graph
-    identity, so the searches on one graph share one plan with its bound
-    memos and one set of incumbents, and each problem is searched once: the
-    results map each _Problem searched on g to its _branch_and_bound result.
-    Memo room counts the bounds the graph's memos may still keep,
-    _BOUND_MEMO_LIMIT at first.  The cache holds the graph itself, so
-    its identity cannot be reused; the entry is read once, so a graph never
-    gets a plan another caller just stored.  The search recurses once per
-    vertex, so a graph that would hit the recursion limit gets no plan."""
+    """[g, rows, isolated vertices, greedy independent set size, search
+    results, memo room, cover rows] of g, with both row lists from
+    _build_plan, from a one-entry cache keyed by graph identity, so the
+    searches on one graph share one plan with its bound memos and one set of
+    incumbents, and each problem is searched once: the results map each
+    _Problem searched on g to its _branch_and_bound result.  Memo room
+    counts the bounds the graph's memos may still keep, _BOUND_MEMO_LIMIT
+    at first.  The cache holds the graph itself, so its identity cannot be
+    reused; the entry is read once, so a graph never gets a plan another
+    caller just stored.  The search recurses once per vertex, so a graph
+    that would hit the recursion limit gets no plan."""
     global _last_plan
     last = _last_plan
     if last is None or last[0] is not g:
         if g.n > sys.getrecursionlimit() - _STACK_HEADROOM:
             raise GraphError(f"graph has {g.n} vertices; the search recurses once per vertex "
                              f"and supports n <= {sys.getrecursionlimit() - _STACK_HEADROOM}")
-        last = _last_plan = [g, _build_plan(g), g.nbr_masks.count(0),
-                             len(_greedy_max_independent(g)), {}, _BOUND_MEMO_LIMIT]
+        rows, cover_rows = _build_plan(g)
+        last = _last_plan = [g, rows, g.nbr_masks.count(0), len(_greedy_max_independent(g)),
+                             {}, _BOUND_MEMO_LIMIT, cover_rows]
     return last
 
 
-def _build_plan(g: Graph) -> list[tuple]:
-    """One row list for all three search kernels: per depth d, the static
-    part of labeling vertex d, the same on every path of a search along
-    0..n-1, and the depth's bound memos:
-    (bit, nbr, free, settled, sealed, opened, open, packs, match, cliques), where
+def _build_plan(g: Graph) -> tuple[list[tuple], list[tuple]]:
+    """(rows, cover rows), one row per depth d: the static part of labeling
+    vertex d, the same on every path of a search along 0..n-1, and the
+    depth's bound memos.  The label kernels read rows and labels_10 the
+    cover rows, the same list unless a depth has a pendant group: a free
+    support u with two or more free leaves, plus those leaves.  From
+    _GROUP_MIN_N vertices on, _add_groups rewrites those depths' rows.
+    A row is (bit, nbr, free, settled, sealed, opened, open, packs, match,
+    cliques), where
       bit, nbr  1 << d and the neighborhood mask of d
       free      the mask of d+1..n-1, free once d is labeled
       settled   the labeled vertices whose neighbors are all labeled once d
@@ -236,14 +248,19 @@ def _build_plan(g: Graph) -> list[tuple]:
                 neighbor u < d whose last neighbor is d
       sealed    the vertices of free with no neighbor in free
       opened    (bit, bit | nbr & free) of every other vertex of free,
-                ascending: its closed neighborhood within free
-      open      the mask of those vertices, free & ~sealed
+                ascending: its closed neighborhood within free.  At a depth
+                with pendant groups, rows leave out every vertex of N[u]
+                and cover rows every vertex of a group
+      open      the mask of the vertices in opened
       packs     the packing memo (_packing) of the five label problems:
                 the count, which labels_0123 reads as 2 * p
       match     the cover's matching memo (_matching)
-      cliques   the clique bound memo (_independence_lb)
+      cliques   the clique bound memo (_independence_lb); a cover row with
+                pendant groups has its own
     The memos are empty at first and filled by the searches on the graph
-    (see _branch_and_bound).
+    (see _branch_and_bound).  At a depth with g pendant groups each memo
+    starts with their share under the key _SHARE: g in packs and match, 2g
+    in the rows' cliques and g in the cover rows' cliques.
     """
     n = g.n
     nbr = g.nbr_masks
@@ -265,7 +282,50 @@ def _build_plan(g: Graph) -> list[tuple]:
             else:
                 sealed |= low
         plan.append((bit, m, free, settled[d], sealed, opened, free ^ sealed, {}, {}, {}))
-    return plan
+    # two leaves of one support have equal masks, so distinct masks rule
+    # out a pendant group without a scan
+    if n < _GROUP_MIN_N or len(set(nbr)) == n:
+        return plan, plan
+    return plan, _add_groups(plan, nbr)
+
+
+def _add_groups(plan: list[tuple], nbr: Sequence[int]) -> list[tuple]:
+    """Rewrite the rows of plan at the depths with a pendant group, and
+    return the cover rows: plan itself if no depth has one, else a copy
+    whose rewritten rows differ in opened, open and the clique memo.  A
+    group is taken out of the bounds' lists and its least weight goes into
+    the depth's memos under _SHARE, which miss adds to each bound it
+    computes; _branch_and_bound gives the rule and why it holds."""
+    seen = twice = 0  # the supports of one leaf, and of two or more
+    for m in nbr:
+        if not m & (m - 1):
+            twice |= seen & m
+            seen |= m
+    # (depths, N[u], u and its leaves) per support u: its group lasts while
+    # u and its second-last leaf are free, at depths 0..last-1
+    groups = []
+    for u in bits(twice):
+        low = 1 << u
+        leaves = [v for v, m in enumerate(nbr) if m == low]
+        if last := min(u, leaves[-2]):
+            groups.append((last, nbr[u] | low, sum(1 << v for v in leaves) | low))
+    if not groups:
+        return plan
+    cover = plan[:]
+    for d in range(max(last for last, _, _ in groups)):
+        near = held = share = 0
+        for last, closed, members in groups:
+            if d < last:
+                near |= closed
+                held |= members
+                share += 1
+        bit, m, free, settled, sealed, opened, open_mask = plan[d][:7]
+        packs, match = {_SHARE: share}, {_SHARE: share}
+        plan[d] = (bit, m, free, settled, sealed, [p for p in opened if not p[0] & near],
+                   open_mask & ~near, packs, match, {_SHARE: 2 * share})
+        cover[d] = (bit, m, free, settled, sealed, [p for p in opened if not p[0] & held],
+                    open_mask & ~held, packs, match, {_SHARE: share})
+    return cover
 
 
 def _packing(opened: list[tuple[int, int]], avail: int) -> int:
@@ -389,6 +449,31 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     taken apart would, and makes the same improvements in the same order.
     gamma_dr has no independent 0-class and no c: its bound stays
     weight + 2p + sealed share.
+
+    Pendant groups.  At depth d a pendant group is a free support u with
+    two or more free leaves, plus those leaves (_build_plan, from
+    _GROUP_MIN_N vertices on).  A leaf sees only u, so whatever the labels
+    outside a group, a valid labeling gives it at least its least weight:
+    3 under double Roman rules (a 0-leaf forces u = 3, a 1-leaf u >= 2,
+    else both leaves weigh 2 or more), sup in labels_012 (a 0-leaf forces
+    u = sup, else both leaves weigh 1 or more), and 1 for the cover (the
+    edge u l1).
+    Groups are disjoint: a leaf has one support, and a support is no leaf.
+    So weight(free) >= the groups' share + the weight off the groups, and
+    the bounds above stay valid on the rest when no counted label lies in
+    a group: the rows leave every free vertex of N[u] out of opened, so a
+    packed closed neighborhood, which must hold the label the packing
+    counts, misses the group; the cover rows leave out only the groups'
+    vertices, since a matched edge and every vertex the clique bound counts
+    lie in opened.  A sealed vertex has no free neighbor, so it is in no
+    group.  Each depth's memos hold the share of its g groups, which miss
+    adds: g in packs, so labels_0123 reads 2g and the others g; 2g in the
+    rows' cliques; g in match and in the cover rows' own cliques.  Then
+    gamma_oidr's sum counts 2g - g + 2g = 3g, gamma_oir's clique bound 2g,
+    gamma_dr's packing 2g, gamma_r's and gamma's g, and the cover's
+    bounds g each: none above the least weights.  A valid bound only cuts
+    subtrees, so by the argument of the module docstring every value and
+    canonical witness stays as it was; only node counts move.
     """
     oi = prob.oi
     sup = prob.zero_mode  # the support label of labels_012
@@ -408,6 +493,17 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             memo[key] = b
             room -= 1
         return b
+
+    if entry[6] is not rows:
+        def miss(memo: dict[int, int], bound, opened: list[tuple[int, int]], key: int) -> int:
+            # the same plus the share the depth's memo holds (_add_groups);
+            # only graphs with group rows pay for the lookup
+            nonlocal room
+            b = bound(opened, key) + memo.get(_SHARE, 0)
+            if room:
+                memo[key] = b
+                room -= 1
+            return b
 
     def improve(wx: int) -> None:
         # a complete labeling: the search reaches one only below best
@@ -622,6 +718,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     elif sup:
         labels_012(0, 0, 0, 0, 0)
     else:
+        rows = entry[6]
         labels_10(0, 0, 0, 0)
     entry[5] = room
     return best, found, nodes, nodes - last

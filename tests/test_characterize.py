@@ -1,5 +1,5 @@
 import hashlib
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -204,6 +204,28 @@ def test_per_set_recognition_matches_the_tuple_by_tuple_reference():
     for g in graphs + samples:
         assert (C.classify(g), C.recognize_G(g), C.recognize_H(g)) == _reference(g), (
             G.to_edge_list_text(g))
+
+
+def test_cover_sets_are_every_covering_pair_and_triple_in_order():
+    # the degree-sum cuts in _cover_sets leave its output as a plain scan of
+    # every pair and triple would give it: the sorted covers, each pair
+    # before the triples it starts
+    graphs = [g for n in range(1, 6) for g in G.enumerate_connected_graphs(n)]
+    graphs += [g for n in (6, 7, 8, 9) for g in G.sample_connected_graphs(n, 300, n)]
+    graphs += [G.cycle(9), G.star(8), G.complete(6)]
+    cut = 0
+    for g in graphs:
+        nb = g.nbr_masks
+        covers = []
+        for k in (2, 3):
+            for s in combinations(range(g.n), k):
+                inside = sum(1 << v for v in s)
+                if all(nb[v] & ~inside == 0 for v in range(g.n) if not inside >> v & 1):
+                    covers.append(s)
+        assert list(C._cover_sets(g)) == sorted(covers), G.to_edge_list_text(g)
+        cut += g.m > sum(sorted(mask.bit_count() for mask in nb)[-3:])
+    # some graphs are refused before any pair is read
+    assert cut > 100
 
 
 def test_reported_anchors_cover_every_edge():

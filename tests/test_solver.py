@@ -415,13 +415,13 @@ def test_forest_routes_are_pinned_on_every_small_tree():
     assert h.hexdigest() == "9cea6a65d17c36a7ebb37b729041f5df28c11017e2537f13c6dc40be57284202"
 
 
-def test_prufer_route_on_one_and_two_vertices():
+def test_forest_routes_on_one_and_two_vertices():
     assert forest._forest_routes(G.prufer_decode((), 1)) == (0, 2)
     assert forest._forest_routes(G.prufer_decode((), 2)) == (1, 3)
     assert G.prufer_decode((), 1).m == 0 and G.prufer_decode((), 2).edges() == [(0, 1)]
 
 
-def test_one_pass_prufer_routes_match_the_two_pass_route_on_every_small_tree():
+def test_one_pass_prufer_routes_match_the_graph_route_on_every_small_tree():
     h = hashlib.sha256()
     trees = 0
     for n in range(1, 8):
@@ -610,7 +610,8 @@ def test_certification_checks_survive_optimize(target, name, call):
 
 _PINNED_TREES = {
     "gamma_oidr": [("corona(cycle:3,cycle:4)", 12680), ("sharph:3,2,2", 7365),
-                   ("cycle:15", 2605), ("path:17", 1830), ("kpartite:4,4,4,4,4,4", 935)],
+                   ("cycle:15", 2605), ("path:17", 1830), ("kpartite:4,4,4,4,4,4", 935),
+                   ("gadget(path:3)", 30), ("corona(cycle:5,empty:2)", 30)],
     "beta": [("corona(cycle:3,cycle:4)", 26), ("sharph:3,2,2", 47), ("cycle:15", 23),
              ("path:17", 25), ("kpartite:4,4,4,4,4,4", 44)],
     "gamma_dr": [("corona(cycle:3,cycle:4)", 9389), ("sharph:3,2,2", 33034), ("cycle:15", 6415),
@@ -624,9 +625,12 @@ _PINNED_TREES = {
 }
 
 
-# gamma_oidr's counts when it pruned on the packing and the clique bound apart
+# upper bounds on gamma_oidr's counts: when it pruned on the packing and the
+# clique bound apart, and for the two graphs with pendant groups, before the
+# bounds credited each group its least weight
 _SEPARATE_BOUND_TREES = {"corona(cycle:3,cycle:4)": 40871, "sharph:3,2,2": 33756,
-                         "cycle:15": 16175, "path:17": 12395, "kpartite:4,4,4,4,4,4": 3805}
+                         "cycle:15": 16175, "path:17": 12395, "kpartite:4,4,4,4,4,4": 3805,
+                         "gadget(path:3)": 102, "corona(cycle:5,empty:2)": 272}
 
 
 @pytest.mark.parametrize("key,spec,nodes", [
@@ -675,13 +679,14 @@ def test_sampled_graph_results_are_pinned():
     # sha256 over (invariant, value, witness, node count) of every SOLVERS
     # entry on seeded samples deep enough for the labels of one search node
     # to share their bound lookups, recorded when gamma_oidr began to prune
-    # on the packing and the clique bound together (only its node counts moved)
+    # on the packing and the clique bound together, and again when the bounds
+    # began to credit pendant groups (only node counts moved both times)
     h = hashlib.sha256()
     for g in _sampled_graphs():
         for key, solve in S.SOLVERS.items():
             r = solve(g)
             h.update(repr((key, r.value, r.witness.values, r.node_count)).encode())
-    assert h.hexdigest() == "85c818032ad7fb35bad07737f32d1ea68236c41e1ac510eb37fd90b047436bb6"
+    assert h.hexdigest() == "2e0209432c8cef282ccc2d699a318dc1e79a54d530dfc440a082aad600407de8"
 
 
 def test_values_and_witnesses_are_pinned():
@@ -863,6 +868,85 @@ def test_engine_matches_oracle_with_isolated_and_pendant_vertices():
             assert (r.value, r.witness) == (b.value, b.witness), (key, G.to_edge_list_text(g))
     # most graphs have a vertex other than the last with no later neighbor
     assert shut_early > len(graphs) // 2
+
+
+def _two_leaf_support(g: G.Graph) -> bool:
+    # two leaves of one support have the same one-bit mask
+    leaves = [m for m in g.nbr_masks if m and not m & (m - 1)]
+    return len(set(leaves)) < len(leaves)
+
+
+def _has_group_rows(g: G.Graph) -> bool:
+    # whether the plan of g rewrote a row for a pendant group
+    entry = S._search_plan(g)
+    return entry[6] is not entry[1]
+
+
+def test_pendant_groups_match_the_oracle(monkeypatch):
+    # graphs whose pendant groups last over several depths, past the n <= 6
+    # sets; every order gets group rows, so the trees at n = 7 do too
+    monkeypatch.setattr(S, "_GROUP_MIN_N", 1)
+    specs = ("gadget(path:2)", "corona(path:2,empty:3)", "corona(cycle:3,empty:2)", "star:8")
+    graphs = [G.family(G.parse_family_spec(spec)) for spec in specs]
+    graphs.append(G.build(9, [(v, 8) for v in range(8)]))  # star:8 with its centre last
+    for n in range(7, 11):
+        trees = [t for t in G.sample_trees(n, 40, seed=n) if _two_leaf_support(t)]
+        graphs += [t for t in trees if _has_group_rows(t)][:1 if n == 10 else 3]
+    for g in graphs:
+        for key, solve in S.SOLVERS.items():
+            r, b = solve(g), S.BRUTE_SOLVERS[key](g)
+            assert (r.value, r.witness) == (b.value, b.witness), (key, G.to_edge_list_text(g))
+    # star:8's support is vertex 0, which is never free
+    assert [_has_group_rows(g) for g in graphs].count(False) == 1
+    assert len(graphs) == 15
+
+
+def test_pendant_groups_change_no_value_or_witness_on_small_graphs(monkeypatch):
+    # every connected graph with n <= 6 and a two-leaf support, searched
+    # without group rows (below _GROUP_MIN_N) and with them
+    def results(g):
+        return [(r.value, r.witness) for r in (solve(g) for solve in S.SOLVERS.values())]
+
+    graphs = [g for n in range(3, 7) for g in G.enumerate_connected_graphs(n)
+              if _two_leaf_support(g)]
+    assert S._GROUP_MIN_N > 6 and len(graphs) == 1878
+    plain = [results(g) for g in graphs]
+    monkeypatch.setattr(S, "_GROUP_MIN_N", 1)
+    grouped = 0
+    for g, expected in zip(graphs, plain):
+        h = G.build(g.n, g.edges())
+        assert results(h) == expected, G.to_edge_list_text(g)
+        grouped += _has_group_rows(h)
+    assert grouped > len(graphs) // 2
+
+
+def test_engine_matches_the_forest_routes_on_trees_with_pendant_groups():
+    # the third exact route, past the oracle cap: seeded trees with a
+    # two-leaf support at n = 12..20 (one of them at n = 22 takes 7 million
+    # nodes), and the coronas T o K2-bar of seeded trees, n = 12..30, which
+    # have a group at every depth up to the last support
+    trees = [t for n in range(12, 21) for t in G.sample_trees(n, 6, seed=n)
+             if _two_leaf_support(t)]
+    trees += [G.corona(t, G.empty(2)) for k in range(4, 11) for t in G.sample_trees(k, 2, seed=k)]
+    for t in trees:
+        assert S.solve_oidrd(t).value == forest.tree_oidrd(t), G.to_edge_list_text(t)
+        assert S.solve_beta(t).value == forest.tree_beta(t), G.to_edge_list_text(t)
+    assert len(trees) > 40
+
+
+def test_gadget_identity_at_scale():
+    # gamma_oidr(G') = 4n - alpha(G) on seeded subcubic bases of order
+    # 6..8 (gadgets of 24..32 vertices); node totals recorded when the
+    # bounds began to credit pendant groups (the five n = 8 gadgets took
+    # 779,343 nodes before)
+    nodes = {}
+    for n in (6, 7, 8):
+        nodes[n] = 0
+        for base in G.sample_connected_graphs(n, 5, 1, max_deg=3):
+            r = S.solve_oidrd(G.gadget(base))
+            assert r.value == 4 * n - S.brute_force_alpha(base).value, G.to_edge_list_text(base)
+            nodes[n] += r.node_count
+    assert nodes == {6: 1185, 7: 1927, 8: 2962}
 
 
 def test_one_invariant_table_orders_both_routes():
