@@ -62,7 +62,7 @@ def parse_graph(source: str, cap: int) -> G.Graph:
     if not s:
         raise GraphError("empty graph input")
     head = (G.edge_list_lines(s) or [""])[0].split()
-    if len(head) == 2 and all(tok.isdigit() for tok in head):
+    if len(head) == 2 and all(tok.isdecimal() for tok in head):
         _check_cap(int(head[0]), cap)
         return G.from_edge_list_text(s)
     spec, order = _parse_spec(s)

@@ -48,17 +48,16 @@ The search state is a few masks: the vertices labeled 0 and 1, those with a
 2- or 3-neighbor, which a 1 needs) and ok0 (a 3-neighbor or two
 2-neighbors, which a 0 needs) in place of the 2- and 3-neighbor masks.  The
 feasibility checks of the settled vertices and the sealed vertices' share
-of the lower bound are a few bitwise ops each.  What is left, a packing (or
-for the cover a matching) over the opened vertices and the clique-cover
-independence bound, depends only on the graph, the depth and one mask, not
-on the problem, and is memoized under that mask in the depth's plan row,
-one memo per bound.  So the seven searches on one graph share the memos:
-the five label problems one packing memo, the cover its matching memo, and
-gamma_oidr, gamma_oir and the cover one clique memo.  A pendant group, a
-free support with two or more free leaves plus those leaves, leaves those
-bounds, and its least weight (3 double Roman, the support label for Roman
-and domination, 1 for the cover) is added to them through the depth's memos,
-where the cover then gets a clique memo of its own.
+of the lower bound are a few bitwise ops each.  What is left, a packing over
+the opened vertices and the clique-cover independence bound, depends only on
+the graph, the depth and one mask, not on the problem, and is memoized under
+that mask in the depth's plan row, one memo per bound.  So the seven
+searches on one graph share the memos: the five label problems one packing
+memo, and gamma_oidr, gamma_oir and the cover one clique memo.  A pendant
+group, a free support with two or more free leaves plus those leaves,
+leaves those bounds, and its least weight (3 double Roman, the support label
+for Roman and domination, 1 for the cover) is added to them through the
+depth's memos, where the cover then gets a clique memo of its own.
 For gamma_oidr the two bounds add up, as in the paper's lower bound
 gamma + beta: a label x weighs at least [x >= 1] + [x >= 2], the clique
 bound counts nonzero vertices and the packing vertices labeled 2 or 3, so
@@ -239,8 +238,8 @@ def _build_plan(g: Graph) -> tuple[list[tuple], list[tuple]]:
     cover rows, the same list unless a depth has a pendant group: a free
     support u with two or more free leaves, plus those leaves.  From
     _GROUP_MIN_N vertices on, _add_groups rewrites those depths' rows.
-    A row is (bit, nbr, free, settled, sealed, opened, open, packs, match,
-    cliques), where
+    A row is (bit, nbr, free, settled, sealed, opened, open, packs, cliques),
+    where
       bit, nbr  1 << d and the neighborhood mask of d
       free      the mask of d+1..n-1, free once d is labeled
       settled   the labeled vertices whose neighbors are all labeled once d
@@ -254,13 +253,12 @@ def _build_plan(g: Graph) -> tuple[list[tuple], list[tuple]]:
       open      the mask of the vertices in opened
       packs     the packing memo (_packing) of the five label problems:
                 the count, which labels_0123 reads as 2 * p
-      match     the cover's matching memo (_matching)
       cliques   the clique bound memo (_independence_lb); a cover row with
                 pendant groups has its own
     The memos are empty at first and filled by the searches on the graph
     (see _branch_and_bound).  At a depth with g pendant groups each memo
-    starts with their share under the key _SHARE: g in packs and match, 2g
-    in the rows' cliques and g in the cover rows' cliques.
+    starts with their share under the key _SHARE: g in packs, 2g in the
+    rows' cliques and g in the cover rows' cliques.
     """
     n = g.n
     nbr = g.nbr_masks
@@ -281,7 +279,7 @@ def _build_plan(g: Graph) -> tuple[list[tuple], list[tuple]]:
                 opened.append((low, low | near))
             else:
                 sealed |= low
-        plan.append((bit, m, free, settled[d], sealed, opened, free ^ sealed, {}, {}, {}))
+        plan.append((bit, m, free, settled[d], sealed, opened, free ^ sealed, {}, {}))
     # two leaves of one support have equal masks, so distinct masks rule
     # out a pendant group without a scan
     if n < _GROUP_MIN_N or len(set(nbr)) == n:
@@ -320,11 +318,11 @@ def _add_groups(plan: list[tuple], nbr: Sequence[int]) -> list[tuple]:
                 held |= members
                 share += 1
         bit, m, free, settled, sealed, opened, open_mask = plan[d][:7]
-        packs, match = {_SHARE: share}, {_SHARE: share}
+        packs = {_SHARE: share}
         plan[d] = (bit, m, free, settled, sealed, [p for p in opened if not p[0] & near],
-                   open_mask & ~near, packs, match, {_SHARE: 2 * share})
+                   open_mask & ~near, packs, {_SHARE: 2 * share})
         cover[d] = (bit, m, free, settled, sealed, [p for p in opened if not p[0] & held],
-                    open_mask & ~held, packs, match, {_SHARE: share})
+                    open_mask & ~held, packs, {_SHARE: share})
     return cover
 
 
@@ -337,19 +335,6 @@ def _packing(opened: list[tuple[int, int]], avail: int) -> int:
         if low & avail and not near & blocked:
             count += 1
             blocked |= near
-    return count
-
-
-def _matching(opened: list[tuple[int, int]], avail: int) -> int:
-    # vertex cover: a forced 1 at each opened vertex outside avail, which
-    # has a 0-neighbor, plus a greedy matching inside avail
-    count = len(opened) - avail.bit_count()
-    for low, near in opened:
-        if low & avail:
-            cand = near & avail & -(low << 1)
-            if cand:
-                count += 1
-                avail ^= cand & -cand
     return count
 
 
@@ -403,14 +388,19 @@ def _branch_and_bound(g: Graph, prob: _Problem,
 
     The rest of the lower bound loops over the opened vertices: a packing
     of disjoint closed neighborhoods with no support (_packing), keyed by
-    the opened vertices without support (for the cover a greedy matching,
-    _matching, keyed by those without a 0-neighbor), and for an independent
-    0-class the clique-cover independence bound (_independence_lb), keyed
-    by the opened vertices with a 0-neighbor, z & open.  These module
-    functions read nothing of the search or the problem, so the memos sit
-    in the plan rows and every search on the graph shares them: the five
-    label problems one packing memo, the cover its matching memo, and
-    gamma_oidr, gamma_oir and the cover one clique memo.  labels_012 and
+    the opened vertices without support, and for an independent 0-class
+    the clique-cover independence bound (_independence_lb), keyed by the
+    opened vertices with a 0-neighbor, z & open.  These module functions
+    read nothing of the search or the problem, so the memos sit in the plan
+    rows and every search on the graph shares them: the five label problems
+    one packing memo, and gamma_oidr, gamma_oir and the cover one clique
+    memo.  The cover prunes on the clique bound alone.  A greedy matching
+    on the same opened list, a forced 1 per key vertex plus one per matched
+    edge, is a valid bound too, but a checked observation (not a proof)
+    says it is never above the clique bound: every labeled graph with
+    n <= 7 under all or seeded keys, which covers each search state with at
+    most 7 opened vertices, and random graphs up to n = 40 (the matching is
+    kept in tests/test_solver.py as the reference).  labels_012 and
     labels_10 bound the whole free set, so they add the sealed vertices
     with a 0-neighbor: for a key within free,
       _independence_lb(opened, key)
@@ -464,16 +454,16 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     a group: the rows leave every free vertex of N[u] out of opened, so a
     packed closed neighborhood, which must hold the label the packing
     counts, misses the group; the cover rows leave out only the groups'
-    vertices, since a matched edge and every vertex the clique bound counts
-    lie in opened.  A sealed vertex has no free neighbor, so it is in no
-    group.  Each depth's memos hold the share of its g groups, which miss
-    adds: g in packs, so labels_0123 reads 2g and the others g; 2g in the
-    rows' cliques; g in match and in the cover rows' own cliques.  Then
-    gamma_oidr's sum counts 2g - g + 2g = 3g, gamma_oir's clique bound 2g,
-    gamma_dr's packing 2g, gamma_r's and gamma's g, and the cover's
-    bounds g each: none above the least weights.  A valid bound only cuts
-    subtrees, so by the argument of the module docstring every value and
-    canonical witness stays as it was; only node counts move.
+    vertices, since every vertex the clique bound counts lies in opened.
+    A sealed vertex has no free neighbor, so it is in no group.  Each
+    depth's memos hold the share of its g groups, which miss adds: g in
+    packs, so labels_0123 reads 2g and the others g; 2g in the rows'
+    cliques; g in the cover rows' own cliques.  Then gamma_oidr's sum counts
+    2g - g + 2g = 3g, gamma_oir's clique bound 2g, gamma_dr's packing 2g,
+    gamma_r's and gamma's g, and the cover's bound g: none above the least
+    weights.  A valid bound only cuts subtrees, so by the argument of the
+    module docstring every value and canonical witness stays as it was;
+    only node counts move.
     """
     oi = prob.oi
     sup = prob.zero_mode  # the support label of labels_012
@@ -518,7 +508,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
                     ok0: int) -> None:
         # gamma_oidr (oi) and gamma_dr: a 0 needs ok0, a 1 needs hi
         nonlocal nodes
-        bit, m, free, settled, sealed, opened, open_mask, packs, _, cliques = rows[depth]
+        bit, m, free, settled, sealed, opened, open_mask, packs, cliques = rows[depth]
         low = high = None  # the packings of labels 0-1 and of labels 2-3
         keep = None  # the clique bound of labels 1-3
         zeros = settled & l0
@@ -614,7 +604,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
         # gamma_oir (oi), gamma_r and gamma: a 0 needs s1, a neighbor
         # labeled sup; gamma has no plain label 1
         nonlocal nodes
-        bit, m, free, settled, sealed, opened, open_mask, packs, _, cliques = rows[depth]
+        bit, m, free, settled, sealed, opened, open_mask, packs, cliques = rows[depth]
         low = None  # the packing of labels 0-1
         keep = None if oi else 0  # the clique bound of labels 1-2
         zeros = settled & l0
@@ -681,7 +671,7 @@ def _branch_and_bound(g: Graph, prob: _Problem,
     def labels_10(depth: int, w: int, l0: int, z: int) -> None:
         # the vertex cover, 1 before 0: a 0 needs no 0-neighbor
         nonlocal nodes
-        bit, m, free, settled, sealed, opened, open_mask, _, match, cliques = rows[depth]
+        bit, m, free, settled, sealed, opened, open_mask, _, cliques = rows[depth]
         zeros = settled & l0
         # label 1: the masks stay
         w1 = w + 1
@@ -691,13 +681,10 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             if not free:
                 improve(w1)  # a 0 here weighs less and may improve again
             else:
-                if (p := match.get(key := open_mask & ~z)) is None:
-                    p = miss(match, _matching, opened, key)
-                if (lb := w1 + (sealed & z).bit_count()) + p < best:
-                    if (c := cliques.get(key := z & open_mask)) is None:
-                        c = miss(cliques, _independence_lb, opened, key)
-                    if lb + c < best:
-                        labels_10(depth + 1, w1, l0, z)
+                if (c := cliques.get(key := z & open_mask)) is None:
+                    c = miss(cliques, _independence_lb, opened, key)
+                if w1 + (sealed & z).bit_count() + c < best:
+                    labels_10(depth + 1, w1, l0, z)
         # label 0
         if w >= best or bit & z:
             return
@@ -707,13 +694,10 @@ def _branch_and_bound(g: Graph, prob: _Problem,
             path[depth] = 0
             if not free:
                 return improve(w)
-            if (p := match.get(key := open_mask & ~nz)) is None:
-                p = miss(match, _matching, opened, key)
-            if (lb := w + (sealed & nz).bit_count()) + p < best:
-                if (c := cliques.get(key := nz & open_mask)) is None:
-                    c = miss(cliques, _independence_lb, opened, key)
-                if lb + c < best:
-                    labels_10(depth + 1, w, l0 | bit, nz)
+            if (c := cliques.get(key := nz & open_mask)) is None:
+                c = miss(cliques, _independence_lb, opened, key)
+            if w + (sealed & nz).bit_count() + c < best:
+                labels_10(depth + 1, w, l0 | bit, nz)
 
     if prob.base == 4:
         labels_0123(0, 0, 0, 0, 0, 0, 0, 0)

@@ -188,6 +188,14 @@ def test_edge_list_error_reports_line(capsys, tmp_path):
     assert "expected 2 edges, found 1" in err
 
 
+def test_superscript_header_is_no_edge_list(capsys):
+    # '²' is a digit to str.isdigit but not to int, so the header is no
+    # edge-list header and the DSL parser names the fault
+    code, _, err = run_cli(capsys, "solve", "3² 1\n0 1")
+    assert code == 2
+    assert "cannot parse graph spec" in err and "invalid literal" not in err
+
+
 def test_solver_cap_and_env_override(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "solve", "path:25")
     assert code == 2 and "OIDRD_MAX_N" in err

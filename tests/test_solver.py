@@ -811,6 +811,35 @@ def test_five_label_problems_share_one_packing_memo(monkeypatch):
         assert calls and len(set(calls)) == len(calls), spec
 
 
+def _matching(opened: list[tuple[int, int]], avail: int) -> int:
+    # vertex cover: a forced 1 at each opened vertex outside avail, which
+    # has a 0-neighbor, plus a greedy matching inside avail
+    count = len(opened) - avail.bit_count()
+    for low, near in opened:
+        if low & avail:
+            cand = near & avail & -(low << 1)
+            if cand:
+                count += 1
+                avail ^= cand & -cand
+    return count
+
+
+def test_clique_bound_is_never_below_the_greedy_matching():
+    # the cover search prunes on the clique bound alone, which cuts every
+    # node the greedy matching would: every graph with n <= 5 under every
+    # key, and seeded connected graphs and keys at n = 6..9
+    rng = random.Random(5)
+    cases = [(g, key) for n in range(1, 6) for g in G.enumerate_graphs(n) for key in range(1 << n)]
+    cases += [(g, rng.getrandbits(n)) for n in range(6, 10)
+              for g in G.sample_connected_graphs(n, 200, n) for _ in range(8)]
+    for g, key in cases:
+        opened = [(1 << v, 1 << v | m) for v, m in enumerate(g.nbr_masks)]
+        full = (1 << g.n) - 1
+        assert S._independence_lb(opened, key) >= _matching(opened, full & ~key), \
+            (G.to_edge_list_text(g), key)
+    assert len(cases) == 40_266
+
+
 def test_searches_on_one_graph_share_one_plan(monkeypatch):
     built = []
     build = S._build_plan
