@@ -3,11 +3,12 @@
 This is a third exact route, independent of the branch-and-bound engine and
 the full-enumeration oracle in solver.py: it reads nothing but the graph.
 One children-first pass computes both values.  _forest_routes peels leaves
-off a graph's neighbour masks, and _prufer_routes runs the same pass while it
-decodes a Prufer sequence.  A leaf closes into its one remaining neighbour,
-its parent, with its state final; a vertex left with no neighbour is the last
-of its component, its root.  Any such order is children-first, so the values
-do not depend on which leaf goes first.
+off a graph's neighbour masks, and _prufer_offsets runs the same pass, on the
+product automaton below, while it decodes Prufer sequences.  A leaf closes
+into its one remaining neighbour, its parent, with its state final; a vertex
+left with no neighbour is the last of its component, its root.  Any such
+order is children-first, so the values do not depend on which leaf goes
+first.
 
 beta: by Konig's theorem the vertex cover number equals the maximum matching,
 which greedy matching of leaves to their parents attains when every vertex
@@ -41,6 +42,22 @@ it holds.  Two facts make this exact and bounded:
   0..3.
 The closure of the leaf vector under _merge and normalisation has 99 states,
 so the table holds at most 99^2 moves; it is filled on a miss.
+
+The product automaton scores the tree bound gamma_oidr >= 2 beta + 1 in one
+lookup per edge.  Its id is 2 s + m, for automaton state s and the matched
+bit m of greedy leaf matching.  A child with bit c closing into a parent with
+bit m is matched to it iff both are free, which adds 1 to beta, and leaves
+the parent matched iff it was or the child is free.  A move in _PAIR_MOVES,
+filled by _close_pair from _MOVES, maps (parent id, child id) to (the next
+id, the increment of the offset e), where e sums the gamma_oidr increments
+less twice the beta increments.  So gamma_oidr - 2 beta of a tree is e plus
+_ROOT of its root's state, and the tree meets the bound with equality iff
+that is 1.  This is exact because the matching rule is: a vertex's bit once
+its children are in is the OR of their free bits, and it gains one beta
+increment iff some child is free, so neither depends on the order in which
+the children close in, and greedy leaf matching is maximum in any
+children-first order.  The product therefore folds what the two rules give
+apart, and it has at most 2 * 99 ids.
 """
 
 from __future__ import annotations
@@ -96,6 +113,10 @@ _STATES: list[tuple] = []
 _STATE_IDS: dict[tuple, int] = {}
 _ROOT: list[int] = []
 _MOVES: list[dict[int, tuple[int, int]]] = []
+# Filled by _close_pair: per product id 2 s + m, for state s and matched bit
+# m, its moves, a dict from the product id of a child closing in to (the
+# merged product id, the increment of the offset e).
+_PAIR_MOVES: list[dict[int, tuple[int, int]]] = []
 
 
 def _intern(x: tuple) -> int:
@@ -105,6 +126,7 @@ def _intern(x: tuple) -> int:
         _STATES.append(x)
         _ROOT.append(min(x[2], x[4], x[5], x[6]))
         _MOVES.append({})
+        _PAIR_MOVES.extend(({}, {}))
     return s
 
 
@@ -154,50 +176,80 @@ def _forest_routes(g: Graph) -> tuple[int, int]:
     return beta, gamma
 
 
-def _prufer_routes(seq: Sequence[int], n: int) -> tuple[int, int]:
-    """(beta, gamma_oidr) of the labeled tree with Prufer sequence seq (a tuple
-    or bytes), in one decoding pass.  Unchecked, for speed: n >= 1 and a
-    sequence as graphs.prufer_sequences(n) yields it; graphs.prufer_decode
-    checks both.
+def _close_pair(a: int, b: int) -> tuple[int, int]:
+    """The product move of product id a when a child with product id b closes
+    into it, tabled: the automaton's move on the states, and greedy leaf
+    matching on the bits, which matches a free child to a free parent."""
+    sp, matched = a >> 1, a & 1
+    sc, child_matched = b >> 1, b & 1
+    try:
+        s, low = _MOVES[sp][sc]
+    except KeyError:
+        s, low = _close(sp, sc)
+    taken = not (matched or child_matched)
+    move = _PAIR_MOVES[a][b] = (2 * s + (matched or not child_matched), low - 2 * taken)
+    return move
 
-    Root the tree at n - 1, the last vertex left; a leaf's parent is the
-    vertex it is joined to when it is removed.  The leaf-removal order, then
-    n - 1, peels leaves as _forest_routes does, with the same greedy leaf
-    matching and the same moves.  No graph is built.  A removed leaf is never
-    read again, so its degree is not cleared and it is not marked matched:
-    the smallest-leaf pointer steps past each leaf it takes.
+
+def _prufer_offsets(n: int, first_seq: Sequence[int], count: int) -> list[int]:
+    """gamma_oidr - 2 beta of count labeled trees on n vertices, those whose
+    Prufer sequences run in lexicographic order from first_seq (a tuple or
+    bytes) on.  Unchecked, for speed: n >= 1, first_seq as
+    graphs.prufer_sequences(n) yields it, and count at most the sequences
+    left from it; graphs.prufer_decode checks a sequence.
+
+    Each tree costs one decoding pass.  Root the tree at n - 1, the last
+    vertex left; a leaf's parent is the vertex it is joined to when it is
+    removed.  The leaf-removal order, then n - 1, is children-first, so one
+    lookup in the product table per edge scores the tree, and no graph is
+    built.  A removed leaf is never read again, so its degree is not cleared:
+    the smallest-leaf pointer steps past each leaf it takes.  Between trees
+    the sequence turns like an odometer, last entry fastest, and the degree
+    list follows each entry it changes instead of being recounted.
     """
     if n == 1:
-        return 0, _ROOT[0]
+        return [_ROOT[0]] * count
+    walk = [*first_seq, n - 1]
     deg = [1] * n
-    for s in seq:
+    for s in first_seq:
         deg[s] += 1
-    state = [0] * n  # the leaf, until a child closes in
-    free = [True] * n  # not yet matched
-    moves = _MOVES
-    beta = gamma = 0
-    ptr = 0
-    leaf = -1
-    # as in graphs.prufer_decode, the appended n - 1 attaches the last leaf
-    # but one to the root
-    for p in (*seq, n - 1):
-        if leaf < 0:
-            while deg[ptr] != 1:
+    moves = _PAIR_MOVES
+    root = n - 1
+    offsets = []
+    for _ in range(count):
+        left = deg[:]  # decoding spends the degrees
+        state = [0] * n  # the free leaf, until a child closes in
+        e = ptr = 0
+        leaf = -1
+        # as in graphs.prufer_decode, the appended n - 1 attaches the last leaf
+        # but one to the root
+        for p in walk:
+            if leaf < 0:
+                while left[ptr] != 1:
+                    ptr += 1
+                leaf = ptr
                 ptr += 1
-            leaf = ptr
-            ptr += 1
-        if free[leaf] and free[p]:
-            free[p] = False
-            beta += 1
-        sp = state[p]
-        try:
-            state[p], low = moves[sp][state[leaf]]
-        except KeyError:
-            state[p], low = _close(sp, state[leaf])
-        gamma += low
-        d = deg[p] = deg[p] - 1
-        leaf = p if d == 1 and p < ptr else -1
-    return beta, gamma + _ROOT[state[n - 1]]
+            sp = state[p]
+            try:
+                state[p], inc = moves[sp][state[leaf]]
+            except KeyError:
+                state[p], inc = _close_pair(sp, state[leaf])
+            e += inc
+            d = left[p] = left[p] - 1
+            leaf = p if d == 1 and p < ptr else -1
+        offsets.append(e + _ROOT[state[root] >> 1])
+        i = n - 3  # the last entry; an order-2 sequence has none
+        while i >= 0:
+            s = walk[i]
+            deg[s] -= 1
+            if s < root:
+                walk[i] = s + 1
+                deg[s + 1] += 1
+                break
+            walk[i] = 0
+            deg[0] += 1
+            i -= 1
+    return offsets
 
 
 def tree_oidrd(g: Graph) -> int:

@@ -6,11 +6,13 @@ are explicit inputs recorded in the report.  Instance work may fan out to a
 process pool; aggregation is order-independent (violations are sorted
 canonically before emission).  Pool workers send a graph's text back only
 with a violation.  The trees campaign sends its workers chunks of Prufer
-sequences packed into bytes, and each worker scores a sequence while it
-decodes it, so no tree is built as a graph unless it violates the bound;
-the other campaigns send each Graph their enumerator or sampler built
-(pickled as its order, neighbour masks and edge count), and the worker
-checks it as it is.
+sequences in two shapes: an exhaustive order as (n, first, count), a range
+of lexicographic indices that the worker walks like an odometer, and a
+sampled order as (n, bytes), the sequences packed one byte per entry.  Each
+worker scores a sequence while it decodes it, so no tree is built as a graph
+unless it violates the bound; the other campaigns send each Graph their
+enumerator or sampler built (pickled as its order, neighbour masks and edge
+count), and the worker checks it as it is.
 
 The bounds and characterization claims are inequalities about gamma_oidR,
 so their checks decide them without computing it.  gamma_oidR is an
@@ -41,7 +43,7 @@ from typing import Iterator
 
 from . import graphs as G
 from .characterize import CLASS_VALUE, OTHER, classify, verify_classification
-from .forest import _prufer_routes
+from .forest import _forest_routes, _prufer_offsets
 from .labeling import is_oidrd
 from .reduction import verify_identity
 from .solver import (
@@ -353,24 +355,38 @@ TREE_EXHAUSTIVE_CAP = 8
 TREE_CHUNK = 1024  # Prufer sequences per pool payload
 
 
-def _tree_check(payload: tuple) -> tuple:
-    """The result for one chunk of count Prufer sequences on n vertices, packed
-    into data, max(n - 2, 0) bytes each, tallying equality cases.  Each slice is
-    scored by the linear forest routes while it is decoded; tests cross-check
-    them against the engine.  Only a violation builds its tree, for the text."""
-    n, count, data = payload
+def _prufer_at(n: int, index: int) -> tuple[int, ...]:
+    """The Prufer sequence at index in the lexicographic order on n vertices:
+    index written in base n with max(n - 2, 0) digits."""
     k = max(n - 2, 0)
-    equality = 0
+    return tuple(index // n ** (k - 1 - i) % n for i in range(k))
+
+
+def _tree_check(payload: tuple) -> tuple:
+    """The result for one chunk of Prufer sequences on n vertices, tallying
+    equality cases.  An exhaustive chunk is (n, first, count): the count
+    sequences from lexicographic index first on.  A sampled chunk is (n, data):
+    its sequences packed n - 2 bytes each.  Both are scored by the one Prufer
+    decoding loop, gamma_oidr - 2 beta per tree; tests cross-check it against
+    the graph route and the engine.  Only a violation builds its tree, for
+    the text and for (beta, gamma_oidr) from the graph route."""
+    if len(payload) == 3:
+        n, first, count = payload
+        offsets = _prufer_offsets(n, _prufer_at(n, first), count)
+        sequences = (_prufer_at(n, first + j) for j in range(count))  # read on a violation
+    else:
+        n, data = payload
+        k = n - 2
+        sequences = [data[i:i + k] for i in range(0, len(data), k)]
+        offsets = [_prufer_offsets(n, seq, 1)[0] for seq in sequences]
     violations = []
-    for i in range(0, count * k, k) if k else range(count):
-        seq = data[i:i + k]
-        beta, goidr = _prufer_routes(seq, n)
-        if goidr == 2 * beta + 1:
-            equality += 1
-        elif goidr < 2 * beta + 1:
-            violations += _violations(G.prufer_decode(seq, n),
-                                      [("tree_lower_bound", 2 * beta + 1, goidr)])
-    return count, violations, {"equality_cases": equality}
+    if min(offsets) < 1:
+        for seq, offset in zip(sequences, offsets):
+            if offset < 1:
+                tree = G.prufer_decode(seq, n)
+                beta, goidr = _forest_routes(tree)
+                violations += _violations(tree, [("tree_lower_bound", 2 * beta + 1, goidr)])
+    return len(offsets), violations, {"equality_cases": offsets.count(1)}
 
 
 def _even_path_check(n: int) -> tuple:
@@ -386,19 +402,24 @@ def audit_trees(max_n: int = 10, *, samples: int = 10000, seed: int = 0,
     """Tree lower bound on all labeled trees up to min(max_n, 8) vertices,
     seeded samples beyond, plus tightness of every even path up to max_n.
 
-    The pool receives the trees as (n, count, bytes) payloads, a chunk of
-    Prufer sequences with one byte per entry (max_n <= 10 keeps every entry
-    below 256, and bytes() raises on any other), and builds no graph unless a
-    tree violates the bound."""
-    exhaustive = sum(1 if n <= 2 else n ** (n - 2)
-                     for n in range(1, min(max_n, TREE_EXHAUSTIVE_CAP) + 1))
+    The pool receives the trees in chunks of up to TREE_CHUNK Prufer
+    sequences and builds no graph unless a tree violates the bound.  An
+    exhaustive order is sent as (n, first, count) index ranges, so no
+    sequence is built here; a sampled order as (n, bytes), one byte per entry
+    (max_n <= 10 keeps every entry below 256, and bytes() raises on any
+    other)."""
+    exhaustive = sum(n ** max(n - 2, 0) for n in range(1, min(max_n, TREE_EXHAUSTIVE_CAP) + 1))
 
     def payloads():
         for n in range(1, max_n + 1):
-            seqs = (G.prufer_sequences(n) if n <= TREE_EXHAUSTIVE_CAP
-                    else G.prufer_sequences(n, samples, seed))
-            while chunk := tuple(islice(seqs, TREE_CHUNK)):
-                yield n, len(chunk), bytes(chain.from_iterable(chunk))
+            if n <= TREE_EXHAUSTIVE_CAP:
+                total = n ** max(n - 2, 0)
+                for first in range(0, total, TREE_CHUNK):
+                    yield n, first, min(TREE_CHUNK, total - first)
+            else:
+                seqs = G.prufer_sequences(n, samples, seed)
+                while chunk := tuple(islice(seqs, TREE_CHUNK)):
+                    yield n, bytes(chain.from_iterable(chunk))
 
     # one chunk per task: a campaign has only tens to hundreds of chunks
     return _pool_campaign(

@@ -7,6 +7,7 @@ from math import ceil
 
 import pytest
 
+from oidrd import forest
 from oidrd import graphs as G
 from oidrd import harness as H
 from oidrd.characterize import FOUR, OTHER, ClassifyResult
@@ -68,15 +69,24 @@ def test_campaigns_name_their_max_n_range_alike(campaign, max_n, message):
     assert str(caught.value) == message
 
 
+def _tree_row(seq, n: int) -> tuple:
+    """The violation row of the tree with Prufer sequence seq: its text and
+    (2 beta + 1, gamma_oidr) by the graph route."""
+    tree = G.prufer_decode(tuple(seq), n)
+    beta, goidr = forest._forest_routes(tree)
+    return G.to_edge_list_text(tree), "tree_lower_bound", 2 * beta + 1, goidr
+
+
 def test_violations_carry_the_graph_text(monkeypatch):
     # workers send the graph text back only with a violation; force one per tree
-    monkeypatch.setattr(H, "_prufer_routes", lambda seq, n: (0, 0))
+    monkeypatch.setattr(H, "_prufer_offsets", lambda n, first_seq, count: [0] * count)
     r = H.audit_trees(3, workers=1)
     assert r.status == "fail" and r.extra["equality_cases"] == 0
     trees = [G.to_edge_list_text(t) for n in (1, 2, 3) for t in G.enumerate_trees(n)]
     assert sorted(v.graph for v in r.violations) == sorted(trees)
     assert {v.claim for v in r.violations} == {"tree_lower_bound"}
-
+    rows = [_tree_row(seq, n) for n in (1, 2, 3) for seq in G.prufer_sequences(n)]
+    assert sorted((v.graph, v.claim, v.lhs, v.rhs) for v in r.violations) == sorted(rows)
 
 
 def _count_graphs(monkeypatch) -> list[int]:
@@ -119,11 +129,12 @@ def test_trees_campaign_scores_every_tree_of_a_partial_last_chunk(monkeypatch):
     check = H._tree_check
 
     def counting_check(payload):
-        n, count, data = payload
-        assert 0 < count <= H.TREE_CHUNK
-        assert len(data) == count * max(n - 2, 0)
+        n, first, count = payload
+        assert 0 < count <= H.TREE_CHUNK and first % H.TREE_CHUNK == 0
+        result = check(payload)
+        assert result[0] == count
         scored[n] += count
-        return check(payload)
+        return result
 
     monkeypatch.setattr(H, "_tree_check", counting_check)
     r = H.audit_trees(7, workers=1)
@@ -132,26 +143,67 @@ def test_trees_campaign_scores_every_tree_of_a_partial_last_chunk(monkeypatch):
     assert r.instances_checked == sum(scored.values())
 
 
+def _index(seq, n: int) -> int:
+    """The lexicographic index of a Prufer sequence on n vertices."""
+    return sum(d * n ** (len(seq) - 1 - i) for i, d in enumerate(seq))
+
+
+def _forcing_offsets(monkeypatch, n: int, seq: tuple) -> None:
+    """Patch the kernel to score the tree with Prufer sequence seq on n
+    vertices 0, below the bound, whichever chunk and position it is in."""
+    offsets = H._prufer_offsets
+    target = _index(seq, n)
+
+    def forced(order, first_seq, count):
+        out = offsets(order, first_seq, count)
+        first = _index(first_seq, order)
+        if order == n and first <= target < first + count:
+            out[target - first] = 0
+        return out
+
+    monkeypatch.setattr(H, "_prufer_offsets", forced)
+
+
 def test_trees_payloads_stay_small_and_violations_keep_their_text(monkeypatch):
-    # a chunk pickles as its bytes plus a fixed header, however many trees
-    sizes = []
+    # an exhaustive chunk is a fixed-size triple of ints, however many trees
+    payloads = []
     check = H._tree_check
 
-    def sizing_check(payload):
-        sizes.append(len(pickle.dumps(payload)))
+    def recording_check(payload):
+        payloads.append(payload)
         return check(payload)
 
-    # force one violation at n = 7, so its text is decoded from a bytes slice
+    # force one violation at n = 7, so its text is decoded from an index
     seq = (6, 0, 3, 3, 1)
-    routes = H._prufer_routes
-    monkeypatch.setattr(H, "_tree_check", sizing_check)
-    monkeypatch.setattr(H, "_prufer_routes",
-                        lambda s, n: (5, 0) if (n, tuple(s)) == (7, seq) else routes(s, n))
+    _forcing_offsets(monkeypatch, 7, seq)
+    monkeypatch.setattr(H, "_tree_check", recording_check)
     r = H.audit_trees(7, workers=1)
-    assert len(sizes) == 1 + 1 + 1 + 1 + 1 + 2 + 17
-    assert max(sizes) <= H.TREE_CHUNK * 5 + 200
-    assert [(v.graph, v.claim, v.lhs, v.rhs) for v in r.violations] == [
-        (G.to_edge_list_text(G.prufer_decode(seq, 7)), "tree_lower_bound", 11, 0)]
+    assert len(payloads) == 1 + 1 + 1 + 1 + 1 + 2 + 17
+    assert all(len(p) == 3 and all(type(x) is int for x in p) for p in payloads)
+    assert max(len(pickle.dumps(p)) for p in payloads) <= 32
+    assert [(v.graph, v.claim, v.lhs, v.rhs) for v in r.violations] == [_tree_row(seq, 7)]
+
+
+def test_sampled_trees_violations_keep_their_text(monkeypatch):
+    # a sampled order is sent as packed bytes; force one violation at n = 9
+    samples = list(G.prufer_sequences(9, H.TREE_CHUNK + 5, seed=3))
+    seq = samples[H.TREE_CHUNK + 2]  # in the partial second chunk
+    sampled = []
+    check = H._tree_check
+
+    def recording_check(payload):
+        if payload[0] == 9:
+            sampled.append(payload)
+        return check(payload)
+
+    _forcing_offsets(monkeypatch, 9, seq)
+    monkeypatch.setattr(H, "_tree_check", recording_check)
+    r = H.audit_trees(9, samples=len(samples), seed=3, workers=1)
+    assert [len(p) for p in sampled] == [2, 2]
+    assert [len(data) for _, data in sampled] == [7 * H.TREE_CHUNK, 7 * 5]
+    assert b"".join(data for _, data in sampled) == bytes(x for q in samples for x in q)
+    assert [(v.graph, v.claim, v.lhs, v.rhs) for v in r.violations] == [_tree_row(seq, 9)]
+    assert r.instances_checked == r.extra["exhaustive_instances"] + len(samples)
 
 
 def _record_pool_starts(monkeypatch, cpus):

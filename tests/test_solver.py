@@ -388,13 +388,17 @@ def test_forest_routes_match_oracle_on_sampled_trees():
             assert forest.tree_beta(t) == S.brute_force_beta(t).value, G.to_edge_list_text(t)
 
 
+def _graph_offset(seq, n: int) -> int:
+    """gamma_oidr - 2 beta of the tree with Prufer sequence seq, by the graph route."""
+    beta, gamma = forest._forest_routes(G.prufer_decode(tuple(seq), n))
+    return gamma - 2 * beta
+
+
 def test_prufer_route_matches_the_graph_route():
     sequences = [(n, seq) for n in range(1, 8) for seq in G.prufer_sequences(n)]
     sequences += [(n, seq) for n in (9, 10) for seq in G.prufer_sequences(n, 1000, seed=n)]
     for n, seq in sequences:
-        g = G.prufer_decode(seq, n)
-        expected = (forest.tree_beta(g), forest.tree_oidrd(g))
-        assert forest._prufer_routes(seq, n) == expected, (n, seq)
+        assert forest._prufer_offsets(n, seq, 1) == [_graph_offset(seq, n)], (n, seq)
     assert len(sequences) == 18249 + 2000
 
 
@@ -422,32 +426,83 @@ def test_forest_routes_on_one_and_two_vertices():
 
 
 def test_one_pass_prufer_routes_match_the_graph_route_on_every_small_tree():
+    # one range per order, the odometer turning through every sequence
     h = hashlib.sha256()
     trees = 0
     for n in range(1, 8):
-        for seq in G.prufer_sequences(n):
-            routes = forest._prufer_routes(seq, n)
-            assert routes == forest._forest_routes(G.prufer_decode(seq, n)), (n, seq)
-            h.update(bytes(routes))
-            trees += 1
+        sequences = list(G.prufer_sequences(n))
+        offsets = forest._prufer_offsets(n, sequences[0], len(sequences))
+        assert offsets == [_graph_offset(seq, n) for seq in sequences], n
+        h.update(bytes(offsets))
+        trees += len(offsets)
     assert trees == 18249
-    # the digest of test_forest_routes_are_pinned_on_every_small_tree
-    assert h.hexdigest() == "9cea6a65d17c36a7ebb37b729041f5df28c11017e2537f13c6dc40be57284202"
+    # gamma_oidr - 2 beta per tree, one byte each, recorded from the one-pass
+    # (beta, gamma_oidr) route the offsets replaced
+    assert h.hexdigest() == "c034e1b1ebb41064d7cf8e23d5c7ca8eb3191c4947880eb86877da66936e7f98"
 
 
 @pytest.mark.parametrize("n,count", [(9, 300), (10, 300), (20, 200), (100, 50), (1000, 20)])
 def test_one_pass_prufer_routes_match_the_graph_route_on_samples(n, count):
     for seq in G.prufer_sequences(n, count, seed=n):
-        expected = forest._forest_routes(G.prufer_decode(seq, n))
-        assert forest._prufer_routes(seq, n) == expected, (n, seq)
+        assert forest._prufer_offsets(n, seq, 1) == [_graph_offset(seq, n)], (n, seq)
 
 
 def test_one_pass_prufer_routes_on_small_orders_and_bytes():
-    assert forest._prufer_routes((), 1) == forest._prufer_routes(b"", 1) == (0, 2)
-    assert forest._prufer_routes((), 2) == forest._prufer_routes(b"", 2) == (1, 3)
+    assert forest._prufer_offsets(1, (), 1) == forest._prufer_offsets(1, b"", 1) == [2]
+    assert forest._prufer_offsets(2, (), 1) == forest._prufer_offsets(2, b"", 1) == [1]
     for n in range(3, 9):
         for seq in G.prufer_sequences(n, 50, seed=n):
-            assert forest._prufer_routes(bytes(seq), n) == forest._prufer_routes(seq, n), (n, seq)
+            assert forest._prufer_offsets(n, bytes(seq), 3) == forest._prufer_offsets(n, seq, 3)
+
+
+def _successors(seq: tuple, n: int, count: int) -> list[tuple]:
+    """seq and the count - 1 Prufer sequences after it in lexicographic order."""
+    out = [seq]
+    while len(out) < count:
+        digits = list(out[-1])
+        i = len(digits) - 1
+        while digits[i] == n - 1:
+            digits[i] = 0
+            i -= 1
+        digits[i] += 1
+        out.append(tuple(digits))
+    return out
+
+
+def test_prufer_offset_ranges_cross_a_carry_at_every_digit():
+    for n in range(3, 8):
+        sequences = list(G.prufer_sequences(n))
+        whole = forest._prufer_offsets(n, sequences[0], len(sequences))
+        # the odometer carries into digit i, wrapping every later digit, at
+        # each multiple of n^(n - 3 - i); take a range across one, mid-order
+        for i in range(n - 2):
+            turn = n ** (n - 3 - i) * (1 + (i > 0))
+            first = max(turn - 3, 0)
+            count = min(7, len(sequences) - first)
+            assert forest._prufer_offsets(n, sequences[first], count) == \
+                whole[first:first + count], (n, i)
+        # the last sequence, whose odometer wraps past the end of the order
+        assert forest._prufer_offsets(n, sequences[-1], 1) == whole[-1:]
+    for n in (9, 10):
+        for seq in G.prufer_sequences(n, 20, seed=n):
+            # end in n - 1 at every digit but the first, so the range carries through all
+            start = (seq[0] if seq[0] < n - 1 else 0, *(n - 1,) * (n - 3))
+            run = _successors(start, n, 4)
+            assert forest._prufer_offsets(n, start, 4) == [_graph_offset(q, n) for q in run]
+            run = _successors(seq, n, 30)
+            assert forest._prufer_offsets(n, seq, 30) == [_graph_offset(q, n) for q in run]
+
+
+def test_labeled_equality_counts_are_pinned():
+    # trees with gamma_oidr = 2 beta + 1 per order n = 2..8; their running sums
+    # are audit_trees' equality_cases, 4,928 at n <= 7 and 107,752 at n <= 8
+    counts = []
+    for n in range(2, 9):
+        offsets = forest._prufer_offsets(n, (0,) * (n - 2), n ** (n - 2))
+        assert min(offsets) == 1
+        counts.append(offsets.count(1))
+    assert counts == [1, 3, 16, 65, 846, 3997, 102824]
+    assert sum(counts[:-1]) == 4928 and sum(counts) == 107752
 
 
 def _automaton_closure() -> set[tuple]:
@@ -479,6 +534,25 @@ def test_forest_table_stays_within_the_closure():
     closure = _automaton_closure()
     assert set(forest._STATES) <= closure and len(forest._STATES) == len(forest._STATE_IDS)
     assert sum(map(len, forest._MOVES)) <= len(closure) ** 2
+
+
+def test_product_table_stays_within_twice_the_closure():
+    # fill every move among the closure's states with both bits
+    closure = _automaton_closure()
+    for x in closure:
+        forest._intern(x)
+    ids = range(2 * len(forest._STATES))
+    for a in ids:
+        for b in ids:
+            forest._close_pair(a, b)
+    assert len(forest._STATES) == len(closure) == 99
+    assert len(forest._PAIR_MOVES) == 2 * 99
+    for a, moves in enumerate(forest._PAIR_MOVES):
+        assert set(moves) == set(ids)
+        for b, (c, inc) in moves.items():
+            state, low = forest._MOVES[a >> 1][b >> 1]
+            taken = not (a & 1 or b & 1)  # a free child matches a free parent
+            assert (c, inc) == (2 * state + (a & 1 or not b & 1), low - 2 * taken), (a, b)
 
 
 def _unclipped_routes(g: G.Graph) -> tuple[int, int]:
