@@ -4,7 +4,12 @@ reduction to the claims they certify, with machine-readable audit reports.
 Campaigns are deterministic given (campaign, parameters, seed); sample seeds
 are explicit inputs recorded in the report.  Instance work may fan out to a
 process pool; aggregation is order-independent (violations are sorted
-canonically before emission).  Pool workers send a graph's text back only
+canonically before emission).  The pool is started by the first parallel
+campaign and lives until the process exits, a campaign asks for another
+process count, or a campaign is left early (see _pooled), so the campaigns
+of one process share its workers.  Workers run the package as it was when
+the pool was forked: a test that monkeypatches a check or a solver must run
+its campaign with workers=1.  Pool workers send a graph's text back only
 with a violation.  The trees campaign sends its workers chunks of Prufer
 sequences in two shapes: an exhaustive order as (n, first, count), a range
 of lexicographic indices that the worker walks like an odometer, and a
@@ -28,6 +33,7 @@ or, when nothing lies below the bound, the value of solve_oidrd.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import io
 import json
@@ -140,7 +146,9 @@ def _map_instances(worker, payloads, workers: int | None, *, chunksize: int = 64
     arrive, from at most os.cpu_count() processes and no more than there are
     payloads, chunksize payloads per pool task.  Only the first `workers`
     payloads are taken ahead to count them; the rest stay a lazy iterator.
-    workers None means every core; below 1 it raises ValueError at the call."""
+    workers None means every core; below 1 it raises ValueError at the call.
+    More than one process runs on the live pool of _pooled, which outlives
+    the call; a single payload runs in-process."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cpus = os.cpu_count() or 1
@@ -155,9 +163,39 @@ def _map_instances(worker, payloads, workers: int | None, *, chunksize: int = 64
     return _pooled(worker, payloads, workers, chunksize)
 
 
+_pool: tuple | None = None  # (processes, Pool) of the one live pool
+
+
 def _pooled(worker, payloads, workers: int, chunksize: int) -> Iterator:
-    with Pool(workers) as pool:
-        yield from pool.imap(worker, payloads, chunksize=chunksize)
+    """Worker's results from the live pool of `workers` processes, started on
+    first use and kept for the next call with the same count, so a process
+    that runs many campaigns forks its workers once.  A call with another
+    count terminates the old pool first, so at most one is alive.  A call
+    left early (an exception in a worker, the consumer closing the
+    generator, KeyboardInterrupt) terminates its pool and forgets it, so no
+    later call queues behind orphaned tasks.  atexit terminates the pool
+    before multiprocessing's own exit handler runs."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        _drop_pool()
+        pool = Pool(workers)
+        atexit.register(pool.terminate)
+        _pool = (workers, pool)
+    try:
+        yield from _pool[1].imap(worker, payloads, chunksize=chunksize)
+    except BaseException:
+        _drop_pool()
+        raise
+
+
+def _drop_pool() -> None:
+    """Terminate the live pool, if any, and forget it."""
+    global _pool
+    if _pool is not None:
+        pool = _pool[1]
+        _pool = None
+        atexit.unregister(pool.terminate)
+        pool.terminate()
 
 
 def _report(campaign: str, params: dict, instances: int, violations: list[Violation],

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from math import ceil
@@ -207,36 +210,40 @@ def test_sampled_trees_violations_keep_their_text(monkeypatch):
 
 
 def _record_pool_starts(monkeypatch, cpus):
-    """Replace the pool by an in-process stub and fake cpu_count; returns
-    the list of process counts the stub is started with."""
+    """Replace the pool by an in-process stub, fake cpu_count and start with
+    no live pool (monkeypatch puts back whichever pool was live before);
+    returns the stubs in the order they were started."""
     started = []
 
     class RecordingPool:
         def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.processes, self.terminated = processes, False
+            started.append(self)
 
         def imap(self, worker, payloads, chunksize):
             return map(worker, payloads)
 
+        def terminate(self):
+            self.terminated = True
+
     monkeypatch.setattr(H, "Pool", RecordingPool)
+    monkeypatch.setattr(H, "_pool", None)
     monkeypatch.setattr(H.os, "cpu_count", lambda: cpus)
     return started
+
+
+def _starts(started) -> list[tuple[int, bool]]:
+    return [(pool.processes, pool.terminated) for pool in started]
 
 
 def test_map_instances_clamps_workers_to_cpu_count(monkeypatch):
     started = _record_pool_starts(monkeypatch, 2)
     assert list(H._map_instances(abs, [-1, -2, 3], 10**6)) == [1, 2, 3]
     assert list(H._map_instances(abs, [-4, -6], None)) == [4, 6]
-    assert started == [2, 2]
+    assert _starts(started) == [(2, False)]
     monkeypatch.setattr(H.os, "cpu_count", lambda: 1)
     assert list(H._map_instances(abs, [-5, -7], 64)) == [5, 7]
-    assert started == [2, 2]
+    assert _starts(started) == [(2, False)]
 
 
 def test_map_instances_starts_no_idle_processes(monkeypatch):
@@ -251,7 +258,67 @@ def test_map_instances_starts_no_idle_processes(monkeypatch):
     assert started == []
     assert list(H._map_instances(abs, payloads(2), 2)) == [1, 2]
     assert list(H._map_instances(abs, payloads(5), 2)) == [1, 2, 3, 4, 5]
-    assert started == [2, 2]
+    assert _starts(started) == [(2, False)]
+    # another process count terminates the live pool before it starts one
+    monkeypatch.setattr(H.os, "cpu_count", lambda: 4)
+    assert list(H._map_instances(abs, payloads(3), None)) == [1, 2, 3]
+    assert _starts(started) == [(2, True), (3, False)]
+    assert H._pool == (3, started[1])
+
+
+def test_run_all_starts_one_pool(monkeypatch):
+    started = _record_pool_starts(monkeypatch, 2)
+    assert all(r.status == "pass" for r in H.run_all(5, workers=2))
+    assert _starts(started) == [(2, False)]
+
+
+def test_a_call_left_early_drops_its_pool(monkeypatch):
+    started = _record_pool_starts(monkeypatch, 2)
+    with pytest.raises(TypeError):
+        list(H._map_instances(abs, [-1, "not a number", 3], 2))
+    assert _starts(started) == [(2, True)] and H._pool is None
+    results = H._map_instances(abs, [-1, -2, -3], 2)
+    assert next(results) == 1
+    results.close()
+    assert _starts(started) == [(2, True), (2, True)] and H._pool is None
+
+
+def test_a_campaign_that_raises_in_a_worker_drops_the_pool(monkeypatch):
+    monkeypatch.setattr(H.os, "cpu_count", lambda: 2)  # a real pool, also on one core
+    serial = _strip_runtime(H.audit_bounds(4, workers=1))
+    with pytest.raises(AttributeError):
+        H._pool_campaign("bounds", {"max_n": 4}, [G.path(2), "not a graph", G.path(3)],
+                         H._bounds_check, 2)
+    assert H._pool is None
+    assert _strip_runtime(H.audit_bounds(4, workers=2)) == serial
+    assert H._pool[0] == 2
+
+
+_POOL_LIFETIME = """
+import multiprocessing
+from oidrd import harness as H
+for _ in range(2):
+    assert H.audit_trees(4, workers=2).status == "pass"
+print(*(p.pid for p in multiprocessing.active_children()))
+"""
+
+
+def test_the_pool_ends_with_its_process():
+    # a running pool left to the interpreter's shutdown warns from Pool.__del__,
+    # which -W error turns into "Exception ignored"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", _POOL_LIFETIME],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "Exception ignored" not in out.stderr
+    pids = [int(pid) for pid in out.stdout.split()]
+    # one core runs the campaign in-process and starts no pool
+    assert len(pids) == (2 if (os.cpu_count() or 1) > 1 else 0)
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_map_instances_streams_results():
@@ -298,12 +365,17 @@ def test_sharpness_refuses_a_large_t_before_building_m():
 
 
 def test_reports_identical_across_worker_counts():
-    serial = H.audit_bounds(4, workers=1)
-    parallel = H.audit_bounds(4, workers=2)
-    assert _strip_runtime(serial) == _strip_runtime(parallel)
-    s2 = H.audit_characterization(4, n7_samples=5, seed=3, workers=1)
-    p2 = H.audit_characterization(4, n7_samples=5, seed=3, workers=2)
-    assert _strip_runtime(s2) == _strip_runtime(p2)
+    # the second parallel run of each campaign reuses the pool the first left alive
+    campaigns = [
+        lambda workers: H.audit_bounds(4, workers=workers),
+        lambda workers: H.audit_characterization(4, n7_samples=5, seed=3, workers=workers),
+        lambda workers: H.audit_reduction(5, samples_n5=10, seed=3, workers=workers),
+        lambda workers: H.audit_trees(9, samples=2000, seed=3, workers=workers),
+    ]
+    for campaign in campaigns:
+        serial = _strip_runtime(campaign(1))
+        for _ in range(2):
+            assert _strip_runtime(campaign(2)) == serial
 
 
 def test_seed_recorded_and_respected():
