@@ -13,7 +13,9 @@ import inspect
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from . import graphs as G
 from . import harness as H
@@ -80,13 +82,25 @@ def _parse_spec(text: str) -> tuple[G.FamilySpec, int]:
         raise GraphError("graph spec nested too deeply") from None
 
 
+@contextmanager
+def _file_errors(path: object) -> Iterator[None]:
+    """An OSError from reading or writing path, or a file below it, as a
+    UsageError that names the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"{exc.filename or path}: {exc.strerror or exc}") from None
+
+
 def _load_graph(arg: str, cap: int) -> G.Graph:
     if arg == "-":
         return parse_graph(sys.stdin.read(), cap)
     # os.path.isfile is False, not an OSError, for an argument too long to
     # be a file name, such as a long DSL string
     if os.path.isfile(arg):
-        return parse_graph(Path(arg).read_text(encoding="utf-8"), cap)
+        with _file_errors(arg):
+            text = Path(arg).read_text(encoding="utf-8")
+        return parse_graph(text, cap)
     return parse_graph(arg, cap)
 
 
@@ -270,7 +284,8 @@ def _run_generate(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, _solver_cap())
     text = G.to_edge_list_text(g)
     if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+        with _file_errors(args.output):
+            Path(args.output).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
     return 0
@@ -306,11 +321,13 @@ def _run_audit(args: argparse.Namespace) -> int:
     reports = campaign(**kwargs) if args.all else [campaign(**kwargs)]
     if args.output_dir:
         d = Path(args.output_dir)
-        d.mkdir(parents=True, exist_ok=True)
-        for r in reports:
-            (d / f"{r.campaign}.json").write_text(r.to_json() + "\n", encoding="utf-8")
+        with _file_errors(d):
+            d.mkdir(parents=True, exist_ok=True)
+            for r in reports:
+                (d / f"{r.campaign}.json").write_text(r.to_json() + "\n", encoding="utf-8")
     if args.csv:
-        Path(args.csv).write_text(H.csv_summary(reports), encoding="utf-8")
+        with _file_errors(args.csv):
+            Path(args.csv).write_text(H.csv_summary(reports), encoding="utf-8")
     if args.json:
         print(json.dumps({"schema": SCHEMA, "reports": [r.to_dict() for r in reports]},
                          indent=2, sort_keys=True))

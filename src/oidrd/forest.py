@@ -2,13 +2,13 @@
 
 This is a third exact route, independent of the branch-and-bound engine and
 the full-enumeration oracle in solver.py: it reads nothing but the graph.
-One children-first pass computes both values.  _forest_routes peels leaves
-off a graph's neighbour masks, and _prufer_offsets runs the same pass, on the
-product automaton below, while it decodes Prufer sequences.  A leaf closes
-into its one remaining neighbour, its parent, with its state final; a vertex
-left with no neighbour is the last of its component, its root.  Any such
-order is children-first, so the values do not depend on which leaf goes
-first.
+One children-first pass computes both values, one lookup per edge in one
+product transition table.  _forest_routes peels leaves off a graph's
+neighbour masks, and _prufer_offsets runs the same pass while it decodes
+Prufer sequences.  A leaf closes into its one remaining neighbour, its
+parent, with its state final; a vertex left with no neighbour is the last of
+its component, its root.  Any such order is children-first, so the values do
+not depend on which leaf goes first.
 
 beta: by Konig's theorem the vertex cover number equals the maximum matching,
 which greedy matching of leaves to their parents attains when every vertex
@@ -23,15 +23,12 @@ states of v, given the labels of its children only:
 A child closes into its parent by _merge, and a root has no parent, so only
 Z2, O1, T and H are final there.  The pass runs this program as a finite
 automaton.  A vertex's costs are an offset plus a normalised vector
-(_normalised: clipped, less its minimum), interned as a state id.  A child
-closes into its parent with one lookup in _MOVES, keyed by the two state ids,
-which gives the parent's new state and the increment of its offset; _close
-computes a missing entry.  Offsets only flow into the root's, so one running
-sum holds them all, and since the table is a memo, no result depends on what
-it holds.  Two facts make this exact and bounded:
+(_normalised: clipped, less its minimum), interned as a state id.  Offsets
+only flow into the root's, so one running sum holds them all.  Two facts make
+this exact and bounded:
 - Min-plus linearity.  Every merged entry is one parent entry plus a min over
   child entries, so merging vectors shifted by a and b gives the merge
-  shifted by a + b: the table is keyed by the normalised vectors alone.
+  shifted by a + b: a move is determined by the normalised vectors alone.
 - Clipping.  H accepts every parent label and gives the parent all any other
   state could, a nonzero label and a 3-neighbor.  So replacing the subtree's
   labeling by its best H-labeling stays valid and only moves the parent to a
@@ -40,24 +37,24 @@ it holds.  Two facts make this exact and bounded:
   child adds at least its minimum to every state and exactly that to H.
   Since H is at most the minimum plus 3, every kept relative cost lies in
   0..3.
-The closure of the leaf vector under _merge and normalisation has 99 states,
-so the table holds at most 99^2 moves; it is filled on a miss.
+The closure of the leaf vector under _merge and normalisation has 99 states.
 
-The product automaton scores the tree bound gamma_oidr >= 2 beta + 1 in one
-lookup per edge.  Its id is 2 s + m, for automaton state s and the matched
-bit m of greedy leaf matching.  A child with bit c closing into a parent with
-bit m is matched to it iff both are free, which adds 1 to beta, and leaves
-the parent matched iff it was or the child is free.  A move in _PAIR_MOVES,
-filled by _close_pair from _MOVES, maps (parent id, child id) to (the next
-id, the increment of the offset e), where e sums the gamma_oidr increments
-less twice the beta increments.  So gamma_oidr - 2 beta of a tree is e plus
-_ROOT of its root's state, and the tree meets the bound with equality iff
-that is 1.  This is exact because the matching rule is: a vertex's bit once
-its children are in is the OR of their free bits, and it gains one beta
-increment iff some child is free, so neither depends on the order in which
-the children close in, and greedy leaf matching is maximum in any
-children-first order.  The product therefore folds what the two rules give
-apart, and it has at most 2 * 99 ids.
+The table is that automaton times the matched bit m of greedy leaf matching:
+a product id is 2 s + m, for automaton state s, so there are at most 2 * 99
+ids and (2 * 99)^2 moves.  A child with bit c closing into a parent with bit
+m is matched to it iff both are free, both ids even, which adds 1 to beta,
+and leaves the parent matched iff it was or the child is free.  A move in
+_PAIR_MOVES maps (parent id, child id) to (the next id, the increment of the
+offset e), where e sums the gamma_oidr increments less twice the beta
+increments; _close_pair computes a missing move, so the table is a memo and
+no result depends on what it holds.  So gamma_oidr - 2 beta of a tree is e
+plus _ROOT of its root's state, which scores the tree bound
+gamma_oidr >= 2 beta + 1: the tree meets it with equality iff that is 1.
+This is exact because the matching rule is: a vertex's bit once its children
+are in is the OR of their free bits, and it gains one beta increment iff some
+child is free, so neither depends on the order in which the children close
+in, and greedy leaf matching is maximum in any children-first order.  The
+product therefore folds what the two rules give apart.
 """
 
 from __future__ import annotations
@@ -105,17 +102,14 @@ def _normalised(x: tuple) -> tuple[tuple, int]:
     return tuple(c - least for c in kept), least
 
 
-# Filled by _close: the normalised vectors met so far, the leaf's first, and
-# their ids; per state the least weight it leaves at a root, and its moves,
-# a dict from the state of a child closing in to (the merged state, the
-# increment of the offset).
+# Filled by _intern: the normalised vectors met so far, the leaf's first, and
+# their ids, and per state the least weight it leaves at a root.  Filled by
+# _close_pair: per product id 2 s + m, for state s and matched bit m, its
+# moves, a dict from the product id of a child closing in to (the merged
+# product id, the increment of the offset e).
 _STATES: list[tuple] = []
 _STATE_IDS: dict[tuple, int] = {}
 _ROOT: list[int] = []
-_MOVES: list[dict[int, tuple[int, int]]] = []
-# Filled by _close_pair: per product id 2 s + m, for state s and matched bit
-# m, its moves, a dict from the product id of a child closing in to (the
-# merged product id, the increment of the offset e).
 _PAIR_MOVES: list[dict[int, tuple[int, int]]] = []
 
 
@@ -125,7 +119,6 @@ def _intern(x: tuple) -> int:
         s = _STATE_IDS[x] = len(_STATES)
         _STATES.append(x)
         _ROOT.append(min(x[2], x[4], x[5], x[6]))
-        _MOVES.append({})
         _PAIR_MOVES.extend(({}, {}))
     return s
 
@@ -133,62 +126,52 @@ def _intern(x: tuple) -> int:
 _intern(_LEAF)
 
 
-def _close(sp: int, sc: int) -> tuple[int, int]:
-    """The move of state sp when a child in state sc closes into it, tabled."""
-    merged, least = _normalised(_merge(_STATES[sp], _STATES[sc]))
-    move = _MOVES[sp][sc] = (_intern(merged), least)
+def _close_pair(a: int, b: int) -> tuple[int, int]:
+    """The product move of product id a when a child with product id b closes
+    into it, tabled: the automaton's move on the states, and greedy leaf
+    matching on the bits, which matches a free child to a free parent."""
+    merged, least = _normalised(_merge(_STATES[a >> 1], _STATES[b >> 1]))
+    matched, child_matched = a & 1, b & 1
+    taken = not (matched or child_matched)
+    move = _PAIR_MOVES[a][b] = (2 * _intern(merged) + (matched or not child_matched),
+                                least - 2 * taken)
     return move
 
 
 def _forest_routes(g: Graph) -> tuple[int, int]:
     """(beta, gamma_oidr) of the forest g, peeling leaves off its neighbour
-    masks.  A vertex is pushed once, when its remaining mask first has at most
-    one bit; a vertex whose mask empties had one bit before, so it is already
-    pushed.  Raises GraphError unless every vertex peels, i.e. g is a forest."""
+    masks and closing each into its parent by one product move.  A vertex is
+    pushed once, when its remaining mask first has at most one bit; a vertex
+    whose mask empties had one bit before, so it is already pushed.  Raises
+    GraphError unless every vertex peels, i.e. g is a forest."""
     masks = list(g.nbr_masks)
     leaves = [v for v, mask in enumerate(masks) if not mask & (mask - 1)]
-    state = [0] * g.n  # the leaf, until a child closes in
-    free = [True] * g.n  # not yet matched
-    moves = _MOVES
-    beta = gamma = peeled = 0
+    state = [0] * g.n  # the free leaf, until a child closes in
+    moves = _PAIR_MOVES
+    beta = e = peeled = 0
     while leaves:
         v = leaves.pop()
         peeled += 1
         mask = masks[v]
+        sc = state[v]
         if not mask:
-            gamma += _ROOT[state[v]]
+            e += _ROOT[sc >> 1]
             continue
         p = mask.bit_length() - 1
-        if free[v] and free[p]:
-            free[p] = False
-            beta += 1
+        sp = state[p]
+        beta += not (sp | sc) & 1  # a free child matches a free parent
         try:
-            state[p], low = moves[state[p]][state[v]]
+            state[p], inc = moves[sp][sc]
         except KeyError:
-            state[p], low = _close(state[p], state[v])
-        gamma += low
+            state[p], inc = _close_pair(sp, sc)
+        e += inc
         rest = masks[p] = masks[p] ^ (1 << v)
         if rest and not rest & (rest - 1):
             leaves.append(p)
     if peeled < g.n:
         raise GraphError(f"not a forest: {g.n - peeled} of {g.n} vertices are left "
                          f"on or between cycles once every leaf is peeled")
-    return beta, gamma
-
-
-def _close_pair(a: int, b: int) -> tuple[int, int]:
-    """The product move of product id a when a child with product id b closes
-    into it, tabled: the automaton's move on the states, and greedy leaf
-    matching on the bits, which matches a free child to a free parent."""
-    sp, matched = a >> 1, a & 1
-    sc, child_matched = b >> 1, b & 1
-    try:
-        s, low = _MOVES[sp][sc]
-    except KeyError:
-        s, low = _close(sp, sc)
-    taken = not (matched or child_matched)
-    move = _PAIR_MOVES[a][b] = (2 * s + (matched or not child_matched), low - 2 * taken)
-    return move
+    return beta, e + 2 * beta
 
 
 def _prufer_offsets(n: int, first_seq: Sequence[int], count: int) -> list[int]:

@@ -1003,7 +1003,6 @@ def brute_force_oidrd(g: Graph) -> SolveResult:
 # callers look entries up when they call, so one can be swapped
 BRUTE_SOLVERS = {name: partial(_brute_result, name) for name in INVARIANTS}
 brute_force_alpha = BRUTE_SOLVERS["alpha"]
-brute_force_beta = BRUTE_SOLVERS["beta"]
 
 
 def _optimal_labelings(g: Graph, prob: _Problem) -> Iterator[Labeling]:

@@ -229,6 +229,22 @@ def test_audit_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("audit", "sharpness", "--csv", "{missing}/x.csv"),
+    ("audit", "sharpness", "--output-dir", "{file}"),
+    ("generate", "path:3", "--output", "{missing}/g.txt"),
+])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    # exit 1 means audit violations, so a path that cannot be written is a
+    # usage error that names the path
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    paths = {"missing": tmp_path / "missing", "file": taken}
+    code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith(f"oidrd: {tmp_path}") and "Traceback" not in err
+
+
 def test_audit_all_passes_on_a_correct_build(capsys):
     code, out, _ = run_cli(capsys, "audit", "--all", "--max-n", "5", "--workers", "2")
     assert code == 0

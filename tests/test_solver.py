@@ -385,7 +385,7 @@ def test_forest_routes_match_oracle_on_sampled_trees():
     for n in (8, 9, 10):
         for t in G.sample_trees(n, 8, seed=n):
             assert forest.tree_oidrd(t) == S.brute_force_oidrd(t).value, G.to_edge_list_text(t)
-            assert forest.tree_beta(t) == S.brute_force_beta(t).value, G.to_edge_list_text(t)
+            assert forest.tree_beta(t) == S.BRUTE_SOLVERS["beta"](t).value, G.to_edge_list_text(t)
 
 
 def _graph_offset(seq, n: int) -> int:
@@ -533,7 +533,7 @@ def test_forest_table_stays_within_the_closure():
     H.audit_trees(8, workers=1)
     closure = _automaton_closure()
     assert set(forest._STATES) <= closure and len(forest._STATES) == len(forest._STATE_IDS)
-    assert sum(map(len, forest._MOVES)) <= len(closure) ** 2
+    assert sum(map(len, forest._PAIR_MOVES)) <= (2 * len(closure)) ** 2
 
 
 def test_product_table_stays_within_twice_the_closure():
@@ -550,7 +550,9 @@ def test_product_table_stays_within_twice_the_closure():
     for a, moves in enumerate(forest._PAIR_MOVES):
         assert set(moves) == set(ids)
         for b, (c, inc) in moves.items():
-            state, low = forest._MOVES[a >> 1][b >> 1]
+            merged, low = forest._normalised(
+                forest._merge(forest._STATES[a >> 1], forest._STATES[b >> 1]))
+            state = forest._STATE_IDS[merged]
             taken = not (a & 1 or b & 1)  # a free child matches a free parent
             assert (c, inc) == (2 * state + (a & 1 or not b & 1), low - 2 * taken), (a, b)
 
